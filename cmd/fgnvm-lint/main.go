@@ -4,16 +4,14 @@
 //	fgnvm-lint ./...                 # whole tree (CI invocation)
 //	fgnvm-lint -run determinism ./internal/sim
 //	fgnvm-lint -sarif ./... > lint.sarif
-//	fgnvm-lint -fix-annotations ./internal/newpkg
 //	fgnvm-lint -list                 # describe the analyzers
 //
 // Each analyzer encodes a repo-specific correctness rule — bit-exact
-// determinism, telemetry hook purity, cycle/nanosecond unit hygiene,
-// statistics ownership, and the channel-ownership model (ownership,
-// escape, boundary). Findings print as file:line:col diagnostics, or
-// as a SARIF 2.1.0 log with -sarif so CI can upload them as
-// code-scanning annotations; the exit status is 1 if anything was
-// flagged, 2 on usage or load errors. Test files are not analyzed.
+// determinism, telemetry hook purity, cycle/nanosecond unit hygiene
+// and statistics ownership. Findings print as file:line:col
+// diagnostics, or as a SARIF 2.1.0 log with -sarif so CI can upload
+// them as code-scanning annotations; the exit status is 1 if anything
+// was flagged, 2 on usage or load errors. Test files are not analyzed.
 package main
 
 import (
@@ -36,7 +34,6 @@ func run() int {
 		runNames = flag.String("run", "", "comma-separated analyzer names to run (default: all)")
 		list     = flag.Bool("list", false, "list the analyzers and exit")
 		sarif    = flag.Bool("sarif", false, "write findings to stdout as SARIF 2.1.0 instead of plain diagnostics")
-		fixAnn   = flag.Bool("fix-annotations", false, "print a skeleton //own: annotation for every unannotated field or package var in scope, then exit 0")
 	)
 	flag.Parse()
 
@@ -67,9 +64,6 @@ func run() int {
 			}
 		}
 	}
-	if *fixAnn {
-		analyzers = []*lint.Analyzer{lint.Ownership}
-	}
 
 	patterns := flag.Args()
 	if len(patterns) == 0 {
@@ -86,9 +80,6 @@ func run() int {
 		return 2
 	}
 
-	if *fixAnn {
-		return fixAnnotations(diags)
-	}
 	if *sarif {
 		if err := writeSARIF(os.Stdout, analyzers, diags); err != nil {
 			fmt.Fprintln(os.Stderr, "fgnvm-lint:", err)
@@ -105,30 +96,6 @@ func run() int {
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "fgnvm-lint: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))
 		return 1
-	}
-	return 0
-}
-
-// fixAnnotations prints an adoption skeleton from the ownership
-// analyzer's missing-annotation findings: one suggested annotation line
-// per unannotated field or package var. The suggestion defaults to
-// engine ownership — the conservative choice, since engine-owned state
-// is never touched from a shard — with a TODO marking it unaudited.
-// Informational only: always exits 0.
-func fixAnnotations(diags []lint.Diagnostic) int {
-	n := 0
-	for _, d := range diags {
-		if !strings.Contains(d.Message, "missing an //own: annotation") {
-			continue
-		}
-		n++
-		fmt.Printf("%s:%d: add above the declaration:\n\t//own:engine // TODO(ownership): audit inferred default\n",
-			relPath(d.Pos.Filename), d.Pos.Line)
-	}
-	if n == 0 {
-		fmt.Println("fgnvm-lint: every field and package var in scope carries an //own: annotation")
-	} else {
-		fmt.Printf("fgnvm-lint: %d unannotated declaration(s); the engine default is a starting point, not an audit\n", n)
 	}
 	return 0
 }

@@ -31,18 +31,6 @@
 // report recorded on the same machine — the hot-path acceptance gate,
 // run where the report was produced rather than in CI.
 //
-// -scaling also measures the parallel-engine scale-out matrix (every
-// design on the write-heavy workload at 1/2/4 channels, parallel vs
-// forced-serial), asserting simulated cycles identical between the two
-// engines at every point, and records the mean/median window widths of
-// the channel-local delivery derivation next to the reference
-// derivation's. When a -check baseline carries scaling entries the
-// matrix is re-measured and gated automatically: cycles exactly, window
-// widths exactly plus the host-independent 4-channel width-gain floor
-// (widths are pure functions of the simulation), and — only on hosts
-// with >=4 CPUs, since the wall columns are machine-dependent — the
-// 4-channel speedup floor.
-//
 // Absolute wall times are recorded for the report but never gated —
 // they are machine-dependent.
 package main
@@ -57,7 +45,6 @@ import (
 	"time"
 
 	fgnvm "repro"
-	"repro/internal/addr"
 )
 
 // Case is one timed design × benchmark point.
@@ -76,48 +63,13 @@ type Case struct {
 	WriteHeavy  bool    `json:"write_heavy"`   // counts toward the speedup gates
 }
 
-// ScalingCase is one parallel-engine scale-out point: a write-heavy
-// workload on an N-channel geometry with one core per channel, timed
-// under the parallel engine and under the forced serial reference
-// loop. Cycles are asserted equal between the two at measurement time
-// (the engines are byte-identical by contract); the wall columns are
-// machine-dependent and only gated as same-machine ratios, and only on
-// hosts with enough CPUs for the workers to actually run in parallel.
-type ScalingCase struct {
-	Design    string `json:"design"`
-	Benchmark string `json:"benchmark"`
-	Channels  int    `json:"channels"`
-
-	Cycles     uint64  `json:"cycles"`      // simulated cycles (identical parallel vs serial)
-	ParWallMS  float64 `json:"par_wall_ms"` // best parallel-engine wall time
-	SerWallMS  float64 `json:"ser_wall_ms"` // best DisableParallelEngine wall time
-	ParSpeedup float64 `json:"par_speedup"` // SerWallMS / ParWallMS
-
-	// Window-width columns (PR 10). Widths are pure functions of the
-	// simulation — how far the engine can prove ahead before a
-	// cross-channel interaction — so unlike the wall columns they are
-	// host-independent and gate exactly, like cycles. MeanWidth and
-	// P50Width describe the default engine (channel-local delivery);
-	// RefMeanWidth is the same run under DisableLocalDelivery, the PR 9
-	// reference derivation capped at the global completion horizon. The
-	// ratio MeanWidth/RefMeanWidth is the width gain local delivery buys.
-	MeanWidth    float64 `json:"mean_width,omitempty"`
-	P50Width     uint64  `json:"p50_width,omitempty"`
-	RefMeanWidth float64 `json:"ref_mean_width,omitempty"`
-}
-
-// Report is the BENCH_<pr>.json schema. CPUs and Scaling joined in
-// PR 9 (both omitempty, so older baselines parse unchanged): CPUs
-// records how many host CPUs the scaling columns were measured with,
-// since a parallel speedup means nothing without it.
+// Report is the BENCH_<pr>.json schema.
 type Report struct {
-	Instructions uint64        `json:"instructions"`
-	Seed         uint64        `json:"seed"`
-	Reps         int           `json:"reps"`
-	GoVersion    string        `json:"go_version"`
-	CPUs         int           `json:"cpus,omitempty"`
-	Cases        []Case        `json:"cases"`
-	Scaling      []ScalingCase `json:"scaling,omitempty"`
+	Instructions uint64 `json:"instructions"`
+	Seed         uint64 `json:"seed"`
+	Reps         int    `json:"reps"`
+	GoVersion    string `json:"go_version"`
+	Cases        []Case `json:"cases"`
 }
 
 func main() {
@@ -136,7 +88,6 @@ func run() error {
 		check      = flag.String("check", "", "baseline report to gate against")
 		checkCyc   = flag.String("check-cycles", "", "older baseline gated on simulated-cycle exactness only")
 		against    = flag.String("against", "", "prior-PR baseline for the wall-clock speedup gate (same machine)")
-		scaling    = flag.Bool("scaling", false, "also measure the multi-channel parallel-engine scaling matrix")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the measurement to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile taken after the measurement to this file")
 	)
@@ -191,15 +142,11 @@ func run() error {
 		if err := json.Unmarshal(b, baseline); err != nil {
 			return fmt.Errorf("parse %s: %w", *check, err)
 		}
-		// Gate at the baseline's operating point, whatever -n says —
-		// including the scaling matrix, if the baseline recorded one.
+		// Gate at the baseline's operating point, whatever -n says.
 		*n, *seed, *reps = baseline.Instructions, baseline.Seed, baseline.Reps
-		if len(baseline.Scaling) > 0 {
-			*scaling = true
-		}
 	}
 
-	rep, err := measure(*n, *seed, *reps, *scaling)
+	rep, err := measure(*n, *seed, *reps)
 	if err != nil {
 		return err
 	}
@@ -217,11 +164,6 @@ func run() error {
 	if baseline != nil {
 		if err := gate(rep, baseline); err != nil {
 			return err
-		}
-		if len(baseline.Scaling) > 0 {
-			if err := gateScaling(rep, baseline); err != nil {
-				return err
-			}
 		}
 	}
 	if *checkCyc != "" {
@@ -259,120 +201,7 @@ func cases() []Case {
 	return cs
 }
 
-// scalingCases returns the parallel-engine scale-out matrix: every
-// design on the write-heaviest workload (lbm, as in cases()) at 1, 2
-// and 4 channels with one core per channel — the multi-programmed load
-// the channel shards were built to spread.
-func scalingCases() []ScalingCase {
-	var cs []ScalingCase
-	for _, d := range fgnvm.Designs() {
-		for _, ch := range []int{1, 2, 4} {
-			cs = append(cs, ScalingCase{Design: d.String(), Benchmark: "lbm", Channels: ch})
-		}
-	}
-	return cs
-}
-
-// measureScaling times each scale-out point under the parallel engine
-// and the forced serial loop, asserting the simulated cycle counts
-// match exactly — the byte-identity contract, re-checked at every
-// measurement so a wall-clock report can never paper over a
-// divergence.
-func measureScaling(rep *Report, n, seed uint64, reps int) error {
-	for _, c := range scalingCases() {
-		d, err := fgnvm.ParseDesign(c.Design)
-		if err != nil {
-			return err
-		}
-		g := addr.PaperGeometry()
-		g.Channels = c.Channels
-		opts := fgnvm.Options{
-			Design: d, SAGs: 8, CDs: 2, Geometry: &g,
-			Benchmark: c.Benchmark, Cores: c.Channels,
-			Instructions: n, Seed: seed,
-		}
-		one := func(serial bool) (fgnvm.Result, time.Duration, error) {
-			o := opts
-			o.DisableParallelEngine = serial
-			//lint:allow wallclock the harness exists to time real runs
-			start := time.Now()
-			r, err := fgnvm.Run(o)
-			return r, time.Since(start), err
-		}
-		// Warmup both engines; the cycle counts must agree already.
-		parRes, _, err := one(false)
-		if err != nil {
-			return err
-		}
-		serRes, _, err := one(true)
-		if err != nil {
-			return err
-		}
-		if parRes.Cycles != serRes.Cycles {
-			return fmt.Errorf("%s/%s ch=%d: parallel engine simulated %d cycles, serial %d — the engines diverged",
-				c.Design, c.Benchmark, c.Channels, parRes.Cycles, serRes.Cycles)
-		}
-		c.Cycles = uint64(parRes.Cycles)
-
-		// Window widths: one instrumented run per derivation. Kept out
-		// of the timing repetitions (the stats accumulation, however
-		// cheap, must not skew the wall columns); deterministic, so one
-		// run each is exact. The local run's cycles are re-checked — a
-		// third engine variant the wall report must not paper over.
-		// Designs without the windowed engine (the DDR comparison model
-		// has no channel controller) report no Result.Engine and keep
-		// zero width columns.
-		width := func(noLocal bool) (*fgnvm.EngineStats, error) {
-			o := opts
-			o.EngineStats = true
-			o.DisableLocalDelivery = noLocal
-			r, err := fgnvm.Run(o)
-			if err != nil {
-				return nil, err
-			}
-			if uint64(r.Cycles) != c.Cycles {
-				return nil, fmt.Errorf("%s/%s ch=%d: local-delivery=%v simulated %d cycles, expected %d — the engines diverged",
-					c.Design, c.Benchmark, c.Channels, !noLocal, r.Cycles, c.Cycles)
-			}
-			return r.Engine, nil
-		}
-		local, err := width(false)
-		if err != nil {
-			return err
-		}
-		ref, err := width(true)
-		if err != nil {
-			return err
-		}
-		if local != nil && ref != nil {
-			c.MeanWidth = local.MeanWidth
-			c.P50Width = local.P50Width
-			c.RefMeanWidth = ref.MeanWidth
-		}
-
-		const forever = time.Duration(1<<63 - 1)
-		par, ser := forever, forever
-		runtime.GC()
-		for i := 0; i < reps; i++ {
-			_, elPar, err := one(false)
-			if err != nil {
-				return err
-			}
-			_, elSer, err := one(true)
-			if err != nil {
-				return err
-			}
-			par, ser = min(par, elPar), min(ser, elSer)
-		}
-		c.ParWallMS = float64(par.Microseconds()) / 1000
-		c.SerWallMS = float64(ser.Microseconds()) / 1000
-		c.ParSpeedup = float64(ser) / float64(par)
-		rep.Scaling = append(rep.Scaling, c)
-	}
-	return nil
-}
-
-func measure(n, seed uint64, reps int, scaling bool) (*Report, error) {
+func measure(n, seed uint64, reps int) (*Report, error) {
 	rep := &Report{Instructions: n, Seed: seed, Reps: reps, GoVersion: runtime.Version()}
 	for _, c := range cases() {
 		d, err := fgnvm.ParseDesign(c.Design)
@@ -444,12 +273,6 @@ func measure(n, seed uint64, reps int, scaling bool) (*Report, error) {
 
 		rep.Cases = append(rep.Cases, c)
 	}
-	if scaling {
-		rep.CPUs = runtime.NumCPU()
-		if err := measureScaling(rep, n, seed, reps); err != nil {
-			return nil, err
-		}
-	}
 	return rep, nil
 }
 
@@ -462,16 +285,6 @@ func printReport(r *Report) {
 		fmt.Printf("%-18s %-10s %12d %10.2f %10.2f %10.2f %8.2fx %8.2fx %12d\n",
 			c.Design, c.Benchmark, c.Cycles, c.WallMS, c.RefWallMS, c.ScanWallMS,
 			c.FFSpeedup, c.IdxSpeedup, c.AllocsPerOp)
-	}
-	if len(r.Scaling) > 0 {
-		fmt.Printf("\nparallel-engine scaling (%d host CPUs):\n", r.CPUs)
-		fmt.Printf("%-18s %-10s %3s %12s %10s %10s %10s %10s %9s %10s\n",
-			"design", "benchmark", "ch", "cycles", "par ms", "ser ms", "par-speed", "width", "p50", "ref-width")
-		for _, c := range r.Scaling {
-			fmt.Printf("%-18s %-10s %3d %12d %10.2f %10.2f %9.2fx %10.1f %9d %10.1f\n",
-				c.Design, c.Benchmark, c.Channels, c.Cycles, c.ParWallMS, c.SerWallMS, c.ParSpeedup,
-				c.MeanWidth, c.P50Width, c.RefMeanWidth)
-		}
 	}
 }
 
@@ -589,96 +402,6 @@ func gate(got, want *Report) error {
 	}
 	fmt.Printf("perf gates passed: cycles exact, allocs within %.0f%%, write-heavy ff-speedup %.2fx >= %.2fx, idx-speedup %.2fx >= %.1fx\n",
 		allocTolFrac*100, bestFF, ffSpeedupFloor, bestIdx, idxSpeedupFloor)
-	return nil
-}
-
-// Parallel-engine scale-out floor: at 4 channels the write-heavy
-// matrix must show at least this wall-clock speedup over the forced
-// serial loop. The floor is meaningful only where the window workers
-// can actually run in parallel, so it is enforced only on hosts with
-// at least 4 CPUs; cycle exactness (the byte-identity contract) is
-// gated unconditionally.
-const parScalingFloor = 1.8
-
-// Channel-local delivery width floor (PR 10): on the write-heavy
-// 4-channel scaling workload, the mean window width under local
-// delivery must be at least this multiple of the PR 9 reference
-// derivation's. Widths are pure functions of the simulation, so this
-// gate is host-independent and enforced unconditionally.
-const widthGainFloor = 2.0
-
-// gateScaling enforces the scaling criteria against the committed
-// baseline: simulated cycles exact on every scale-out point, window
-// widths exact wherever the baseline records them plus the
-// host-independent 4-channel width-gain floor, and — on a capable
-// host — the 4-channel parallel speedup floor on the best write-heavy
-// case.
-func gateScaling(got, want *Report) error {
-	byKey := map[string]ScalingCase{}
-	for _, c := range want.Scaling {
-		byKey[fmt.Sprintf("%s/%s/%d", c.Design, c.Benchmark, c.Channels)] = c
-	}
-	var failures []string
-	best, bestCase := 0.0, ""
-	bestGain, bestGainCase := 0.0, ""
-	for _, c := range got.Scaling {
-		key := fmt.Sprintf("%s/%s/%d", c.Design, c.Benchmark, c.Channels)
-		b, ok := byKey[key]
-		if !ok {
-			failures = append(failures, fmt.Sprintf("%s: no scaling baseline entry", key))
-			continue
-		}
-		if c.Cycles != b.Cycles {
-			failures = append(failures, fmt.Sprintf(
-				"%s: simulated cycles %d != baseline %d (model change? regenerate the baseline with -o)",
-				key, c.Cycles, b.Cycles))
-		}
-		// Width columns are deterministic: when the baseline carries
-		// them (PR 10 onward) they must reproduce exactly, like cycles.
-		if b.MeanWidth != 0 && (c.MeanWidth != b.MeanWidth || c.P50Width != b.P50Width || c.RefMeanWidth != b.RefMeanWidth) {
-			failures = append(failures, fmt.Sprintf(
-				"%s: window widths (mean %.6g p50 %d ref %.6g) != baseline (%.6g %d %.6g) (derivation change? regenerate the baseline with -o)",
-				key, c.MeanWidth, c.P50Width, c.RefMeanWidth, b.MeanWidth, b.P50Width, b.RefMeanWidth))
-		}
-		if c.Channels == 4 {
-			if c.ParSpeedup > best {
-				best, bestCase = c.ParSpeedup, key
-			}
-			if c.RefMeanWidth > 0 {
-				if gain := c.MeanWidth / c.RefMeanWidth; gain > bestGain {
-					bestGain, bestGainCase = gain, key
-				}
-			}
-		}
-	}
-	if bestGain < widthGainFloor {
-		failures = append(failures, fmt.Sprintf(
-			"best 4-channel local-delivery width gain %.2fx (%s) below the %.1fx floor",
-			bestGain, bestGainCase, widthGainFloor))
-	}
-	if runtime.NumCPU() >= 4 {
-		if best < parScalingFloor {
-			failures = append(failures, fmt.Sprintf(
-				"best 4-channel parallel speedup %.2fx (%s) below the %.1fx floor on a %d-CPU host",
-				best, bestCase, parScalingFloor, runtime.NumCPU()))
-		}
-	} else {
-		fmt.Printf("scaling floor skipped: %d host CPU(s) cannot run 4 channel workers in parallel (floor %.1fx applies at >=4 CPUs)\n",
-			runtime.NumCPU(), parScalingFloor)
-	}
-	if len(failures) > 0 {
-		for _, f := range failures {
-			fmt.Fprintln(os.Stderr, "SCALING GATE FAIL:", f)
-		}
-		return fmt.Errorf("%d scaling gate failure(s)", len(failures))
-	}
-	if runtime.NumCPU() >= 4 {
-		fmt.Printf("scaling gates passed: cycles exact on every point, best 4-channel width gain %.2fx (%s) >= %.1fx, best 4-channel parallel speedup %.2fx (%s) >= %.1fx\n",
-			bestGain, bestGainCase, widthGainFloor, best, bestCase, parScalingFloor)
-	} else {
-		fmt.Printf("scaling gates passed: cycles exact on every point, best 4-channel width gain %.2fx (%s) >= %.1fx (speedup floor skipped on this host)\n",
-			bestGain, bestGainCase, widthGainFloor)
-	}
 	return nil
 }
 

@@ -55,9 +55,6 @@ func run() error {
 		traceOut   = flag.String("trace-out", "", "write a Perfetto/Chrome trace-event JSON file (open in ui.perfetto.dev)")
 		stallRep   = flag.Bool("stall-report", false, "print the stall-attribution breakdown and per-tile heatmaps")
 		noIndex    = flag.Bool("no-sched-index", false, "force the reference scan-everything scheduler (debug; results are identical either way)")
-		noParallel = flag.Bool("no-parallel", false, "force the reference serial engine loop (debug; results are identical either way)")
-		noLocal    = flag.Bool("no-local-delivery", false, "force the reference parallel window derivation without channel-local event delivery (debug; results are identical either way)")
-		engStats   = flag.Bool("engine-stats", false, "print parallel-engine window statistics (windows, widths, local deliveries)")
 	)
 	flag.Parse()
 
@@ -132,8 +129,7 @@ func run() error {
 		Design: design, SAGs: *sags, CDs: *cds,
 		Instructions: *instr, Seed: *seed, Cores: *cores,
 		IssueLanes: *lanes, Scheduler: scheduler, SkipLLC: *skipLLC,
-		DisableSchedIndex: *noIndex, DisableParallelEngine: *noParallel,
-		DisableLocalDelivery: *noLocal, EngineStats: *engStats,
+		DisableSchedIndex: *noIndex,
 	}
 	switch *tech {
 	case "pcm":
@@ -194,30 +190,10 @@ func run() error {
 		return enc.Encode(res)
 	}
 	printResult(res)
-	if *engStats {
-		printEngineStats(res)
-	}
 	if *stallRep {
 		printStallReport(res)
 	}
 	return nil
-}
-
-// printEngineStats renders the parallel-engine window statistics
-// produced by Options.EngineStats.
-func printEngineStats(r fgnvm.Result) {
-	if r.Engine == nil {
-		fmt.Println("\n(no engine statistics: run used the serial reference loop)")
-		return
-	}
-	e := r.Engine
-	fmt.Println("\nParallel-engine windows:")
-	fmt.Printf("  windows opened    %d (%d local-delivery)\n", e.Windows, e.LocalWindows)
-	fmt.Printf("  width ticks       mean %.1f  p50 %d  max %d\n", e.MeanWidth, e.P50Width, e.MaxWidth)
-	fmt.Printf("  plain stepping    %d inline / %d worker fan-out\n", e.InlineWindows, e.WorkerWindows)
-	fmt.Printf("  local stepping    %d inline / %d worker fan-out\n", e.LocalInline, e.LocalWorker)
-	fmt.Printf("  local deliveries  %d completions fired shard-side\n", e.LocalDeliveries)
-	fmt.Printf("  barrier replays   %d\n", e.BarrierReplays)
 }
 
 // printStallReport renders the attribution breakdown and the per-tile

@@ -220,41 +220,6 @@ type Options struct {
 	// every benchmark × design) and exists for verification and for
 	// measuring the indexed scheduler's speedup. Ignored by DesignDRAM.
 	DisableSchedIndex bool
-
-	// DisableParallelEngine forces the reference serial run loop: one
-	// goroutine stepping every channel in turn, no windowed stepping.
-	// The parallel engine is conservative parallel DES — channel shards
-	// advance concurrently only through windows the run loop has proved
-	// free of cross-channel effects, and every effect serializes at the
-	// window barrier in (tick, channel, seq) order — so, like the two
-	// knobs above, results are byte-identical either way (Result JSON
-	// and Perfetto trace bytes, enforced by parallel_test.go across
-	// every benchmark × design). This is a verification and measurement
-	// knob, not a fidelity trade-off. Ignored by DesignDRAM, which
-	// always runs the serial reference loop.
-	DisableParallelEngine bool
-
-	// DisableLocalDelivery keeps the parallel engine but forces its
-	// reference window derivation: windows close at the global
-	// completion horizon (the engine's next event) instead of
-	// extending to the next cross-channel interaction, and no core is
-	// ever stepped shard-side. Exact either way — Result JSON and
-	// Perfetto trace bytes are byte-identical with local delivery on,
-	// off, and under the serial engine (enforced by the parallel_test.go
-	// differential battery) — so, like the knobs above, this exists for
-	// verification and for measuring what local delivery buys. Implied
-	// by DisableParallelEngine.
-	DisableLocalDelivery bool
-
-	// EngineStats populates Result.Engine with parallel-engine
-	// observability: window counts, the window-width distribution, and
-	// the local-delivery counters. Opt-in because the serial engine
-	// opens no windows — a Result carrying engine counters could never
-	// be byte-identical across engines, and cross-engine byte-identity
-	// is the differential suites' foundation. Ignored (Result.Engine
-	// stays nil) when the serial loop runs. The counters themselves
-	// are deterministic: identical runs report identical values.
-	EngineStats bool
 }
 
 // AccessModeSet selects which of the paper's three access modes are
@@ -409,40 +374,6 @@ type Result struct {
 	// TraceEvents is the number of events exported to
 	// Options.Telemetry.TraceWriter (0 when tracing was off).
 	TraceEvents int `json:",omitempty"`
-	// Engine reports parallel-engine observability. Populated only
-	// when Options.EngineStats was set and the parallel engine ran.
-	Engine *EngineStats `json:",omitempty"`
-}
-
-// EngineStats is the parallel-engine observability block
-// (Result.Engine): how many lookahead windows the run loop opened,
-// their width distribution, how many ran in channel-local delivery
-// mode, and how the controller executed them. Window widths are pure
-// functions of simulated state — identical runs report identical
-// stats regardless of host parallelism.
-type EngineStats struct {
-	// Windows counts lookahead windows stepped through the controller
-	// (single-tick serial cycles and fast-forward jumps are not
-	// windows). LocalWindows of them ran in local-delivery mode.
-	Windows      uint64
-	LocalWindows uint64
-	// MeanWidth, P50Width and MaxWidth summarize the window width
-	// distribution in ticks (P50 is a log-bucket upper bound; see
-	// stats.Histogram).
-	MeanWidth float64
-	P50Width  uint64
-	MaxWidth  uint64
-	// Inline/Worker split: windows too narrow (or too few channels) to
-	// amortize a worker handoff step inline on the engine goroutine.
-	InlineWindows uint64 // reference windows stepped inline
-	WorkerWindows uint64 // reference windows fanned out to workers
-	LocalInline   uint64 // local windows stepped inline
-	LocalWorker   uint64 // local windows fanned out
-	// LocalDeliveries counts completions fired shard-side instead of
-	// through the engine; BarrierReplays counts window barriers
-	// serialized back into engine order.
-	LocalDeliveries uint64
-	BarrierReplays  uint64
 }
 
 // SpeedupOver returns this result's IPC relative to a baseline result.
@@ -538,10 +469,11 @@ func Run(o Options) (Result, error) {
 	return RunContext(context.Background(), o)
 }
 
-// ctxCheckMask throttles the cancellation poll in the main loop: ctx is
-// consulted once every 4096 controller cycles (~10 µs simulated), which
-// keeps the check off the profile while bounding the response to a
-// cancellation at a few microseconds of wall time.
+// ctxCheckMask throttles the cancellation polls: ctx is consulted once
+// every 4096 controller cycles (~10 µs simulated) in the main loop and
+// once every 4096 accesses in the LLC warm-up, which keeps the check
+// off the profile while bounding the response to a cancellation at a
+// few microseconds of wall time.
 const ctxCheckMask = 1<<12 - 1
 
 // RunContext executes one simulation to completion, honouring ctx:
@@ -559,6 +491,9 @@ func RunContext(ctx context.Context, o Options) (Result, error) {
 	}
 	if err := geom.Validate(); err != nil {
 		return Result{}, err
+	}
+	if o.Technology != TechPCM && o.Technology != TechRRAM {
+		return Result{}, fmt.Errorf("fgnvm: unknown technology %d", int(o.Technology))
 	}
 
 	tim := timing.Paper()
@@ -769,12 +704,6 @@ func RunContext(ctx context.Context, o Options) (Result, error) {
 			Telemetry:    sink,
 			DisableIndex: o.DisableSchedIndex,
 		}
-		if telTrc != nil {
-			// Mirror the engine hook into the controller so local-window
-			// barriers can emulate the engine-sample calls the stolen
-			// completions would have made (see Controller.replayLocal).
-			ccfg.EngineHook = telTrc.EngineSample
-		}
 		ctrl, err = controller.New(ccfg, eng)
 		if err != nil {
 			return Result{}, err
@@ -799,6 +728,11 @@ func RunContext(ctx context.Context, o Options) (Result, error) {
 				warm = 2 * (2 << 20) / 64
 			}
 			for j := 0; j < warm; j++ {
+				if j&ctxCheckMask == 0 {
+					if err := ctx.Err(); err != nil {
+						return Result{}, err
+					}
+				}
 				a, ok := stream.Next()
 				if !ok {
 					break
@@ -820,31 +754,7 @@ func RunContext(ctx context.Context, o Options) (Result, error) {
 		slots[i] = &coreSlot{core: cm, llc: llc}
 	}
 
-	// Arm the affinity classifiers for channel-local event delivery —
-	// before the first enqueue, so the per-channel in-flight counts see
-	// every request. Skipped (leaving every affinity probe on its
-	// refuse path, i.e. reference windows only) when local delivery is
-	// disabled or its per-run preconditions fail; see
-	// localDeliveryViable.
-	if ctrl != nil && !o.DisableParallelEngine && !o.DisableLocalDelivery &&
-		localDeliveryViable(ctrl, slots, streams) {
-		for _, s := range slots {
-			s.core.SetClassifier(ctrl.ChannelOfAddr, geom.Channels)
-		}
-	}
-
-	// Main loop: the serial reference engine, or — for the NVM designs,
-	// unless DisableParallelEngine — the windowed parallel engine.
-	// Both return the final tick; byte-identity between them is pinned
-	// by the parallel_test.go differential battery.
-	var now sim.Tick
-	var eacc *engineAccum
-	if ctrl != nil && !o.DisableParallelEngine {
-		eacc = &engineAccum{}
-		now, err = runParallel(ctx, o, eng, ctrl, slots, eacc)
-	} else {
-		now, err = runSerial(ctx, o, eng, memsys, slots)
-	}
+	now, err := runSerial(ctx, o, eng, memsys, slots)
 	if err != nil {
 		return Result{}, err
 	}
@@ -918,22 +828,6 @@ func RunContext(ctx context.Context, o Options) (Result, error) {
 				return Result{}, fmt.Errorf("fgnvm: writing trace: %w", err)
 			}
 		}
-		if o.EngineStats && eacc != nil {
-			ec := ctrl.EngineCounters()
-			res.Engine = &EngineStats{
-				Windows:         eacc.windows,
-				LocalWindows:    eacc.localWindows,
-				MeanWidth:       eacc.width.Mean(),
-				P50Width:        eacc.width.Percentile(50),
-				MaxWidth:        eacc.width.Max(),
-				InlineWindows:   ec.InlineWindows,
-				WorkerWindows:   ec.WorkerWindows,
-				LocalInline:     ec.LocalInline,
-				LocalWorker:     ec.LocalWorker,
-				LocalDeliveries: ec.LocalDeliveries,
-				BarrierReplays:  ec.BarrierReplays,
-			}
-		}
 	} else {
 		st := dsys.Stats()
 		res.Reads = st.Reads.Value()
@@ -956,7 +850,7 @@ func RunContext(ctx context.Context, o Options) (Result, error) {
 	return res, nil
 }
 
-// memDevice is the run loops' view of the memory side. Beyond accepting
+// memDevice is the run loop's view of the memory side. Beyond accepting
 // and cycling requests, a device must support the fast-forward
 // protocol: report how much it issued (Cycle's return), bound when it
 // could next act (NextWork), and batch-credit skipped quiescent cycles
@@ -978,7 +872,7 @@ type coreSlot struct {
 	done     bool
 }
 
-// runSerial is the reference engine: one goroutine, one controller
+// runSerial is the run loop: one goroutine, one controller
 // cycle at a time; completions scheduled on the engine fire before the
 // cycle's scheduling work. Finished cores stop fetching; the run ends
 // when the last core retires its budget and memory drains. It returns

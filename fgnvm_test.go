@@ -73,6 +73,13 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(Options{Design: Design(42), Benchmark: "mcf"}); err == nil {
 		t.Error("unknown design accepted")
 	}
+	if _, err := Run(Options{Scheduler: Scheduler(7), Benchmark: "mcf"}); err == nil {
+		t.Error("unknown scheduler accepted")
+	}
+	_, err := Run(Options{Technology: Technology(99), Benchmark: "mcf"})
+	if err == nil || err.Error() != "fgnvm: unknown technology 99" {
+		t.Errorf("unknown technology: err = %v, want \"fgnvm: unknown technology 99\"", err)
+	}
 }
 
 func TestRunBaselineSmoke(t *testing.T) {
@@ -306,6 +313,21 @@ func TestRunContextCancellation(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Error("Run and RunContext(Background) disagree on identical Options")
+	}
+}
+
+// TestWarmupHonoursDeadline: the LLC warm-up polls ctx like the main
+// loop does, so an absurd warm-up length cannot outlive its deadline.
+func TestWarmupHonoursDeadline(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := RunContext(ctx, Options{Benchmark: "mcf", Instructions: 2_000, WarmupAccesses: 1 << 40})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("warm-up returned %v after a 100ms deadline", d)
 	}
 }
 

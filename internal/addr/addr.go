@@ -208,24 +208,6 @@ func (m *Mapper) AddressBits() uint {
 	return m.offBits + m.colBits + m.bankBits + m.rankBits + m.chanBits + m.rowBits
 }
 
-// ChannelBitWindow returns the physical-address bit range [low, high)
-// the channel index is decoded from. Every geometry field is a
-// power-of-two bit field, so the channel is a pure function of exactly
-// these bits; with a single channel the window is empty (low == high).
-// The parallel engine's local-delivery mode compares this window
-// against the LLC's set-index window (cpu.LLC.IndexWindow) to prove
-// that a dirty eviction's writeback always targets the same channel as
-// the access that evicted it.
-func (m *Mapper) ChannelBitWindow() (low, high uint) {
-	switch m.iv {
-	case RowBankRankChanCol:
-		low = m.offBits + m.colBits
-	default: // RowColBankRankChan
-		low = m.offBits
-	}
-	return low, low + m.chanBits
-}
-
 // Decode splits a physical address into a Location. Address bits above
 // the modeled capacity wrap around (the simulated footprint is expected
 // to fit; wrapping keeps arbitrary trace addresses usable).

@@ -25,14 +25,10 @@ import (
 // buffer per bank, every activation senses the full row, and any
 // operation (sense or write) serializes the whole bank.
 //
-// Like core.Bank, a Baseline belongs to exactly one channel; the shared
-// energy model and the telemetry sink are its declared boundary fields.
-//
-//own:channel
+// Like core.Bank, a Baseline belongs to exactly one channel.
 type Baseline struct {
 	geom addr.Geometry
 	tim  timing.Timings
-	//own:boundary(shared energy model: commutative integer accumulation, safe to feed from any channel)
 	emod *energy.Model
 
 	openRow   int
@@ -47,7 +43,6 @@ type Baseline struct {
 	acts   uint64
 	writes uint64
 
-	//own:boundary(observational telemetry egress, events only)
 	sink telemetry.Sink
 	id   telemetry.BankID
 
@@ -58,8 +53,6 @@ type Baseline struct {
 
 // NewBaseline builds a baseline bank. writeDrivers is the number of bits
 // programmed in parallel (Table 2: 64).
-//
-//own:boundary(construction: initializes channel-owned bank state before any event runs)
 func NewBaseline(g addr.Geometry, t timing.Timings, em *energy.Model, writeDrivers int) (*Baseline, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err

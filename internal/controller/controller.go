@@ -6,14 +6,10 @@
 //
 // One Controller instance manages every channel of the memory system.
 // Channels are fully independent — own queues, own data bus, own banks —
-// and that independence is structural: all per-channel state lives in a
-// shard struct annotated //own:channel, every scheduling decision is a
-// shard method, and the Controller itself is a thin engine-side
-// coordinator whose exported methods form the audited boundary surface
-// (see internal/lint/boundaries.txt). The ownership/escape/boundary
-// analyzers enforce that no shard state is reachable except through
-// this surface, which is what makes a per-channel parallel engine
-// (ROADMAP item 1) provable rather than hopeful.
+// so all per-channel state lives in a shard struct, every scheduling
+// decision is a shard method, and the Controller itself is a thin
+// coordinator that routes requests and steps the shards in channel
+// order.
 package controller
 
 import (
@@ -55,10 +51,7 @@ func (s SchedulerKind) String() string {
 
 // Config assembles the controller parameters. Zero values take the
 // Table 2 defaults where one exists. The effective Config is frozen by
-// applyDefaults inside New and never mutated afterwards, so every shard
-// reads it without coordination.
-//
-//own:immutable
+// applyDefaults inside New and never mutated afterwards.
 type Config struct {
 	Geom  addr.Geometry
 	Tim   timing.Timings
@@ -98,16 +91,7 @@ type Config struct {
 	// execution-speed optimization.
 	DisableIndex bool
 
-	// EngineHook mirrors the sim.Hook installed on the engine (if any),
-	// so local-delivery window barriers can emulate the per-dispatch
-	// hook calls for completions that fired shard-side instead of
-	// through Engine.Step. The emulation calls the hook once per tick
-	// that fired events, with the serial engine's first-dispatch pending
-	// count — exactly the calls telemetry.Trace.EngineSample (the only
-	// hook the simulator installs) does not deduplicate. Callers that
-	// install a hook on the engine must set the same hook here, and an
-	// EngineHook requires Telemetry to be set (the emulation's fire
-	// bookkeeping rides on the telemetry capture).
+	// EngineHook has no effect.
 	EngineHook sim.Hook
 }
 
@@ -138,8 +122,6 @@ func (c *Config) applyDefaults() {
 // scheduling decision increments lives in the per-channel shardStats
 // and is merged — exactly, counter by uint64 counter — into the
 // snapshot Stats() returns.
-//
-//own:engine
 type Stats struct {
 	Reads            stats.Counter // read requests completed
 	Writes           stats.Counter // write requests completed
@@ -163,11 +145,8 @@ type Stats struct {
 }
 
 // shardStats holds the counters a single channel's scheduling maintains.
-// Each counter is owned by exactly one shard, so a parallel engine needs
-// no atomics here; Stats() merges them by addition, which is exact for
-// uint64 event counts.
-//
-//own:channel
+// Stats() merges them by addition, which is exact for uint64 event
+// counts.
 type shardStats struct {
 	activations      stats.Counter
 	columnReads      stats.Counter
@@ -185,50 +164,13 @@ type shardStats struct {
 // completions fire through the sim engine. All per-channel state lives
 // in the shards; the Controller holds only construction-time wiring and
 // the engine-side aggregates completion events touch.
-//
-//own:engine
 type Controller struct {
-	//own:immutable
-	cfg Config
-	//own:immutable
+	cfg    Config
 	mapper *addr.Mapper
-	//own:boundary(completion callbacks are scheduled on the serial engine; Cycle and Enqueue run engine-side)
-	eng *sim.Engine
-	//own:boundary(admission-rejection telemetry egress, events only)
-	tel telemetry.Sink // nil when telemetry is off
+	eng    *sim.Engine
+	tel    telemetry.Sink // nil when telemetry is off
 
-	// shards is the structural roster of per-channel state: the
-	// coordinator owns the shards' lifetimes, but every dereference
-	// happens in a shard method or a declared boundary function below.
-	//own:channel
-	shards []shard
-
-	// par is the lazily started per-channel worker pool behind
-	// StepWindow; nil until the first multi-channel window. Workers are
-	// parked at every barrier, so all other methods remain engine-side.
-	//own:engine
-	par *parRun
-
-	// Local-delivery window state shared by StepWindowLocal and its
-	// barrier (see local.go): the deferred engine events awaiting
-	// reinsertion, the global slot-ordered core roster driving the
-	// barrier's core-phase replay, the pending-count baseline for the
-	// engine-hook emulation, and the engine observability counters.
-	//own:engine
-	deferred []sim.StolenEvent
-	// localOwned aliases shard-owned LocalCore records across the
-	// barrier's core-phase replay; every dereference is inside a
-	// declared boundary function (StepWindowLocal/replayLocal).
-	//own:channel
-	localOwned []LocalCore
-	//own:engine
-	winPending int
-	//own:engine
-	winLastFire sim.Tick
-	//own:engine
-	winAllDone bool
-	//own:engine
-	ec EngineCounters
+	shards []shard // one per channel, stepped in channel order
 
 	inflight int
 	st       Stats
@@ -236,9 +178,7 @@ type Controller struct {
 
 // shard is one channel's complete scheduling state: queues, bus lanes,
 // bank models, drain mode, the indexed-scheduling acceleration state and
-// the per-channel statistics. Shards never reference each other, and the
-// only cross-domain references they hold are the audited boundary fields
-// below — the structural argument for running channels in parallel.
+// the per-channel statistics. Shards never reference each other.
 //
 // The ready memo caches the outcome of a cycle that issued nothing:
 // until memoUntil — the channel's next scheduling flip tick, computed by
@@ -256,23 +196,15 @@ type Controller struct {
 // its SAG or CD count is non-zero, and an activation needs the
 // older-request scan only when some other queued read shares its bank
 // and tile coordinates.
-//
-//own:channel
 type shard struct {
-	//own:immutable
-	cfg *Config // the effective (defaulted) configuration, frozen at New
-	//own:immutable
-	indexed bool // !cfg.DisableIndex
-	//own:boundary(completion scheduling into the serial event engine)
-	eng *sim.Engine
-	//own:boundary(observational telemetry egress, events only)
-	tel telemetry.Sink
+	cfg     *Config // the effective (defaulted) configuration, frozen at New
+	indexed bool    // !cfg.DisableIndex
+	eng     *sim.Engine
+	tel     telemetry.Sink
 	// finishReadFn/finishWriteFn are the completion callbacks, cached
 	// once as sim.ArgEvent method values so the per-request completion
 	// schedule does not allocate a closure.
-	//own:immutable
-	finishReadFn sim.ArgEvent
-	//own:immutable
+	finishReadFn  sim.ArgEvent
 	finishWriteFn sim.ArgEvent
 
 	// banks holds the channel's bank models in rank-major order, so the
@@ -304,44 +236,6 @@ type shard struct {
 	sagReads  []int32 // [(rank*banks+bank)*SAGs+sag]
 	cdReads   []int32 // [(rank*banks+bank)*CDs+cd]
 
-	// Parallel-window capture state (see parallel.go). While capturing,
-	// completion schedules land in outbox and telemetry flows into the
-	// port's buffer, both tagged with stepTick, for ordered replay at
-	// the barrier; outside windows both paths forward directly and the
-	// shard behaves exactly like the serial engine's.
-	//lint:allow escape telPort is itself channel-owned capture state; its only engine egress is the boundary-annotated real field
-	port      *telPort // the shard's (and its banks') sink; nil when telemetry is off
-	capturing bool
-	stepTick  sim.Tick
-	outbox    []schedEntry
-	outNext   int
-
-	// Local-delivery window state (see local.go). Inside a local window
-	// the shard additionally owns a slice of blocked cores: completions
-	// routed into localQ fire shard-side (finishLocal), the owned cores
-	// step and re-issue, and everything a serial observer could see —
-	// completion telemetry, latency samples, inflight deltas, schedule
-	// order — is parked in the pend*/comp/keyMeta fields for exact
-	// serialization at the barrier.
-	ch                    int  // this shard's channel index
-	localMode             bool // set engine-side for the duration of a local window
-	localEnd              sim.Tick
-	rank                  int32 // current emission context: core slot or rankShardBase+ch
-	localKey              uint64
-	keyMeta               []schedMeta
-	localQ                sim.LocalQueue
-	owned                 []LocalCore
-	comp                  []compEvent
-	compNext              int
-	finishes              []LocalFinish
-	nFires                uint64
-	lastFire              sim.Tick
-	pendReads, pendWrites uint64
-	pendReadLat           stats.Distribution
-	pendWriteLat          stats.Distribution
-	pendReadHist          stats.Histogram
-	pendInflight          int
-
 	st shardStats
 }
 
@@ -351,8 +245,6 @@ const idleWriteDelay = 64
 
 // New validates cfg and builds the controller, its per-channel shards
 // and their bank models.
-//
-//own:boundary(construction: wires every shard before any event runs)
 func New(cfg Config, eng *sim.Engine) (*Controller, error) {
 	cfg.applyDefaults()
 	if eng == nil {
@@ -385,23 +277,9 @@ func New(cfg Config, eng *sim.Engine) (*Controller, error) {
 	for ch := range c.shards {
 		s := &c.shards[ch]
 		s.cfg = &c.cfg
-		s.ch = ch
 		s.indexed = !cfg.DisableIndex
 		s.eng = eng
-		if cfg.Telemetry != nil {
-			// The shard and its banks emit through a per-channel port so
-			// a parallel window can capture their events for ordered
-			// replay; outside windows the port forwards directly.
-			s.port = &telPort{real: cfg.Telemetry}
-			s.tel = s.port
-		}
-		// Each channel charges dynamic energy to its own accumulator —
-		// the getters sum the integer counters exactly — so concurrent
-		// shards never share a counter.
-		var esh *energy.Model
-		if cfg.Energy != nil {
-			esh = cfg.Energy.Shard()
-		}
+		s.tel = cfg.Telemetry
 		s.finishReadFn = finishRead
 		s.finishWriteFn = finishWrite
 		s.banks = make([]*core.Bank, 0, nb)
@@ -409,7 +287,7 @@ func New(cfg Config, eng *sim.Engine) (*Controller, error) {
 			for bk := 0; bk < g.Banks; bk++ {
 				b, err := core.NewBank(core.Config{
 					Geom: g, Tim: cfg.Tim, Modes: cfg.Modes,
-					Energy: esh, WriteDrivers: cfg.WriteDrivers,
+					Energy: cfg.Energy, WriteDrivers: cfg.WriteDrivers,
 					Sink: s.tel,
 					ID:   telemetry.BankID{Channel: ch, Rank: rk, Bank: bk},
 				})
@@ -466,8 +344,6 @@ func (c *Controller) Config() Config { return c.cfg }
 // Stats returns a snapshot of the statistics: the engine-side aggregates
 // plus the per-channel counters merged by addition. Counters are uint64
 // event counts, so the merge is exact and independent of channel order.
-//
-//own:boundary(read-side merge of per-shard counters into one snapshot)
 func (c *Controller) Stats() *Stats {
 	out := c.st
 	for i := range c.shards {
@@ -486,10 +362,7 @@ func (c *Controller) Stats() *Stats {
 }
 
 // Bank exposes a bank model, mainly for tests and reporting.
-//
-//own:boundary(read-only bank accessor for tests and reporting)
 func (c *Controller) Bank(ch, rk, bk int) *core.Bank {
-	//lint:allow escape audited read-only egress: tests and the report layer inspect bank counters after the run has drained; no caller retains the pointer across scheduling
 	return c.shards[ch].banks[rk*c.cfg.Geom.Banks+bk]
 }
 
@@ -501,8 +374,6 @@ func (c *Controller) Bank(ch, rk, bk int) *core.Bank {
 // data next cycle (forwarding), and a write matching a queued write's
 // line replaces it in place (coalescing) — the line will be programmed
 // once, with the newest data.
-//
-//own:boundary(request ingress: routes each request to its channel shard)
 func (c *Controller) Enqueue(r *mem.Request, now sim.Tick) bool {
 	r.Loc = c.mapper.Decode(r.Addr)
 	r.Arrive = now
@@ -510,15 +381,7 @@ func (c *Controller) Enqueue(r *mem.Request, now sim.Tick) bool {
 	if !s.enqueue(r, now) {
 		return false
 	}
-	if s.capturing {
-		// Local-delivery window: the enqueue came from a core this shard
-		// owns (its affinity analysis proved every request it can mint
-		// targets this channel), so the engine-side inflight count must
-		// not be touched from the worker; the barrier merges the delta.
-		s.pendInflight++
-	} else {
-		c.inflight++
-	}
+	c.inflight++
 	return true
 }
 
@@ -543,7 +406,7 @@ func (s *shard) enqueue(r *mem.Request, now sim.Tick) bool {
 				s.telRequest(telemetry.ReqEnqueued, r, now)
 				s.telRequest(telemetry.ReqIssued, r, now)
 			}
-			s.scheduleCompletion(now+1, s.finishReadFn, r)
+			s.eng.ScheduleArg(now+1, s.finishReadFn, r)
 			return true
 		}
 		if !s.readQ.Push(r) {
@@ -581,7 +444,7 @@ func (s *shard) enqueue(r *mem.Request, now sim.Tick) bool {
 			s.telRequest(telemetry.ReqEnqueued, r, now)
 			s.telRequest(telemetry.ReqIssued, r, now)
 		}
-		s.scheduleCompletion(now+1, s.finishWriteFn, r)
+		s.eng.ScheduleArg(now+1, s.finishWriteFn, r)
 		return true
 	}
 	if !s.writeQ.Push(r) {
@@ -619,16 +482,6 @@ func (s *shard) telStallQueueFull(r *mem.Request, now sim.Tick) {
 	})
 }
 
-// telStallQueueFullN is the weighted form used by local-delivery idle
-// batches: one event standing for n consecutive futile retries of r,
-// the shard-side analogue of Controller.SkipRejects.
-func (s *shard) telStallQueueFullN(r *mem.Request, now sim.Tick, n uint64) {
-	s.tel.Stall(telemetry.StallEvent{
-		ReqID: r.ID, Write: r.Op == mem.Write, Loc: r.Loc,
-		Cause: telemetry.StallQueueFull, Now: now, N: n,
-	})
-}
-
 // Pending returns the number of accepted but not yet completed requests.
 func (c *Controller) Pending() int { return c.inflight }
 
@@ -636,13 +489,9 @@ func (c *Controller) Pending() int { return c.inflight }
 func (c *Controller) Drained() bool { return c.inflight == 0 }
 
 // ReadQueueLen returns the read queue depth for a channel.
-//
-//own:boundary(queue-depth observability for the run loop and tests)
 func (c *Controller) ReadQueueLen(ch int) int { return c.shards[ch].readQ.Len() }
 
 // WriteQueueLen returns the write queue depth for a channel.
-//
-//own:boundary(queue-depth observability for the run loop and tests)
 func (c *Controller) WriteQueueLen(ch int) int { return c.shards[ch].writeQ.Len() }
 
 // Cycle performs one controller clock of scheduling work across all
@@ -650,8 +499,6 @@ func (c *Controller) WriteQueueLen(ch int) int { return c.shards[ch].writeQ.Len(
 // column reads and writes). The caller must invoke it with strictly
 // increasing ticks; a zero return with every core blocked is the run
 // loop's licence to consider fast-forwarding (see NextWork).
-//
-//own:boundary(per-clock dispatch into each channel shard, in channel order)
 func (c *Controller) Cycle(now sim.Tick) int {
 	if c.cfg.Energy != nil {
 		c.cfg.Energy.AdvanceBackground(now)
@@ -1028,11 +875,11 @@ func (s *shard) issueColumnRead(r *mem.Request, b *core.Bank, lane, qi int, now 
 			Start: now + s.cfg.Tim.TCAS, End: done,
 		})
 	}
-	s.scheduleCompletion(done, s.finishReadFn, r)
+	s.eng.ScheduleArg(done, s.finishReadFn, r)
 }
 
 // finishRead completes a read request: it runs as a scheduled ArgEvent
-// with the request as its argument (engine-side, like every completion).
+// with the request as its argument.
 func (c *Controller) finishRead(t sim.Tick, arg any) {
 	r := arg.(*mem.Request)
 	r.Finish(t)
@@ -1045,7 +892,7 @@ func (c *Controller) finishRead(t sim.Tick, arg any) {
 	}
 }
 
-// finishWrite completes a write request (engine-side).
+// finishWrite completes a write request.
 func (c *Controller) finishWrite(t sim.Tick, arg any) {
 	w := arg.(*mem.Request)
 	w.Finish(t)
@@ -1057,8 +904,7 @@ func (c *Controller) finishWrite(t sim.Tick, arg any) {
 	}
 }
 
-// telRequest is the engine-side lifecycle emitter used by the
-// completion callbacks.
+// telRequest is the lifecycle emitter used by the completion callbacks.
 func (c *Controller) telRequest(phase telemetry.RequestPhase, r *mem.Request, now sim.Tick) {
 	c.tel.Request(telemetry.RequestEvent{
 		Phase: phase, ID: r.ID, Write: r.Op == mem.Write,
@@ -1142,7 +988,7 @@ func (s *shard) tryIssueWrite(now sim.Tick) bool {
 			Start: now + s.cfg.Tim.TCWD, End: now + s.cfg.Tim.TCWD + s.cfg.Tim.TBURST,
 		})
 	}
-	s.scheduleCompletion(done, s.finishWriteFn, w)
+	s.eng.ScheduleArg(done, s.finishWriteFn, w)
 	return true
 }
 
@@ -1150,8 +996,6 @@ func (s *shard) tryIssueWrite(now sim.Tick) bool {
 // without performing it or mutating any state (r included). The CPU
 // model uses it to decide whether a pending retry is provably futile —
 // the admission half of the run loop's quiescence test.
-//
-//own:boundary(admission probe for the run loop's quiescence test)
 func (c *Controller) WouldAccept(r *mem.Request) bool {
 	loc := c.mapper.Decode(r.Addr)
 	return c.shards[loc.Channel].wouldAccept(r)
@@ -1191,8 +1035,6 @@ func (s *shard) wouldAccept(r *mem.Request) bool {
 // these values, so in the open window before the returned tick the
 // controller's admissible-command set, its stall classifications and
 // its per-cycle counter increments are all provably constant.
-//
-//own:boundary(fast-forward flip-tick analysis across all shards)
 func (c *Controller) NextWork(now sim.Tick) sim.Tick {
 	next := sim.MaxTick
 	for ch := range c.shards {
@@ -1289,8 +1131,6 @@ func (s *shard) busStallsPerCycle(now sim.Tick) int {
 // stall attribution emits one weighted event per queued request.
 // Background energy needs no crediting here — the energy model
 // integrates elapsed ticks exactly on the next Cycle.
-//
-//own:boundary(fast-forward batch credit, applied shard by shard)
 func (c *Controller) SkipCycles(now sim.Tick, n uint64) {
 	if n == 0 {
 		return

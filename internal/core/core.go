@@ -46,8 +46,6 @@ import (
 
 // AccessModes selects which of the paper's new access types are enabled.
 // All three default to off, which models the baseline bank.
-//
-//own:immutable
 type AccessModes struct {
 	// PartialActivation senses only the CD-wide segment containing the
 	// requested column instead of the full row.
@@ -86,8 +84,6 @@ const (
 )
 
 // Config assembles the parameters of one bank.
-//
-//own:immutable
 type Config struct {
 	Geom   addr.Geometry
 	Tim    timing.Timings
@@ -111,20 +107,15 @@ type Config struct {
 // occupancy, not data contents. All times are absolute controller
 // cycles; "busy until" values are exclusive (resource free at that tick).
 //
-// A Bank belongs to exactly one channel, so the whole state machine is
-// channel-owned; the two cross-domain references it holds — the shared
-// energy model and the telemetry sink — are declared boundary fields.
-//
-//own:channel
+// A Bank belongs to exactly one channel; the energy model and the
+// telemetry sink are the only references it holds to shared state.
 type Bank struct {
 	geom  addr.Geometry
 	tim   timing.Timings
 	modes AccessModes
-	//own:boundary(shared energy model: commutative integer accumulation, safe to feed from any channel)
-	emod *energy.Model
-	//own:boundary(observational telemetry egress, events only)
-	sink telemetry.Sink
-	id   telemetry.BankID
+	emod  *energy.Model
+	sink  telemetry.Sink
+	id    telemetry.BankID
 
 	rowsPerSAG int
 	colsPerCD  int
@@ -158,8 +149,6 @@ type Bank struct {
 }
 
 // NewBank validates cfg and returns a bank with all rows closed.
-//
-//own:boundary(construction: initializes channel-owned bank state before any event runs)
 func NewBank(cfg Config) (*Bank, error) {
 	if err := cfg.Geom.Validate(); err != nil {
 		return nil, err

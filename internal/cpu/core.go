@@ -92,20 +92,6 @@ type Core struct {
 	heldProcessed bool      // heldRes is valid (avoids re-accessing the LLC on retry)
 	streamDone    bool
 
-	// Stream peek buffer for the affinity analysis (affinity.go):
-	// accesses pulled off the stream ahead of fetch, consumed in order
-	// before the stream is read again, so peeking never perturbs the
-	// access sequence the fetch path sees.
-	peeked   []trace.Access
-	peekHead int
-
-	// classify maps a line address to its memory channel; chanInflight
-	// counts this core's in-flight requests (fills and writebacks) per
-	// channel. Both are nil unless SetClassifier armed them — only the
-	// parallel engine's local-delivery mode pays for the bookkeeping.
-	classify     func(addr uint64) int
-	chanInflight []int
-
 	pendingWB *mem.Request // writeback waiting for write-queue space
 	// pendingFill is the line-fill request for the held access, kept
 	// across enqueue rejections so retries re-offer the same request
@@ -165,20 +151,17 @@ func NewCore(cfg CoreConfig, s trace.Stream, llc *LLC, ctrl MemorySystem) (*Core
 func (c *Core) loadDone(r *mem.Request, _ sim.Tick) {
 	r.Entry.(*loadEntry).done = true
 	c.outstanding--
-	c.noteInflight(r.Addr, -1)
 	c.pool.Put(r)
 }
 
 // storeDone completes a store-miss fill (no ROB entry to wake).
 func (c *Core) storeDone(r *mem.Request, _ sim.Tick) {
 	c.outstanding--
-	c.noteInflight(r.Addr, -1)
 	c.pool.Put(r)
 }
 
 // wbDone completes a dirty-eviction writeback.
 func (c *Core) wbDone(r *mem.Request, _ sim.Tick) {
-	c.noteInflight(r.Addr, -1)
 	c.pool.Put(r)
 }
 
@@ -308,7 +291,6 @@ func (c *Core) fetch(now sim.Tick) {
 			if !c.ctrl.Enqueue(c.pendingWB, now) {
 				return
 			}
-			c.noteInflight(c.pendingWB.Addr, 1)
 			c.pendingWB = nil
 			c.writebacks++
 		}
@@ -327,7 +309,7 @@ func (c *Core) fetch(now sim.Tick) {
 		}
 
 		if !c.haveAcc {
-			a, ok := c.nextAccess()
+			a, ok := c.stream.Next()
 			if !ok {
 				c.streamDone = true
 				return
@@ -369,7 +351,6 @@ func (c *Core) fetch(now sim.Tick) {
 				c.pendingWB = wb
 				return
 			}
-			c.noteInflight(wb.Addr, 1)
 			c.writebacks++
 		}
 		if c.outstanding >= c.cfg.MSHRs {
@@ -398,7 +379,6 @@ func (c *Core) fetch(now sim.Tick) {
 		fill := c.pendingFill
 		c.pendingFill = nil
 		c.outstanding++
-		c.noteInflight(fill.Addr, 1)
 		if a.Write {
 			c.storeMisses++
 		} else {

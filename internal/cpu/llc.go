@@ -134,24 +134,6 @@ func (l *LLC) Access(addr uint64, write bool) LLCResult {
 	return res
 }
 
-// IndexWindow returns the address bit-range [low, high) an access's set
-// index is drawn from: low = log2(LineBytes), high = low + log2(sets).
-// An eviction's victim shares the set with the inserted line, so any
-// address function that depends only on bits inside this window (the
-// channel interleave, for typical geometries) is preserved by eviction —
-// the property the parallel engine's affinity analysis needs to prove a
-// dirty victim's writeback targets the same channel as the access that
-// evicted it.
-func (l *LLC) IndexWindow() (low, high uint) {
-	for b := uint64(1); b < uint64(l.cfg.LineBytes); b <<= 1 {
-		low++
-	}
-	for s := uint64(1); s < l.setsN; s <<= 1 {
-		high++
-	}
-	return low, low + high
-}
-
 // Hits returns the number of hits observed.
 func (l *LLC) Hits() uint64 { return l.hits }
 

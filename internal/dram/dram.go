@@ -25,8 +25,6 @@ import (
 // Timings holds DDR-style parameters in controller cycles. The default
 // set (DDR3-1600-like values expressed at the simulator's 400 MHz
 // controller clock, tCK = 2.5 ns) comes from Defaults.
-//
-//own:immutable
 type Timings struct {
 	TRCD   sim.Tick // activate → column command (13.75 ns → 6)
 	TCAS   sim.Tick // column read → data        (13.75 ns → 6)
@@ -62,8 +60,6 @@ func (t Timings) Validate() error {
 }
 
 // bankState is one DRAM bank's FSM.
-//
-//own:engine
 type bankState struct {
 	openRow    int      // -1 when precharged
 	readyAt    sim.Tick // row usable (post tRCD)
@@ -74,8 +70,6 @@ type bankState struct {
 }
 
 // Config parameterizes the DRAM system.
-//
-//own:immutable
 type Config struct {
 	Geom addr.Geometry // SAGs/CDs are ignored (a DRAM bank is monolithic here)
 	Tim  Timings
@@ -104,8 +98,6 @@ func (c *Config) applyDefaults() {
 }
 
 // Stats aggregates observable behaviour.
-//
-//own:engine
 type Stats struct {
 	Reads        stats.Counter
 	Writes       stats.Counter
@@ -119,8 +111,6 @@ type Stats struct {
 
 // System is the complete DRAM memory: queues, scheduler, banks,
 // refresh. It implements cpu.MemorySystem.
-//
-//own:engine
 type System struct {
 	cfg    Config
 	mapper *addr.Mapper

@@ -32,15 +32,6 @@ const (
 const DefaultBackgroundWindow = 40
 
 // Model accumulates energy for one simulated memory system.
-//
-// A Model can hand out per-channel children via Shard: each child
-// accumulates its own dynamic counters (reads, writes, bits), and the
-// parent's getters fold the children back in by integer addition. The
-// split exists for the parallel engine — banks of different channels
-// charge their own shard with no coordination — and is exact because
-// every accumulator is an integer event count (commutative,
-// association-free); picojoule conversion happens only at read time.
-// Background energy stays on the parent: it is advanced engine-side.
 type Model struct {
 	readPJPerBit  float64
 	writePJPerBit float64
@@ -62,8 +53,6 @@ type Model struct {
 	// fast-forwarded simulation loop is held to.
 	bgTicks uint64
 	lastBG  sim.Tick // background accounted up to this tick
-
-	shards []*Model // per-channel children handed out by Shard
 }
 
 // Config parameterizes a Model.
@@ -100,35 +89,15 @@ func New(c Config) *Model {
 	}
 }
 
-// Shard returns a new per-channel child accumulator. Banks owned by one
-// channel shard charge Sense/Write against their own child, so the
-// parallel engine never has two goroutines touching one counter; the
-// parent's getters sum the children back in. Children must be created
-// before simulation starts (engine-side), and never advance background
-// energy — that stays on the parent.
-func (m *Model) Shard() *Model {
-	s := &Model{
-		readPJPerBit:  m.readPJPerBit,
-		writePJPerBit: m.writePJPerBit,
-		bgPJPerBit:    m.bgPJPerBit,
-		bgWindow:      m.bgWindow,
-		rowBufferBits: m.rowBufferBits,
-		banks:         m.banks,
-	}
-	m.shards = append(m.shards, s)
-	return s
-}
-
 // Sense charges the cost of sensing bits during an activation (full or
 // partial). bits is the number of cells read by the sense amplifiers.
 //
 // Like every accumulator in the model, the charge is tracked as an
 // exact integer bit count and converted to picojoules only when read:
 // the model is shared by every bank in the system, so the accumulation
-// must be commutative and association-free for results to stay
-// bit-identical regardless of which channel's bank charges first (the
-// per-channel sharding invariant; float += ordering would break it for
-// non-dyadic per-bit rates).
+// is commutative and association-free and results stay bit-identical
+// regardless of which bank charges first (float += ordering would not
+// be, for non-dyadic per-bit rates).
 func (m *Model) Sense(bits int) {
 	m.reads++
 	m.bitsSensed += uint64(bits)
@@ -153,10 +122,10 @@ func (m *Model) AdvanceBackground(now sim.Tick) {
 }
 
 // ReadPJ returns accumulated sensing energy in pJ.
-func (m *Model) ReadPJ() float64 { return float64(m.sumBitsSensed()) * m.readPJPerBit }
+func (m *Model) ReadPJ() float64 { return float64(m.bitsSensed) * m.readPJPerBit }
 
 // WritePJ returns accumulated write energy in pJ.
-func (m *Model) WritePJ() float64 { return float64(m.sumBitsWrit()) * m.writePJPerBit }
+func (m *Model) WritePJ() float64 { return float64(m.bitsWrit) * m.writePJPerBit }
 
 // BackgroundPJ returns accumulated background energy in pJ.
 func (m *Model) BackgroundPJ() float64 {
@@ -167,41 +136,13 @@ func (m *Model) BackgroundPJ() float64 {
 func (m *Model) TotalPJ() float64 { return m.ReadPJ() + m.WritePJ() + m.BackgroundPJ() }
 
 // Senses returns the number of sensing operations charged.
-func (m *Model) Senses() uint64 {
-	n := m.reads
-	for _, s := range m.shards {
-		n += s.reads
-	}
-	return n
-}
+func (m *Model) Senses() uint64 { return m.reads }
 
 // Writes returns the number of write operations charged.
-func (m *Model) Writes() uint64 {
-	n := m.writes
-	for _, s := range m.shards {
-		n += s.writes
-	}
-	return n
-}
+func (m *Model) Writes() uint64 { return m.writes }
 
 // BitsSensed returns the total cells sensed.
-func (m *Model) BitsSensed() uint64 { return m.sumBitsSensed() }
+func (m *Model) BitsSensed() uint64 { return m.bitsSensed }
 
 // BitsWritten returns the total cells programmed.
-func (m *Model) BitsWritten() uint64 { return m.sumBitsWrit() }
-
-func (m *Model) sumBitsSensed() uint64 {
-	n := m.bitsSensed
-	for _, s := range m.shards {
-		n += s.bitsSensed
-	}
-	return n
-}
-
-func (m *Model) sumBitsWrit() uint64 {
-	n := m.bitsWrit
-	for _, s := range m.shards {
-		n += s.bitsWrit
-	}
-	return n
-}
+func (m *Model) BitsWritten() uint64 { return m.bitsWrit }

@@ -53,13 +53,7 @@ type Pass struct {
 	Files    []*ast.File
 	Pkg      *types.Package
 	Info     *types.Info
-	// Own is the cross-package ownership annotation index (see own.go),
-	// consulted by the ownership/escape/boundary analyzers. Run builds
-	// it over every loaded package; fixture tests build it from the
-	// fixture package alone.
-	Own *OwnIndex
-
-	report func(Diagnostic)
+	report   func(Diagnostic)
 
 	// allowLines[filename][line] holds the rule names waived by a
 	// "//lint:allow <rule> <reason>" comment on that line.
@@ -136,14 +130,13 @@ func (p *Pass) buildAllowLines() {
 
 // All returns every analyzer of the suite, in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, HookPurity, UnitSafety, StatsDiscipline, Ownership, Escape, Boundary, Barrier}
+	return []*Analyzer{Determinism, HookPurity, UnitSafety, StatsDiscipline}
 }
 
 // Run applies each applicable analyzer to each package and returns the
 // combined findings sorted by position.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
-	own := BuildOwnIndex(pkgs)
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
 			if a.Scope != nil && !a.Scope(pkg.ImportPath) {
@@ -155,7 +148,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 				Files:    pkg.Files,
 				Pkg:      pkg.Types,
 				Info:     pkg.Info,
-				Own:      own,
 				report:   func(d Diagnostic) { diags = append(diags, d) },
 			}
 			if err := a.Run(pass); err != nil {

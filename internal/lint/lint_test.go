@@ -65,7 +65,6 @@ func runFixture(t *testing.T, a *Analyzer, name string) {
 		Files:    pkg.Files,
 		Pkg:      pkg.Types,
 		Info:     pkg.Info,
-		Own:      BuildOwnIndex(pkgs),
 		report:   func(d Diagnostic) { diags = append(diags, d) },
 	}
 	if err := a.Run(pass); err != nil {
@@ -99,10 +98,6 @@ func TestDeterminismFixture(t *testing.T)     { runFixture(t, Determinism, "dete
 func TestHookPurityFixture(t *testing.T)      { runFixture(t, HookPurity, "hookpurity") }
 func TestUnitSafetyFixture(t *testing.T)      { runFixture(t, UnitSafety, "unitsafety") }
 func TestStatsDisciplineFixture(t *testing.T) { runFixture(t, StatsDiscipline, "statsdiscipline") }
-func TestOwnershipFixture(t *testing.T)       { runFixture(t, Ownership, "ownership") }
-func TestEscapeFixture(t *testing.T)          { runFixture(t, Escape, "escape") }
-func TestBoundaryFixture(t *testing.T)        { runFixture(t, Boundary, "boundary") }
-func TestBarrierFixture(t *testing.T)         { runFixture(t, Barrier, "barrier") }
 
 // TestTreeIsClean is the in-repo enforcement of the lint gate: the
 // full suite, with scoping as cmd/fgnvm-lint applies it, must find
@@ -143,13 +138,6 @@ func TestScopes(t *testing.T) {
 		{UnitSafety, "repro/cmd/fgnvm-sim", true},
 		{HookPurity, "repro/internal/telemetry", true},
 		{StatsDiscipline, "repro/internal/controller", true},
-		{Ownership, "repro/internal/controller", true},
-		{Ownership, "repro/internal/telemetry", true},
-		{Ownership, "repro/internal/server", false}, // serving layer holds no simulation state
-		{Escape, "repro/internal/sim", true},
-		{Escape, "repro/internal/lint", false},
-		{Boundary, "repro/internal/bank", true},
-		{Boundary, "repro/cmd/fgnvm-sim", false}, // consumers use the boundary, the surface is declared inside it
 	}
 	for _, c := range cases {
 		got := c.analyzer.Scope == nil || c.analyzer.Scope(c.pkg)

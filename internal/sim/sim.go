@@ -47,8 +47,6 @@ type ArgEvent func(now Tick, arg any)
 
 // item is a scheduled event inside the queue. Exactly one of fn and
 // argFn is set.
-//
-//own:engine
 type item struct {
 	when  Tick
 	seq   uint64 // tie-breaker: schedule order within the same tick
@@ -130,8 +128,6 @@ const (
 // tick's events have all dispatched. head indexes the next event to
 // dispatch; entries [head:len) are pending, in seq order (appends are
 // monotone in seq).
-//
-//own:engine
 type slot struct {
 	head  int
 	items []item
@@ -147,8 +143,6 @@ type Hook func(now Tick, pending int)
 // Engine owns the simulated clock and the event queue.
 //
 // The zero value is a ready-to-use engine at time 0.
-//
-//own:engine
 type Engine struct {
 	now    Tick
 	seq    uint64

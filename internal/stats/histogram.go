@@ -48,26 +48,6 @@ func (h *Histogram) Observe(v uint64) {
 	h.sum += float64(v)
 }
 
-// Merge folds another histogram's samples into h: bucket counts add,
-// min/max fold, and the exact-mean accumulators combine. Like
-// Distribution.Merge this is bit-exact for integer samples.
-func (h *Histogram) Merge(o *Histogram) {
-	if o.n == 0 {
-		return
-	}
-	for i, c := range o.buckets {
-		h.buckets[i] += c
-	}
-	if h.n == 0 || o.min < h.min {
-		h.min = o.min
-	}
-	if o.max > h.max {
-		h.max = o.max
-	}
-	h.n += o.n
-	h.sum += o.sum
-}
-
 // Count returns the number of samples.
 func (h *Histogram) Count() uint64 { return h.n }
 

@@ -84,25 +84,6 @@ func (d *Distribution) Max() float64 {
 // Sum returns the total of all samples.
 func (d *Distribution) Sum() float64 { return d.sum }
 
-// Merge folds another distribution's samples into d, as if every one of
-// o's samples had been observed on d. For the simulator's latency
-// distributions the result is bit-exact regardless of merge order: the
-// samples are integer tick counts, so every partial sum is an exactly
-// representable float64 (below 2^53) and addition incurs no rounding.
-func (d *Distribution) Merge(o *Distribution) {
-	if o.n == 0 {
-		return
-	}
-	if d.n == 0 || o.min < d.min {
-		d.min = o.min
-	}
-	if d.n == 0 || o.max > d.max {
-		d.max = o.max
-	}
-	d.n += o.n
-	d.sum += o.sum
-}
-
 func (d *Distribution) String() string {
 	return fmt.Sprintf("n=%d mean=%.3f min=%.3f max=%.3f", d.n, d.Mean(), d.Min(), d.Max())
 }

@@ -13,10 +13,7 @@ import (
 // shard and the per-request accumulation needs no cross-shard view;
 // read-side merges sum uint64 event counts, which is exact in any
 // order.
-//
-//own:channel
 type attShard struct {
-	//own:immutable
 	cds    int // geometry CDs, for the tile flattening
 	causes [NumStallCauses]stats.Counter
 
@@ -63,12 +60,8 @@ func (s *attShard) flush(id uint64) uint64 {
 // engine-side — completions fire on the serial engine in a defined
 // order, and histogram observation order is the only order-sensitive
 // aggregate here.
-//
-//own:engine
 type Attribution struct {
-	//own:immutable
-	geom addr.Geometry
-	//own:channel
+	geom    addr.Geometry
 	shards  []attShard
 	reqHist stats.Histogram
 }
@@ -97,8 +90,6 @@ func (a *Attribution) Command(Command) {}
 
 // Request implements Sink: request completion flushes the per-request
 // stall total into the histogram.
-//
-//own:boundary(completion egress: flushes the request's channel shard into the engine-side histogram)
 func (a *Attribution) Request(ev RequestEvent) {
 	if ev.Phase != ReqCompleted {
 		return
@@ -113,8 +104,6 @@ func (a *Attribution) Request(ev RequestEvent) {
 // the fast-forward path batches a constant-classification window into
 // one weighted event, and weighting here keeps every aggregate equal to
 // the cycle-by-cycle totals.
-//
-//own:boundary(stall ingress: routes each event to its channel shard)
 func (a *Attribution) Stall(ev StallEvent) {
 	n := ev.N
 	if n == 0 {
@@ -124,8 +113,6 @@ func (a *Attribution) Stall(ev StallEvent) {
 }
 
 // Causes returns the per-cause attributed cycle totals.
-//
-//own:boundary(read-side merge of per-shard cause totals)
 func (a *Attribution) Causes() [NumStallCauses]uint64 {
 	var out [NumStallCauses]uint64
 	for i := range a.shards {
@@ -138,8 +125,6 @@ func (a *Attribution) Causes() [NumStallCauses]uint64 {
 
 // AttributedWait returns the total queued-wait cycles attributed — the
 // sum of every cause except StallQueueFull.
-//
-//own:boundary(read-side merge of per-shard cause totals)
 func (a *Attribution) AttributedWait() uint64 {
 	var sum uint64
 	for i := range a.shards {
@@ -155,8 +140,6 @@ func (a *Attribution) AttributedWait() uint64 {
 
 // TileStalls returns the [SAG][CD] matrix of attributed stall cycles,
 // summed over banks.
-//
-//own:boundary(read-side merge of per-shard tile matrices)
 func (a *Attribution) TileStalls() [][]uint64 {
 	out := make([][]uint64, a.geom.SAGs)
 	for s := range out {

@@ -12,10 +12,7 @@ import (
 // carry their bank's channel, so every span lands in exactly one
 // shard; the read-side merge sums uint64 cycle counts, exact in any
 // order.
-//
-//own:channel
 type occShard struct {
-	//own:immutable
 	cds   int              // geometry CDs, for the tile flattening
 	busy  []stats.Counter  // [(sag*CDs)+cd]
 	kinds [3]stats.Counter // cycles by command kind: ACT, RD, WR
@@ -36,12 +33,8 @@ func (s *occShard) command(ev Command) {
 // measure (where did the machine spend its device time), not a duty
 // cycle. Accumulation is sharded by the span's channel; the accessors
 // merge by addition.
-//
-//own:engine
 type Occupancy struct {
-	//own:immutable
-	geom addr.Geometry
-	//own:channel
+	geom   addr.Geometry
 	shards []occShard
 }
 
@@ -61,8 +54,6 @@ func NewOccupancy(g addr.Geometry) *Occupancy {
 }
 
 // Command implements Sink.
-//
-//own:boundary(command-span ingress: routes each span to its bank's channel shard)
 func (o *Occupancy) Command(ev Command) {
 	if ev.Kind == CmdBus {
 		return // the bus is not a tile
@@ -77,8 +68,6 @@ func (o *Occupancy) Request(RequestEvent) {}
 func (o *Occupancy) Stall(StallEvent) {}
 
 // Matrix returns the [SAG][CD] busy-cycle matrix.
-//
-//own:boundary(read-side merge of per-shard busy matrices)
 func (o *Occupancy) Matrix() [][]uint64 {
 	out := make([][]uint64, o.geom.SAGs)
 	for s := range out {
@@ -94,8 +83,6 @@ func (o *Occupancy) Matrix() [][]uint64 {
 
 // KindCycles returns total busy cycles split by command kind
 // (activate, read, write).
-//
-//own:boundary(read-side merge of per-shard kind counters)
 func (o *Occupancy) KindCycles() (act, rd, wr uint64) {
 	for i := range o.shards {
 		act += o.shards[i].kinds[CmdActivate].Value()

@@ -64,7 +64,6 @@ const (
 	NumStallCauses = int(StallControllerIdle) + 1
 )
 
-//own:immutable
 var stallCauseNames = [NumStallCauses]string{
 	"sag-conflict", "cd-conflict", "bus-conflict",
 	"write-drain", "queue-full", "controller-idle",
@@ -108,15 +107,11 @@ func (k CommandKind) String() string {
 }
 
 // BankID names one bank in the memory system.
-//
-//own:immutable
 type BankID struct {
 	Channel, Rank, Bank int
 }
 
 // Command is one device command span on a tile (or bus lane).
-//
-//own:immutable
 type Command struct {
 	Kind     CommandKind
 	Bank     BankID
@@ -140,8 +135,6 @@ const (
 )
 
 // RequestEvent is one request lifecycle transition.
-//
-//own:immutable
 type RequestEvent struct {
 	Phase  RequestPhase
 	ID     uint64
@@ -159,8 +152,6 @@ type RequestEvent struct {
 // emits a single event with N carrying the cycle count. Consumers that
 // count cycles must weight by N (treating 0 as 1); the aggregate
 // totals are identical either way.
-//
-//own:immutable
 type StallEvent struct {
 	ReqID   uint64
 	Write   bool

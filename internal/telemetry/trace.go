@@ -18,8 +18,6 @@ import (
 // traceEvent is one entry of the Chrome trace-event format's JSON
 // array form. Field order is fixed by the struct, and map-free, so the
 // encoding is byte-deterministic for a deterministic event sequence.
-//
-//own:engine
 type traceEvent struct {
 	Name string   `json:"name"`
 	Cat  string   `json:"cat,omitempty"`
@@ -35,8 +33,6 @@ type traceEvent struct {
 
 // evtArgs carries per-event details; a struct (not a map) keeps the
 // JSON key order deterministic.
-//
-//own:engine
 type evtArgs struct {
 	Name  string `json:"name,omitempty"` // metadata payload
 	Row   int    `json:"row,omitempty"`
@@ -48,8 +44,6 @@ type evtArgs struct {
 // traceFile is the top-level trace object. Timestamps are in simulated
 // controller cycles, not microseconds; displayTimeUnit only affects the
 // viewer's axis labels.
-//
-//own:engine
 type traceFile struct {
 	DisplayTimeUnit string       `json:"displayTimeUnit"`
 	TraceEvents     []traceEvent `json:"traceEvents"`
@@ -70,12 +64,8 @@ type traceFile struct {
 // Export; identical runs produce byte-identical output (locked in by
 // the determinism regression test).
 //
-// The trace is a serialization point by design — events from every
-// channel interleave into one buffer in simulation order — so the
-// whole exporter is engine-owned; a parallel engine must feed it from
-// the serial side.
-//
-//own:engine
+// The trace is a serialization point by design: events from every
+// channel interleave into one buffer in simulation order.
 type Trace struct {
 	geom   addr.Geometry
 	lanes  int

@@ -34,16 +34,11 @@ type TelemetryOptions struct {
 
 	// Sink, when non-nil, additionally receives every raw event —
 	// the extension point for custom consumers. Event order is part of
-	// the simulator's determinism contract and does not depend on the
-	// engine: under the parallel multi-channel engine, events emitted
-	// inside a lookahead window are buffered per channel and replayed
-	// at the barrier in the serial engine's (tick, channel) order, so
-	// a Sink observes the identical sequence either way. The only
-	// run-to-run variation a Sink can see comes from the idle-cycle
-	// fast-forward (as always): skipped stretches arrive as one
-	// cycle-weighted StallEvent batch instead of per-cycle events —
-	// disable fast-forward, not the parallel engine, to get per-cycle
-	// emission. Sink callbacks always run on the engine goroutine.
+	// the simulator's determinism contract: within a tick, channels
+	// emit in ascending order. The idle-cycle fast-forward delivers
+	// skipped stretches as one cycle-weighted StallEvent batch instead
+	// of per-cycle events; disable fast-forward to get per-cycle
+	// emission. Sink callbacks run on the goroutine that called Run.
 	Sink telemetry.Sink
 }
 
