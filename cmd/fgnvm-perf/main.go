@@ -1,13 +1,11 @@
 // Command fgnvm-perf is the simulator's performance harness: it times
 // the Figure 4 workloads across every design, measures the wall-clock
-// speedups of the idle-cycle fast-forward (vs forced cycle-by-cycle
-// execution) and of the indexed scheduler (vs the reference
-// scan-everything scheduler), and counts allocations per run.
+// speedup of the idle-cycle fast-forward (vs forced cycle-by-cycle
+// execution), and counts allocations per run.
 //
 //	fgnvm-perf                    # print the report
 //	fgnvm-perf -o BENCH_pr5.json  # write the committed baseline
-//	fgnvm-perf -check BENCH_pr5.json -check-cycles BENCH_pr4.json
-//	fgnvm-perf -against BENCH_pr4.json -cpuprofile cpu.out
+//	fgnvm-perf -check BENCH_pr5.json -cpuprofile cpu.out
 //
 // -check re-runs the suite and gates against the committed baseline on
 // the machine-independent metrics only:
@@ -18,18 +16,9 @@
 //     file);
 //   - allocations per run must stay within a tolerance of the
 //     baseline (the zero-alloc steady state is a tentpole property);
-//   - the indexed-scheduling speedup on the best write-heavy workload
-//     must stay over its floor, and the fast-forward speedup must not
-//     regress below parity (wall-clock *ratios* on the same machine
-//     and binary, so load-sensitivity largely divides out).
-//
-// -check-cycles gates an older baseline on cycle exactness alone: its
-// wall-ratio columns predate the current harness, but simulated cycle
-// counts must hold across every optimization forever.
-//
-// -against compares wall clock and allocations against a prior PR's
-// report recorded on the same machine — the hot-path acceptance gate,
-// run where the report was produced rather than in CI.
+//   - the fast-forward speedup on the best write-heavy workload must
+//     not regress below its floor (a wall-clock *ratio* on the same
+//     machine and binary, so load-sensitivity largely divides out).
 //
 // Absolute wall times are recorded for the report but never gated —
 // they are machine-dependent.
@@ -53,14 +42,12 @@ type Case struct {
 	Benchmark string `json:"benchmark"`
 
 	Cycles      uint64  `json:"cycles"`        // simulated controller cycles (deterministic)
-	WallMS      float64 `json:"wall_ms"`       // best fully-optimized wall time (fast-forward + index)
-	RefWallMS   float64 `json:"ref_wall_ms"`   // best cycle-by-cycle wall time (index still on)
-	ScanWallMS  float64 `json:"scan_wall_ms"`  // best cycle-by-cycle + scan-scheduler wall time (all off)
-	CyclesPerMS float64 `json:"cycles_per_ms"` // simulated cycles per wall millisecond (fully optimized)
+	WallMS      float64 `json:"wall_ms"`       // best wall time with fast-forward on
+	RefWallMS   float64 `json:"ref_wall_ms"`   // best cycle-by-cycle wall time
+	CyclesPerMS float64 `json:"cycles_per_ms"` // simulated cycles per wall millisecond (fast-forward on)
 	FFSpeedup   float64 `json:"ff_speedup"`    // RefWallMS / WallMS
-	IdxSpeedup  float64 `json:"idx_speedup"`   // ScanWallMS / RefWallMS: the index's win on the busy loop
-	AllocsPerOp uint64  `json:"allocs_per_op"` // heap allocations for one fully-optimized run
-	WriteHeavy  bool    `json:"write_heavy"`   // counts toward the speedup gates
+	AllocsPerOp uint64  `json:"allocs_per_op"` // heap allocations for one fast-forward run
+	WriteHeavy  bool    `json:"write_heavy"`   // counts toward the speedup gate
 }
 
 // Report is the BENCH_<pr>.json schema.
@@ -86,8 +73,6 @@ func run() error {
 		reps       = flag.Int("reps", 3, "timing repetitions (best-of)")
 		out        = flag.String("o", "", "write the report as JSON to this file")
 		check      = flag.String("check", "", "baseline report to gate against")
-		checkCyc   = flag.String("check-cycles", "", "older baseline gated on simulated-cycle exactness only")
-		against    = flag.String("against", "", "prior-PR baseline for the wall-clock speedup gate (same machine)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the measurement to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile taken after the measurement to this file")
 	)
@@ -120,18 +105,6 @@ func run() error {
 		}
 	}()
 
-	var prior *Report
-	if *against != "" {
-		b, err := os.ReadFile(*against)
-		if err != nil {
-			return err
-		}
-		prior = &Report{}
-		if err := json.Unmarshal(b, prior); err != nil {
-			return fmt.Errorf("parse %s: %w", *against, err)
-		}
-	}
-
 	var baseline *Report
 	if *check != "" {
 		b, err := os.ReadFile(*check)
@@ -162,25 +135,7 @@ func run() error {
 		fmt.Printf("wrote %s\n", *out)
 	}
 	if baseline != nil {
-		if err := gate(rep, baseline); err != nil {
-			return err
-		}
-	}
-	if *checkCyc != "" {
-		b, err := os.ReadFile(*checkCyc)
-		if err != nil {
-			return err
-		}
-		older := &Report{}
-		if err := json.Unmarshal(b, older); err != nil {
-			return fmt.Errorf("parse %s: %w", *checkCyc, err)
-		}
-		if err := gateCycles(rep, older); err != nil {
-			return err
-		}
-	}
-	if prior != nil {
-		return gateAgainstPrior(rep, prior)
+		return gate(rep, baseline)
 	}
 	return nil
 }
@@ -212,60 +167,49 @@ func measure(n, seed uint64, reps int) (*Report, error) {
 			Design: d, SAGs: 8, CDs: 2,
 			Benchmark: c.Benchmark, Instructions: n, Seed: seed,
 		}
-		one := func(disableFF, disableIdx bool) (fgnvm.Result, time.Duration, error) {
+		one := func(disableFF bool) (fgnvm.Result, time.Duration, error) {
 			o := opts
 			o.DisableFastForward = disableFF
-			o.DisableSchedIndex = disableIdx
 			//lint:allow wallclock the harness exists to time real runs
 			start := time.Now()
 			r, err := fgnvm.Run(o)
 			return r, time.Since(start), err
 		}
 		// Warmup (and the cycle count, which repetitions cannot change).
-		res, _, err := one(false, false)
+		res, _, err := one(false)
 		if err != nil {
 			return nil, err
 		}
 		c.Cycles = uint64(res.Cycles)
 
-		// Alternate the three variants within each repetition so slow
-		// drift (thermal, co-tenant load) biases no side, and take the
-		// best of each: the minimum is the least-disturbed run.
+		// Alternate the two variants within each repetition so slow
+		// drift (thermal, co-tenant load) biases neither side, and take
+		// the best of each: the minimum is the least-disturbed run.
 		const forever = time.Duration(1<<63 - 1)
-		ff, ref, scan := forever, forever, forever
+		ff, ref := forever, forever
 		runtime.GC()
 		for i := 0; i < reps; i++ {
-			_, elFF, err := one(false, false)
+			_, elFF, err := one(false)
 			if err != nil {
 				return nil, err
 			}
-			_, elRef, err := one(true, false)
+			_, elRef, err := one(true)
 			if err != nil {
 				return nil, err
 			}
-			// Both optimizations off: the pre-overhaul busy loop. Its
-			// ratio to the ref run isolates the indexed scheduler on the
-			// cycle-by-cycle path, where every idle cycle is scanned (or
-			// memoized) rather than fast-forwarded over.
-			_, elScan, err := one(true, true)
-			if err != nil {
-				return nil, err
-			}
-			ff, ref, scan = min(ff, elFF), min(ref, elRef), min(scan, elScan)
+			ff, ref = min(ff, elFF), min(ref, elRef)
 		}
 		c.WallMS = float64(ff.Microseconds()) / 1000
 		c.RefWallMS = float64(ref.Microseconds()) / 1000
-		c.ScanWallMS = float64(scan.Microseconds()) / 1000
 		c.FFSpeedup = float64(ref) / float64(ff)
-		c.IdxSpeedup = float64(scan) / float64(ref)
 		c.CyclesPerMS = float64(c.Cycles) / c.WallMS
 
-		// Allocations for one fully-optimized run, measured after the
+		// Allocations for one fast-forward run, measured after the
 		// warmup so one-time lazy initialization is excluded.
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		if _, _, err := one(false, false); err != nil {
+		if _, _, err := one(false); err != nil {
 			return nil, err
 		}
 		runtime.ReadMemStats(&after)
@@ -279,84 +223,29 @@ func measure(n, seed uint64, reps int) (*Report, error) {
 func printReport(r *Report) {
 	fmt.Printf("fgnvm-perf: %d instructions, seed %d, best of %d (%s)\n",
 		r.Instructions, r.Seed, r.Reps, r.GoVersion)
-	fmt.Printf("%-18s %-10s %12s %10s %10s %10s %9s %9s %12s\n",
-		"design", "benchmark", "cycles", "wall ms", "ref ms", "scan ms", "ff-speed", "idx-speed", "allocs/op")
+	fmt.Printf("%-18s %-10s %12s %10s %10s %9s %12s\n",
+		"design", "benchmark", "cycles", "wall ms", "ref ms", "ff-speed", "allocs/op")
 	for _, c := range r.Cases {
-		fmt.Printf("%-18s %-10s %12d %10.2f %10.2f %10.2f %8.2fx %8.2fx %12d\n",
-			c.Design, c.Benchmark, c.Cycles, c.WallMS, c.RefWallMS, c.ScanWallMS,
-			c.FFSpeedup, c.IdxSpeedup, c.AllocsPerOp)
+		fmt.Printf("%-18s %-10s %12d %10.2f %10.2f %8.2fx %12d\n",
+			c.Design, c.Benchmark, c.Cycles, c.WallMS, c.RefWallMS,
+			c.FFSpeedup, c.AllocsPerOp)
 	}
 }
 
 // Gate tolerances.
 //
-// The fast-forward floor used to be 2.0x: before the indexed scheduler,
-// skipping an idle window beat scanning it cycle by cycle. The ready
-// memo now prices an idle cycle at a few loads, so the fast-forward's
-// wall-clock win has collapsed to ~1x by design — the floor survives
-// only as a regression guard that fast-forward never *costs* wall
-// clock. The load-bearing speedup gate is the indexed scheduler's: the
-// scan-scheduler run must stay well behind on a write-heavy workload.
+// Fast-forward is the only mechanism that skips idle cycles: without
+// it, every cycle of a long PCM write drain re-scans the queues. It
+// pays most on write-heavy runs (up to about 2.2x on salp/lbm on a
+// 2-CPU host) and little where busy cycles dominate. The floor is a
+// regression guard, not a speedup target: it sits below parity so that
+// same-machine timing noise cannot trip it, and fails only if skipping
+// starts to cost wall clock.
 const (
-	allocTolFrac    = 0.10 // +10 % allocations per run
-	allocTolSlack   = 1000 // plus absolute slack for tiny runs
-	ffSpeedupFloor  = 0.85 // best write-heavy fast-forward speedup (regression guard)
-	idxSpeedupFloor = 1.3  // best write-heavy indexed-scheduling speedup
+	allocTolFrac   = 0.10 // +10 % allocations per run
+	allocTolSlack  = 1000 // plus absolute slack for tiny runs
+	ffSpeedupFloor = 0.85 // best write-heavy fast-forward speedup (regression guard)
 )
-
-// Prior-PR gate tolerances: the hot-path overhaul must beat the
-// previous PR's committed operating point, not merely hold its own
-// floors. Wall-clock ratios are same-machine comparisons — meaningful
-// on the box that recorded the prior baseline (and in CI, where both
-// baselines come from the same runner class) — so the speedup gate
-// uses the best write-heavy case, where host-load noise is smallest
-// relative to the win.
-const (
-	priorSpeedupFloor = 1.5 // best write-heavy wall-clock speedup vs the prior PR
-)
-
-// gateAgainstPrior enforces the PR 5 acceptance criteria against the
-// previous PR's report: allocations per run strictly below the prior
-// baseline on every shared case, and a >=1.5x wall-clock speedup on the
-// best write-heavy workload.
-func gateAgainstPrior(got, prior *Report) error {
-	byKey := map[string]Case{}
-	for _, c := range prior.Cases {
-		byKey[c.Design+"/"+c.Benchmark] = c
-	}
-	var failures []string
-	bestSpeedup, bestCase := 0.0, ""
-	for _, c := range got.Cases {
-		p, ok := byKey[c.Design+"/"+c.Benchmark]
-		if !ok {
-			continue // new case: nothing to compare against
-		}
-		if c.AllocsPerOp >= p.AllocsPerOp {
-			failures = append(failures, fmt.Sprintf(
-				"%s/%s: %d allocs/op not strictly below prior %d",
-				c.Design, c.Benchmark, c.AllocsPerOp, p.AllocsPerOp))
-		}
-		if c.WriteHeavy && p.WallMS > 0 {
-			if s := p.WallMS / c.WallMS; s > bestSpeedup {
-				bestSpeedup, bestCase = s, c.Design+"/"+c.Benchmark
-			}
-		}
-	}
-	if bestSpeedup < priorSpeedupFloor {
-		failures = append(failures, fmt.Sprintf(
-			"best write-heavy wall-clock speedup vs prior %.2fx (%s) below the %.1fx floor",
-			bestSpeedup, bestCase, priorSpeedupFloor))
-	}
-	if len(failures) > 0 {
-		for _, f := range failures {
-			fmt.Fprintln(os.Stderr, "PRIOR GATE FAIL:", f)
-		}
-		return fmt.Errorf("%d prior-baseline gate failure(s)", len(failures))
-	}
-	fmt.Printf("prior-baseline gates passed: allocs strictly below prior on every shared case, best write-heavy speedup %.2fx (%s) >= %.1fx\n",
-		bestSpeedup, bestCase, priorSpeedupFloor)
-	return nil
-}
 
 func gate(got, want *Report) error {
 	byKey := map[string]Case{}
@@ -364,11 +253,10 @@ func gate(got, want *Report) error {
 		byKey[c.Design+"/"+c.Benchmark] = c
 	}
 	var failures []string
-	bestFF, bestIdx := 0.0, 0.0
+	bestFF := 0.0
 	for _, c := range got.Cases {
 		if c.WriteHeavy {
 			bestFF = max(bestFF, c.FFSpeedup)
-			bestIdx = max(bestIdx, c.IdxSpeedup)
 		}
 		b, ok := byKey[c.Design+"/"+c.Benchmark]
 		if !ok {
@@ -390,48 +278,13 @@ func gate(got, want *Report) error {
 		failures = append(failures, fmt.Sprintf(
 			"best write-heavy fast-forward speedup %.2fx below the %.2fx floor", bestFF, ffSpeedupFloor))
 	}
-	if bestIdx < idxSpeedupFloor {
-		failures = append(failures, fmt.Sprintf(
-			"best write-heavy indexed-scheduling speedup %.2fx below the %.1fx floor", bestIdx, idxSpeedupFloor))
-	}
 	if len(failures) > 0 {
 		for _, f := range failures {
 			fmt.Fprintln(os.Stderr, "GATE FAIL:", f)
 		}
 		return fmt.Errorf("%d perf gate failure(s)", len(failures))
 	}
-	fmt.Printf("perf gates passed: cycles exact, allocs within %.0f%%, write-heavy ff-speedup %.2fx >= %.2fx, idx-speedup %.2fx >= %.1fx\n",
-		allocTolFrac*100, bestFF, ffSpeedupFloor, bestIdx, idxSpeedupFloor)
-	return nil
-}
-
-// gateCycles checks only simulated-cycle exactness against an older
-// baseline whose wall-ratio metrics predate the current harness (the
-// PR 4 report has no idx columns and recorded fast-forward speedups the
-// ready memo has since collapsed). Cycle counts are the one metric that
-// must hold across every optimization forever.
-func gateCycles(got, want *Report) error {
-	byKey := map[string]Case{}
-	for _, c := range want.Cases {
-		byKey[c.Design+"/"+c.Benchmark] = c
-	}
-	var failures []string
-	for _, c := range got.Cases {
-		b, ok := byKey[c.Design+"/"+c.Benchmark]
-		if !ok {
-			continue // the older matrix may be a subset
-		}
-		if c.Cycles != b.Cycles {
-			failures = append(failures, fmt.Sprintf(
-				"%s/%s: simulated cycles %d != prior baseline %d", c.Design, c.Benchmark, c.Cycles, b.Cycles))
-		}
-	}
-	if len(failures) > 0 {
-		for _, f := range failures {
-			fmt.Fprintln(os.Stderr, "CYCLES GATE FAIL:", f)
-		}
-		return fmt.Errorf("%d cycle-exactness failure(s) against prior baseline", len(failures))
-	}
-	fmt.Println("cycles gate passed: simulated cycle counts exactly match the prior baseline")
+	fmt.Printf("perf gates passed: cycles exact, allocs within %.0f%%, write-heavy ff-speedup %.2fx >= %.2fx\n",
+		allocTolFrac*100, bestFF, ffSpeedupFloor)
 	return nil
 }

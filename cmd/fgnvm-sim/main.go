@@ -54,7 +54,6 @@ func run() error {
 		list       = flag.Bool("list", false, "list benchmark profiles and exit")
 		traceOut   = flag.String("trace-out", "", "write a Perfetto/Chrome trace-event JSON file (open in ui.perfetto.dev)")
 		stallRep   = flag.Bool("stall-report", false, "print the stall-attribution breakdown and per-tile heatmaps")
-		noIndex    = flag.Bool("no-sched-index", false, "force the reference scan-everything scheduler (debug; results are identical either way)")
 	)
 	flag.Parse()
 
@@ -129,7 +128,6 @@ func run() error {
 		Design: design, SAGs: *sags, CDs: *cds,
 		Instructions: *instr, Seed: *seed, Cores: *cores,
 		IssueLanes: *lanes, Scheduler: scheduler, SkipLLC: *skipLLC,
-		DisableSchedIndex: *noIndex,
 	}
 	switch *tech {
 	case "pcm":

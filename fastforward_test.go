@@ -31,7 +31,9 @@ const ffInstr = 20_000
 // runArtifacts runs one simulation with full telemetry attached and
 // returns every observable output: the marshaled Result and the
 // exported trace bytes. Any difference between a fast-forwarded and a
-// cycle-by-cycle run shows up in one of the two.
+// cycle-by-cycle run shows up in one of the two. It also checks stall
+// conservation: the attributed causes must sum to the controller's
+// queued-wait counter.
 func runArtifacts(t *testing.T, o Options) (resJSON, traceBytes []byte) {
 	t.Helper()
 	var buf bytes.Buffer
@@ -40,6 +42,10 @@ func runArtifacts(t *testing.T, o Options) (resJSON, traceBytes []byte) {
 	if err != nil {
 		t.Fatalf("Run(%v/%s, ff=%v): %v", o.Design, o.Benchmark, !o.DisableFastForward, err)
 	}
+	if st := res.Stalls; st != nil && st.Sum() != st.QueuedWaitCycles {
+		t.Errorf("attribution leak (ff=%v): causes sum to %d, queued-wait counter says %d",
+			!o.DisableFastForward, st.Sum(), st.QueuedWaitCycles)
+	}
 	j, err := json.Marshal(res)
 	if err != nil {
 		t.Fatal(err)
@@ -47,30 +53,56 @@ func runArtifacts(t *testing.T, o Options) (resJSON, traceBytes []byte) {
 	return j, buf.Bytes()
 }
 
-// TestFastForwardDifferential is the tier-1 exactness gate: every
-// benchmark × every design, fast-forwarded vs cycle-by-cycle, must
-// produce byte-identical Result JSON (stall buckets, occupancy, energy,
-// latency percentiles — everything) and byte-identical trace output.
-func TestFastForwardDifferential(t *testing.T) {
+// assertMatchesReference runs o as given and again with fast-forward
+// disabled, with full telemetry attached, and requires byte-identical
+// Result JSON and trace output.
+func assertMatchesReference(t *testing.T, o Options) {
+	t.Helper()
+	res, tr := runArtifacts(t, o)
+	o.DisableFastForward = true
+	refRes, refTrace := runArtifacts(t, o)
+	if !bytes.Equal(res, refRes) {
+		t.Errorf("Result diverged from the cycle-by-cycle reference:\n  run: %s\n  ref: %s", res, refRes)
+	}
+	if !bytes.Equal(tr, refTrace) {
+		t.Errorf("trace diverged from the cycle-by-cycle reference (%d vs %d bytes)", len(tr), len(refTrace))
+	}
+}
+
+// forEachDesignBenchmark runs check as a parallel subtest for every
+// design × benchmark pair, on the paper's 8×2 grid at ffInstr.
+func forEachDesignBenchmark(t *testing.T, check func(*testing.T, Options)) {
 	for _, d := range Designs() {
 		t.Run(d.String(), func(t *testing.T) {
 			for _, bench := range Benchmarks() {
 				t.Run(bench, func(t *testing.T) {
 					t.Parallel()
-					o := Options{Design: d, SAGs: 8, CDs: 2, Benchmark: bench, Instructions: ffInstr}
-					ffRes, ffTrace := runArtifacts(t, o)
-					o.DisableFastForward = true
-					refRes, refTrace := runArtifacts(t, o)
-					if !bytes.Equal(ffRes, refRes) {
-						t.Errorf("Result diverged under fast-forward:\n  ff : %s\n  ref: %s", ffRes, refRes)
-					}
-					if !bytes.Equal(ffTrace, refTrace) {
-						t.Errorf("trace diverged under fast-forward (%d vs %d bytes)", len(ffTrace), len(refTrace))
-					}
+					check(t, Options{Design: d, SAGs: 8, CDs: 2, Benchmark: bench, Instructions: ffInstr})
 				})
 			}
 		})
 	}
+}
+
+// TestFastForwardDifferential is the tier-1 exactness gate: every
+// benchmark × every design, fast-forwarded vs cycle-by-cycle, must
+// produce byte-identical Result JSON (stall buckets, occupancy, energy,
+// latency percentiles — everything) and byte-identical trace output.
+func TestFastForwardDifferential(t *testing.T) {
+	forEachDesignBenchmark(t, assertMatchesReference)
+}
+
+// TestSchedIndexDifferential runs the same differential, stall
+// conservation included, under the FCFS scheduler: the matrix above
+// covers only the default FR-FCFS policy. The name is kept from when
+// the test compared an indexed scheduler with the plain queue scan; the
+// scan is now the only scheduler. DRAM has its own scheduler and
+// ignores Options.Scheduler.
+func TestSchedIndexDifferential(t *testing.T) {
+	forEachDesignBenchmark(t, func(t *testing.T, o Options) {
+		o.Scheduler = SchedFCFS
+		assertMatchesReference(t, o)
+	})
 }
 
 // TestFastForwardConservation re-checks the stall-attribution

@@ -212,14 +212,6 @@ type Options struct {
 	// the differential test suite) — so this is a debug/verification
 	// knob, not a fidelity trade-off.
 	DisableFastForward bool
-
-	// DisableSchedIndex forces the controller's reference scheduling
-	// path: per-cycle linear queue scans with no ready memo and no tile
-	// candidate index. Like DisableFastForward this is exact either way
-	// (byte-identical Results, enforced by a differential suite across
-	// every benchmark × design) and exists for verification and for
-	// measuring the indexed scheduler's speedup. Ignored by DesignDRAM.
-	DisableSchedIndex bool
 }
 
 // AccessModeSet selects which of the paper's three access modes are
@@ -699,10 +691,9 @@ func RunContext(ctx context.Context, o Options) (Result, error) {
 		ccfg := controller.Config{
 			Geom: geom, Tim: tim, Modes: modes,
 			Scheduler: sched, IssueLanes: o.IssueLanes,
-			Interleave:   addr.RowBankRankChanCol,
-			Energy:       emod,
-			Telemetry:    sink,
-			DisableIndex: o.DisableSchedIndex,
+			Interleave: addr.RowBankRankChanCol,
+			Energy:     emod,
+			Telemetry:  sink,
 		}
 		ctrl, err = controller.New(ccfg, eng)
 		if err != nil {

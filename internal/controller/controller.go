@@ -83,14 +83,6 @@ type Config struct {
 	// testing.AllocsPerRun regression test).
 	Telemetry telemetry.Sink
 
-	// DisableIndex forces the reference scheduling path: every cycle
-	// re-walks the queues and re-evaluates the SAG×CD conflict rules
-	// from scratch, with no per-channel ready memo and no tile candidate
-	// counts. Results are identical either way (pinned by a differential
-	// test across every benchmark × design); the indexed path is only an
-	// execution-speed optimization.
-	DisableIndex bool
-
 	// EngineHook has no effect.
 	EngineHook sim.Hook
 }
@@ -116,12 +108,8 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// Stats aggregates the controller's observable behaviour over a run.
-// Completion-side aggregates (Reads, Writes, the latency distributions)
-// accumulate engine-side, where completion events fire; everything a
-// scheduling decision increments lives in the per-channel shardStats
-// and is merged — exactly, counter by uint64 counter — into the
-// snapshot Stats() returns.
+// Stats aggregates the controller's observable behaviour over a run,
+// summed over every channel.
 type Stats struct {
 	Reads            stats.Counter // read requests completed
 	Writes           stats.Counter // write requests completed
@@ -144,26 +132,11 @@ type Stats struct {
 	ReadLatencyHist  stats.Histogram // log-bucketed, for percentile reporting
 }
 
-// shardStats holds the counters a single channel's scheduling maintains.
-// Stats() merges them by addition, which is exact for uint64 event
-// counts.
-type shardStats struct {
-	activations      stats.Counter
-	columnReads      stats.Counter
-	segmentHits      stats.Counter
-	backgroundedRds  stats.Counter
-	writeDrainEvents stats.Counter
-	busStallCycles   stats.Counter
-	forwardedReads   stats.Counter
-	coalescedWrites  stats.Counter
-	queuedWaitCycles stats.Counter
-}
-
 // Controller is the memory controller front-end: the CPU enqueues
 // requests, the simulator calls Cycle once per controller clock, and
-// completions fire through the sim engine. All per-channel state lives
-// in the shards; the Controller holds only construction-time wiring and
-// the engine-side aggregates completion events touch.
+// completions fire through the sim engine. All per-channel scheduling
+// state lives in the shards; the Controller holds construction-time
+// wiring and the statistics every shard adds to.
 type Controller struct {
 	cfg    Config
 	mapper *addr.Mapper
@@ -177,30 +150,12 @@ type Controller struct {
 }
 
 // shard is one channel's complete scheduling state: queues, bus lanes,
-// bank models, drain mode, the indexed-scheduling acceleration state and
-// the per-channel statistics. Shards never reference each other.
-//
-// The ready memo caches the outcome of a cycle that issued nothing:
-// until memoUntil — the channel's next scheduling flip tick, computed by
-// the same analysis that licenses fast-forward (see NextWork) — no
-// predicate schedule consults can change unless a new request arrives,
-// so subsequent cycles skip the scans entirely and replay the memoized
-// per-cycle counter increment (memoBusStalls). enqueue invalidates the
-// memo; issuing anything rebuilds controller state, so a memo is only
-// ever armed by a cycle that issued nothing.
-//
-// The tile candidate index counts queued reads per (rank,bank), per
-// (rank,bank,SAG) and per (rank,bank,CD), maintained at push/remove.
-// Membership is pure queue membership — no timing state — so the counts
-// make the §4 clobber guards O(1): a write clobbers a pending read iff
-// its SAG or CD count is non-zero, and an activation needs the
-// older-request scan only when some other queued read shares its bank
-// and tile coordinates.
+// bank models and drain mode. Shards never reference each other.
 type shard struct {
-	cfg     *Config // the effective (defaulted) configuration, frozen at New
-	indexed bool    // !cfg.DisableIndex
-	eng     *sim.Engine
-	tel     telemetry.Sink
+	cfg *Config // the effective (defaulted) configuration, frozen at New
+	st  *Stats  // the Controller's statistics, shared by every shard
+	eng *sim.Engine
+	tel telemetry.Sink
 	// finishReadFn/finishWriteFn are the completion callbacks, cached
 	// once as sim.ArgEvent method values so the per-request completion
 	// schedule does not allocate a closure.
@@ -227,16 +182,6 @@ type shard struct {
 	// so a one-cycle gap between read bursts doesn't invite a
 	// CD-blocking write.
 	lastReadActive sim.Tick
-
-	memoValid     bool
-	memoUntil     sim.Tick
-	memoBusStalls int
-
-	bankReads []int32 // [rank*banks+bank]: queued reads per bank
-	sagReads  []int32 // [(rank*banks+bank)*SAGs+sag]
-	cdReads   []int32 // [(rank*banks+bank)*CDs+cd]
-
-	st shardStats
 }
 
 // idleWriteDelay is how many cycles the read queue must stay empty
@@ -277,7 +222,7 @@ func New(cfg Config, eng *sim.Engine) (*Controller, error) {
 	for ch := range c.shards {
 		s := &c.shards[ch]
 		s.cfg = &c.cfg
-		s.indexed = !cfg.DisableIndex
+		s.st = &c.st
 		s.eng = eng
 		s.tel = cfg.Telemetry
 		s.finishReadFn = finishRead
@@ -305,59 +250,22 @@ func New(cfg Config, eng *sim.Engine) (*Controller, error) {
 		for i := range s.hotCD {
 			s.hotCD[i] = -1
 		}
-		if s.indexed {
-			s.bankReads = make([]int32, nb)
-			s.sagReads = make([]int32, nb*g.SAGs)
-			s.cdReads = make([]int32, nb*g.CDs)
-		}
 	}
 	return c, nil
 }
 
 // bankIndex flattens a request's (rank, bank) for the per-channel
-// index arrays and the flat bank slice.
+// arrays and the flat bank slice.
 func (s *shard) bankIndex(loc addr.Location) int {
 	return loc.Rank*s.cfg.Geom.Banks + loc.Bank
-}
-
-// noteReadQueued maintains the tile candidate counts when r enters the
-// read queue. Tile coordinates use the same mapping as core.Bank
-// (row % SAGs, col % CDs), which is uniform across banks.
-func (s *shard) noteReadQueued(r *mem.Request) {
-	bi := s.bankIndex(r.Loc)
-	s.bankReads[bi]++
-	s.sagReads[bi*s.cfg.Geom.SAGs+r.Loc.Row%s.cfg.Geom.SAGs]++
-	s.cdReads[bi*s.cfg.Geom.CDs+r.Loc.Col%s.cfg.Geom.CDs]++
-}
-
-// noteReadDequeued reverses noteReadQueued when r leaves the queue.
-func (s *shard) noteReadDequeued(r *mem.Request) {
-	bi := s.bankIndex(r.Loc)
-	s.bankReads[bi]--
-	s.sagReads[bi*s.cfg.Geom.SAGs+r.Loc.Row%s.cfg.Geom.SAGs]--
-	s.cdReads[bi*s.cfg.Geom.CDs+r.Loc.Col%s.cfg.Geom.CDs]--
 }
 
 // Config returns the effective (defaulted) configuration.
 func (c *Controller) Config() Config { return c.cfg }
 
-// Stats returns a snapshot of the statistics: the engine-side aggregates
-// plus the per-channel counters merged by addition. Counters are uint64
-// event counts, so the merge is exact and independent of channel order.
+// Stats returns a snapshot of the statistics.
 func (c *Controller) Stats() *Stats {
 	out := c.st
-	for i := range c.shards {
-		s := &c.shards[i]
-		out.Activations.Add(s.st.activations.Value())
-		out.ColumnReads.Add(s.st.columnReads.Value())
-		out.SegmentHits.Add(s.st.segmentHits.Value())
-		out.BackgroundedRds.Add(s.st.backgroundedRds.Value())
-		out.WriteDrainEvents.Add(s.st.writeDrainEvents.Value())
-		out.BusStallCycles.Add(s.st.busStallCycles.Value())
-		out.ForwardedReads.Add(s.st.forwardedReads.Value())
-		out.CoalescedWrites.Add(s.st.coalescedWrites.Value())
-		out.QueuedWaitCycles.Add(s.st.queuedWaitCycles.Value())
-	}
 	return &out
 }
 
@@ -386,7 +294,7 @@ func (c *Controller) Enqueue(r *mem.Request, now sim.Tick) bool {
 }
 
 // enqueue is the per-channel half of Enqueue: forwarding, coalescing,
-// queue admission, index maintenance and telemetry.
+// queue admission and telemetry.
 func (s *shard) enqueue(r *mem.Request, now sim.Tick) bool {
 	line := r.Addr / uint64(s.cfg.Geom.LineBytes)
 
@@ -401,7 +309,7 @@ func (s *shard) enqueue(r *mem.Request, now sim.Tick) bool {
 		})
 		if hit {
 			r.MarkIssued(now)
-			s.st.forwardedReads.Inc()
+			s.st.ForwardedReads.Inc()
 			if s.tel != nil {
 				s.telRequest(telemetry.ReqEnqueued, r, now)
 				s.telRequest(telemetry.ReqIssued, r, now)
@@ -414,13 +322,6 @@ func (s *shard) enqueue(r *mem.Request, now sim.Tick) bool {
 				s.telStallQueueFull(r, now)
 			}
 			return false
-		}
-		if s.indexed {
-			s.noteReadQueued(r)
-			s.memoValid = false
-			if invariant.Enabled {
-				s.verifyIndex()
-			}
 		}
 		if s.tel != nil {
 			s.telRequest(telemetry.ReqEnqueued, r, now)
@@ -439,7 +340,7 @@ func (s *shard) enqueue(r *mem.Request, now sim.Tick) bool {
 	})
 	if merged {
 		r.MarkIssued(now)
-		s.st.coalescedWrites.Inc()
+		s.st.CoalescedWrites.Inc()
 		if s.tel != nil {
 			s.telRequest(telemetry.ReqEnqueued, r, now)
 			s.telRequest(telemetry.ReqIssued, r, now)
@@ -452,10 +353,6 @@ func (s *shard) enqueue(r *mem.Request, now sim.Tick) bool {
 			s.telStallQueueFull(r, now)
 		}
 		return false
-	}
-	if s.indexed {
-		// A new write can flip drain state and the candidate set.
-		s.memoValid = false
 	}
 	if s.tel != nil {
 		s.telRequest(telemetry.ReqEnqueued, r, now)
@@ -518,7 +415,7 @@ func (c *Controller) Cycle(now sim.Tick) int {
 func (s *shard) cycle(now sim.Tick) int {
 	issued := s.schedule(now)
 	queued := s.readQ.Len() + s.writeQ.Len()
-	s.st.queuedWaitCycles.Add(uint64(queued))
+	s.st.QueuedWaitCycles.Add(uint64(queued))
 	if s.tel != nil {
 		emitted := s.attributeStalls(now, 1)
 		if invariant.Enabled {
@@ -602,31 +499,6 @@ func (s *shard) classifyWriteStall(w *mem.Request, b *core.Bank, now sim.Tick) t
 
 // schedule issues this channel's commands for one controller clock.
 func (s *shard) schedule(now sim.Tick) int {
-	if s.indexed {
-		if s.memoValid && now < s.memoUntil {
-			// A prior cycle proved nothing can issue before memoUntil
-			// and no enqueue has landed since (enqueue invalidates), so
-			// every predicate below still holds its memoized value:
-			// skip the scans and replay the per-cycle counter bump.
-			//
-			// lastReadActive is deliberately NOT advanced here. While
-			// the read queue is non-empty the reference path would pin
-			// it to now, but the only consumer outside the scans —
-			// NextWork's idle-write deadline — reads it exclusively
-			// when the read queue is empty, and reads can only leave
-			// the queue via an issuing (= non-memoized) cycle, which
-			// re-pins it first.
-			if s.memoBusStalls > 0 {
-				s.st.busStallCycles.Add(uint64(s.memoBusStalls))
-			}
-			if invariant.Enabled && s.wouldIssue(now) {
-				invariant.Assertf(false,
-					"ready memo claims channel idle until %d but a command can issue at %d", s.memoUntil, now)
-			}
-			return 0
-		}
-		s.memoValid = false
-	}
 	if !s.readQ.Empty() {
 		s.lastReadActive = now
 	}
@@ -663,19 +535,6 @@ func (s *shard) schedule(now sim.Tick) int {
 		}
 		count++
 	}
-	if count == 0 && s.indexed {
-		// Nothing can issue until some predicate flips: the same
-		// flip-tick analysis that licenses fast-forward bounds how long
-		// this cycle's outcome stays valid. Arm the ready memo so the
-		// window's remaining cycles skip the scans. busStallsPerCycle
-		// is constant across the window for the same reason the batch
-		// credit in SkipCycles is exact.
-		s.memoUntil = s.channelNextWork(now)
-		if s.memoUntil > now+1 {
-			s.memoBusStalls = s.busStallsPerCycle(now)
-			s.memoValid = true
-		}
-	}
 	return count
 }
 
@@ -699,7 +558,7 @@ func (s *shard) updateDrain() {
 	}
 	if s.writeQ.Len() >= start {
 		s.drain = true
-		s.st.writeDrainEvents.Inc()
+		s.st.WriteDrainEvents.Inc()
 	}
 }
 
@@ -746,7 +605,7 @@ func (s *shard) tryIssueRead(now sim.Tick, mayActivate bool) (bool, bool) {
 			continue
 		}
 		if lane < 0 {
-			s.st.busStallCycles.Inc()
+			s.st.BusStallCycles.Inc()
 			continue // column conflict: I/O lines busy
 		}
 		s.issueColumnRead(r, b, lane, i, now)
@@ -781,7 +640,7 @@ func (s *shard) tryIssueRead(now sim.Tick, mayActivate bool) (bool, bool) {
 			}
 		}
 		b.Activate(r.Loc.Row, r.Loc.Col, now)
-		s.st.activations.Inc()
+		s.st.Activations.Inc()
 		return true, true
 	}
 	return false, false
@@ -796,29 +655,6 @@ func (s *shard) tryIssueRead(now sim.Tick, mayActivate bool) (bool, bool) {
 func (s *shard) activationClobbers(q *mem.Queue, self int, r *mem.Request, b *core.Bank) bool {
 	sag := b.SAGOf(r.Loc.Row)
 	cd := b.CDOf(r.Loc.Col)
-	if s.indexed {
-		// Any clobber-relevant request is a queued read in r's bank
-		// sharing its SAG or CD. r itself contributes one count to its
-		// own bank, SAG and CD cells, so counts of exactly one mean no
-		// such other request exists and the older-request scan below
-		// must come up empty. (The converse does not hold — a matching
-		// count may be younger than r, same-row, or segment-closed —
-		// so a positive filter still scans.)
-		bi := s.bankIndex(r.Loc)
-		if s.bankReads[bi] == 1 ||
-			(s.sagReads[bi*s.cfg.Geom.SAGs+sag] == 1 && s.cdReads[bi*s.cfg.Geom.CDs+cd] == 1) {
-			if invariant.Enabled && s.scanActivationClobbers(q, self, r, sag, cd) {
-				invariant.Assertf(false,
-					"tile index pre-filter wrongly cleared activation for read %d", r.ID)
-			}
-			return false
-		}
-	}
-	return s.scanActivationClobbers(q, self, r, sag, cd)
-}
-
-// scanActivationClobbers is the reference older-request scan.
-func (s *shard) scanActivationClobbers(q *mem.Queue, self int, r *mem.Request, sag, cd int) bool {
 	clobbers := false
 	q.Scan(func(j int, other *mem.Request) bool {
 		if j >= self {
@@ -853,20 +689,17 @@ func (s *shard) issueColumnRead(r *mem.Request, b *core.Bank, lane, qi int, now 
 		}
 	}
 	if s.hitSeen[r] {
-		s.st.segmentHits.Inc()
+		s.st.SegmentHits.Inc()
 	}
 	delete(s.hitSeen, r)
 	if b.WriteInFlight(now) {
-		s.st.backgroundedRds.Inc()
+		s.st.BackgroundedRds.Inc()
 	}
 	done := b.Read(r.Loc.Row, r.Loc.Col, now)
 	s.busUse[lane] = done // bus busy until the burst ends
 	s.hotCD[s.bankIndex(r.Loc)] = b.CDOf(r.Loc.Col)
-	s.st.columnReads.Inc()
+	s.st.ColumnReads.Inc()
 	s.readQ.Remove(qi)
-	if s.indexed {
-		s.noteReadDequeued(r)
-	}
 	if s.tel != nil {
 		s.tel.Command(telemetry.Command{
 			Kind: telemetry.CmdBus,
@@ -1038,22 +871,11 @@ func (s *shard) wouldAccept(r *mem.Request) bool {
 func (c *Controller) NextWork(now sim.Tick) sim.Tick {
 	next := sim.MaxTick
 	for ch := range c.shards {
-		if t := c.shards[ch].nextWork(now); t < next {
+		if t := c.shards[ch].channelNextWork(now); t < next {
 			next = t
 		}
 	}
 	return next
-}
-
-// nextWork is one channel's flip-tick analysis. An armed memo already
-// is that analysis: it was computed at some t0 <= now, and had any flip
-// occurred in (t0, now] the memo would have expired. Reuse it instead
-// of rescanning every bank.
-func (s *shard) nextWork(now sim.Tick) sim.Tick {
-	if s.indexed && s.memoValid && s.memoUntil > now {
-		return s.memoUntil
-	}
-	return s.channelNextWork(now)
 }
 
 // channelNextWork is NextWork restricted to this channel: the earliest
@@ -1146,9 +968,9 @@ func (s *shard) skipCycles(now sim.Tick, n uint64) {
 	if queued == 0 {
 		return
 	}
-	s.st.queuedWaitCycles.Add(uint64(queued) * n)
+	s.st.QueuedWaitCycles.Add(uint64(queued) * n)
 	if stalls := s.busStallsPerCycle(now); stalls > 0 {
-		s.st.busStallCycles.Add(uint64(stalls) * n)
+		s.st.BusStallCycles.Add(uint64(stalls) * n)
 	}
 	if s.tel != nil {
 		emitted := s.attributeStalls(now, n)
@@ -1190,132 +1012,6 @@ func (s *shard) writeClobbersPendingRead(w *mem.Request, b *core.Bank) bool {
 	if s.hotCD[s.bankIndex(w.Loc)] == cd {
 		return true // streaming reads are working through this CD now
 	}
-	if s.indexed {
-		// The tile candidate counts answer the existence question the
-		// scan below asks — "is any queued read targeting this bank's
-		// SAG or CD?" — in O(1).
-		bi := s.bankIndex(w.Loc)
-		clash := s.sagReads[bi*s.cfg.Geom.SAGs+sag] > 0 || s.cdReads[bi*s.cfg.Geom.CDs+cd] > 0
-		if invariant.Enabled && clash != s.scanWriteClobbers(w, sag, cd) {
-			invariant.Assertf(false,
-				"tile index disagrees with reference scan for write %d (index says clash=%v)", w.ID, clash)
-		}
-		return clash
-	}
-	return s.scanWriteClobbers(w, sag, cd)
-}
-
-// wouldIssue re-derives, from scratch and without mutating anything,
-// whether schedule would issue at least one command at now. It exists
-// for the fgnvm_invariants build: every memoized (skipped) cycle
-// asserts this is false, i.e. ready-memo membership really does mean
-// "not issuable now, next possible at a known tick".
-func (s *shard) wouldIssue(now sim.Tick) bool {
-	writesFirst := s.drain || s.writeQ.Full()
-	// schedule attempts a write either first (writesFirst) or as a
-	// fallback after the read passes, so a write candidate means a
-	// command issues regardless of ordering.
-	if s.wouldIssueWrite(now) {
-		return true
-	}
-	rq := s.readQ
-	if rq.Empty() {
-		return false
-	}
-	limit := rq.Len()
-	if s.cfg.Scheduler == FCFS {
-		limit = 1
-	}
-	if s.busLaneFor(now+s.cfg.Tim.TCAS) >= 0 {
-		for i := 0; i < limit; i++ {
-			r := rq.At(i)
-			if s.bankOf(r).CanRead(r.Loc.Row, r.Loc.Col, now) {
-				return true
-			}
-		}
-	}
-	if writesFirst {
-		return false // activations are suppressed while writes drain
-	}
-	for i := 0; i < limit; i++ {
-		r := rq.At(i)
-		b := s.bankOf(r)
-		if b.NeedsActivate(r.Loc.Row, r.Loc.Col, now) &&
-			b.CanActivate(r.Loc.Row, r.Loc.Col, now) &&
-			!s.activationClobbers(rq, i, r, b) {
-			return true
-		}
-	}
-	return false
-}
-
-// wouldIssueWrite is tryIssueWrite's decision without its side effects.
-func (s *shard) wouldIssueWrite(now sim.Tick) bool {
-	q := s.writeQ
-	if q.Empty() {
-		return false
-	}
-	force := s.drain || q.Full()
-	if !force {
-		// The hysteresis predicate as the reference path sees it: with
-		// reads queued, lastReadActive would track now every cycle, so
-		// the deferral holds; memoized cycles leave the stored value
-		// stale, which must not be read directly here.
-		if !s.readQ.Empty() || now < s.lastReadActive+idleWriteDelay {
-			return false
-		}
-	}
-	if s.busLaneFor(now+s.cfg.Tim.TCWD) < 0 {
-		return false
-	}
-	limit := q.Len()
-	if s.cfg.Scheduler == FCFS {
-		limit = 1
-	}
-	for i := 0; i < limit; i++ {
-		w := q.At(i)
-		b := s.bankOf(w)
-		if !b.CanWrite(w.Loc.Row, w.Loc.Col, now) {
-			continue
-		}
-		if force || !s.writeClobbersPendingRead(w, b) {
-			return true
-		}
-	}
-	return false
-}
-
-// verifyIndex recounts the tile candidate index from the read queue and
-// asserts it matches the incrementally maintained counts. Runs only in
-// the fgnvm_invariants build (called on every enqueue).
-func (s *shard) verifyIndex() {
-	nb := s.cfg.Geom.Ranks * s.cfg.Geom.Banks
-	bankN := make([]int32, nb)
-	sagN := make([]int32, nb*s.cfg.Geom.SAGs)
-	cdN := make([]int32, nb*s.cfg.Geom.CDs)
-	s.readQ.Scan(func(_ int, r *mem.Request) bool {
-		bi := s.bankIndex(r.Loc)
-		bankN[bi]++
-		sagN[bi*s.cfg.Geom.SAGs+r.Loc.Row%s.cfg.Geom.SAGs]++
-		cdN[bi*s.cfg.Geom.CDs+r.Loc.Col%s.cfg.Geom.CDs]++
-		return true
-	})
-	for i := range bankN {
-		invariant.Assertf(bankN[i] == s.bankReads[i],
-			"tile index bankReads[%d]=%d, queue holds %d", i, s.bankReads[i], bankN[i])
-	}
-	for i := range sagN {
-		invariant.Assertf(sagN[i] == s.sagReads[i],
-			"tile index sagReads[%d]=%d, queue holds %d", i, s.sagReads[i], sagN[i])
-	}
-	for i := range cdN {
-		invariant.Assertf(cdN[i] == s.cdReads[i],
-			"tile index cdReads[%d]=%d, queue holds %d", i, s.cdReads[i], cdN[i])
-	}
-}
-
-// scanWriteClobbers is the reference O(readQ) form of the clobber test.
-func (s *shard) scanWriteClobbers(w *mem.Request, sag, cd int) bool {
 	clash := false
 	s.readQ.Scan(func(_ int, r *mem.Request) bool {
 		if r.Loc.Rank != w.Loc.Rank || r.Loc.Bank != w.Loc.Bank {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/core"
-	"repro/internal/invariant"
 	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/timing"
@@ -25,13 +24,12 @@ type saturatedHarness struct {
 	fill  func(now sim.Tick)
 }
 
-func newSaturatedHarness(tb testing.TB, indexed bool) *saturatedHarness {
+func newSaturatedHarness(tb testing.TB) *saturatedHarness {
 	tb.Helper()
 	eng := sim.NewEngine()
 	c, err := New(Config{
 		Geom: testGeom(), Tim: timing.Paper(), Modes: core.AllModes(),
 		IssueLanes: 1, Interleave: addr.RowBankRankChanCol,
-		DisableIndex: !indexed,
 	}, eng)
 	if err != nil {
 		tb.Fatal(err)
@@ -83,10 +81,7 @@ func (h *saturatedHarness) step(now sim.Tick) {
 // allocations per cycle. This is what makes the busy-path overhaul
 // stick: no component hides per-request garbage.
 func TestSaturatedSteadyStateZeroAlloc(t *testing.T) {
-	if invariant.Enabled {
-		t.Skip("invariant builds allocate in index/queue cross-checks by design")
-	}
-	h := newSaturatedHarness(t, true)
+	h := newSaturatedHarness(t)
 	now := sim.Tick(0)
 	h.fill(0)
 	// Warm-up: let the pool and wheel slots reach their high-water
@@ -107,22 +102,7 @@ func TestSaturatedSteadyStateZeroAlloc(t *testing.T) {
 // a backlogged queue — the busy-path complement to BenchmarkCycleNoSink
 // (idle path). The CI bench-smoke step runs it once to keep it honest.
 func BenchmarkCycleSaturated(b *testing.B) {
-	h := newSaturatedHarness(b, true)
-	now := sim.Tick(0)
-	h.fill(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		now++
-		h.step(now)
-	}
-}
-
-// BenchmarkCycleSaturatedNoIndex is the same loop on the reference
-// scan-everything scheduler, so `benchstat` against the indexed run
-// shows what the tile candidate index buys on a busy channel.
-func BenchmarkCycleSaturatedNoIndex(b *testing.B) {
-	h := newSaturatedHarness(b, false)
+	h := newSaturatedHarness(b)
 	now := sim.Tick(0)
 	h.fill(0)
 	b.ReportAllocs()

@@ -29,18 +29,19 @@ func tamper(st *controller.Stats) uint64 {
 	return st.Reads.Value()       // allowed: reading is everyone's right
 }
 
-// replayMemo mimics the ready-memo's batch-replay of per-cycle stall
-// counters — legitimate inside the controller, flagged from any other
-// package: an external replay would double-count the memoized window.
-func replayMemo(st *controller.Stats, skipped, perCycle uint64) {
+// replaySkip mimics fast-forward's batch credit of per-cycle stall
+// counters (controller.SkipCycles) — legitimate inside the controller,
+// flagged from any other package: an external replay would double-count
+// the skipped window.
+func replaySkip(st *controller.Stats, skipped, perCycle uint64) {
 	st.BusStallCycles.Add(skipped * perCycle) // want "owned by package"
 	st.QueuedWaitCycles.Add(skipped)          // want "owned by package"
 }
 
-// replayOwnMemo does the same batch-replay against this package's own
+// replayOwnSkip does the same batch credit against this package's own
 // counters: allowed, ownership is what the rule protects.
-func replayOwnMemo(o *Own, skipped uint64) {
+func replayOwnSkip(o *Own, skipped uint64) {
 	o.Hits.Add(skipped)
 }
 
-var _ = []any{record, tamper, replayMemo, replayOwnMemo}
+var _ = []any{record, tamper, replaySkip, replayOwnSkip}

@@ -8,10 +8,12 @@ import (
 	"repro/internal/stats"
 )
 
-// attShard accumulates one channel's stall attribution. Requests never
-// change channel, so a request's entire stall history lands in one
-// shard and the per-request accumulation needs no cross-shard view;
-// read-side merges sum uint64 event counts, which is exact in any
+// attShard accumulates one channel's stall attribution. The split by
+// channel is what keeps per-request totals apart: perReq is keyed by
+// request ID, and IDs are numbered per core, so two cores can have
+// requests with the same ID in flight on different channels. A request
+// never changes channel, so its whole stall history lands in one shard.
+// Read-side merges sum uint64 event counts, which is exact in any
 // order.
 type attShard struct {
 	cds    int // geometry CDs, for the tile flattening
@@ -54,12 +56,11 @@ func (s *attShard) flush(id uint64) uint64 {
 // cycles are admission backpressure — the request is not in a queue —
 // and are tracked outside that sum.
 //
-// Accumulation is sharded by channel: every event carries its channel,
-// the Sink methods route it to that channel's attShard, and the read
-// accessors merge by addition. The completion histogram stays
-// engine-side — completions fire on the serial engine in a defined
-// order, and histogram observation order is the only order-sensitive
-// aggregate here.
+// Accumulation is split by channel (attShard says why): every event
+// carries its channel, the Sink methods route it to that channel's
+// attShard, and the read accessors merge by addition. The completion
+// histogram is shared; completions fire in engine order, and histogram
+// observation order is the only order-sensitive aggregate here.
 type Attribution struct {
 	geom    addr.Geometry
 	shards  []attShard

@@ -1,56 +1,53 @@
 // Differential tests for the run loop as a whole.
 //
-// fastforward_test.go and schedindex_test.go each switch one
-// optimization off against the other left on. These tests switch both
-// off at once: the default run loop (fast-forward and indexed
-// scheduling on) must stay byte-identical to the plain cycle-by-cycle,
-// queue-scanning reference, on the single-channel paper geometry and on
-// 2- and 4-channel geometries where the per-channel controller shards
-// run side by side. The test names are kept from when they compared a
-// windowed parallel engine against the serial loop; the serial loop is
-// now the only run loop, and they pin it against its own reference.
+// fastforward_test.go pins fast-forward against cycle-by-cycle
+// execution on the single-channel paper geometry. The tests here cover
+// what that matrix does not: that attaching the telemetry observers
+// leaves the simulated machine untouched, and that fast-forward stays
+// exact on 2- and 4-channel geometries, where several per-channel
+// controller shards hold work at once. Their names are kept from when
+// they compared a windowed parallel engine against the serial loop; the
+// serial loop is now the only run loop.
 
 package fgnvm
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 )
 
-// assertMatchesReference runs o as given and again with fast-forward
-// and indexed scheduling both disabled, with full telemetry attached,
-// and requires byte-identical Result JSON and trace output.
-func assertMatchesReference(t *testing.T, o Options) {
-	t.Helper()
-	res, tr := runArtifacts(t, o)
-	o.DisableFastForward, o.DisableSchedIndex = true, true
-	refRes, refTrace := runArtifacts(t, o)
-	if !bytes.Equal(res, refRes) {
-		t.Errorf("Result diverged from the cycle-by-cycle reference:\n  run: %s\n  ref: %s", res, refRes)
-	}
-	if !bytes.Equal(tr, refTrace) {
-		t.Errorf("trace diverged from the cycle-by-cycle reference (%d vs %d bytes)", len(tr), len(refTrace))
-	}
-}
-
-// TestParallelEngineDifferential: every benchmark × every design, the
-// default run loop vs the reference with both optimizations off.
+// TestParallelEngineDifferential: every benchmark × every design, a
+// bare run vs the same run with stall attribution, occupancy and a
+// Perfetto trace attached. Telemetry is pure observation, so once its
+// own Result fields are cleared the two Results must be byte-identical.
 func TestParallelEngineDifferential(t *testing.T) {
-	for _, d := range Designs() {
-		t.Run(d.String(), func(t *testing.T) {
-			for _, bench := range Benchmarks() {
-				t.Run(bench, func(t *testing.T) {
-					t.Parallel()
-					assertMatchesReference(t, Options{Design: d, SAGs: 8, CDs: 2, Benchmark: bench, Instructions: ffInstr})
-				})
-			}
-		})
-	}
+	forEachDesignBenchmark(t, func(t *testing.T, o Options) {
+		bare, err := Run(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		o.Telemetry = &TelemetryOptions{Attribution: true, Occupancy: true, TraceWriter: &buf}
+		observed, err := Run(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.Design != DesignDRAM && (observed.Stalls == nil || observed.TraceEvents == 0) {
+			t.Fatalf("telemetry not attached: Stalls=%v TraceEvents=%d", observed.Stalls, observed.TraceEvents)
+		}
+		observed.Stalls, observed.TileOccupancy, observed.TraceEvents = nil, nil, 0
+		bareJSON, _ := json.Marshal(bare)
+		observedJSON, _ := json.Marshal(observed)
+		if !bytes.Equal(bareJSON, observedJSON) {
+			t.Errorf("attaching telemetry moved the simulated machine:\n  bare    : %s\n  observed: %s", bareJSON, observedJSON)
+		}
+	})
 }
 
-// TestParallelEngineMultiChannel drives the same differential on 2- and
-// 4-channel geometries, one core per channel: the fast-forward probe
-// and the ready memo must stay exact when several channel shards hold
+// TestParallelEngineMultiChannel drives the fast-forward differential
+// on 2- and 4-channel geometries, one core per channel: the
+// fast-forward probe must stay exact when several channel shards hold
 // work at once. The single-channel suites never reach that state.
 func TestParallelEngineMultiChannel(t *testing.T) {
 	for _, channels := range []int{2, 4} {
