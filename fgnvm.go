@@ -106,6 +106,11 @@ func Designs() []Design {
 	return []Design{DesignBaseline, DesignFgNVM, DesignFgNVMMultiIssue, DesignManyBanks, DesignSALP, DesignDRAM}
 }
 
+// DefaultWarmupAccesses is the LLC warm-up length used when
+// Options.WarmupAccesses is zero: twice the line count of the 2 MiB
+// LLC (64-byte lines).
+const DefaultWarmupAccesses = 2 * (2 << 20) / 64
+
 // Options configures one simulation. The zero value plus a Benchmark
 // name runs the paper's setup: baseline design, Table 2 geometry and
 // timings, 200 k instructions.
@@ -149,16 +154,17 @@ type Options struct {
 	// Seed perturbs the workload generator (default 1).
 	Seed uint64
 
-	// UseLLC interposes a 2 MiB 16-way LLC between the stream and the
-	// memory system (dirty evictions become writebacks). Default true;
-	// set SkipLLC to disable.
+	// SkipLLC removes the 2 MiB 16-way LLC that otherwise sits between
+	// the stream and the memory system (dirty evictions become
+	// writebacks), so every access goes to memory. WarmupAccesses is
+	// ignored when set.
 	SkipLLC bool
 
 	// WarmupAccesses pre-fills the LLC by running this many accesses of
 	// the workload through it before timing starts — the stand-in for
 	// the paper's SimPoint checkpoint restore, without which a short
-	// run sees only cold misses and no writeback traffic. Default:
-	// 2× the LLC's line count. Set negative to disable.
+	// run sees only cold misses and no writeback traffic. Default (0):
+	// DefaultWarmupAccesses. Set negative to disable.
 	WarmupAccesses int
 
 	// IssueLanes overrides the controller's command/data lanes.
@@ -716,7 +722,7 @@ func RunContext(ctx context.Context, o Options) (Result, error) {
 			// writebacks) — the stand-in for a checkpoint restore.
 			warm := o.WarmupAccesses
 			if warm == 0 {
-				warm = 2 * (2 << 20) / 64
+				warm = DefaultWarmupAccesses
 			}
 			for j := 0; j < warm; j++ {
 				if j&ctxCheckMask == 0 {

@@ -75,7 +75,7 @@ func (h *saturatedHarness) step(now sim.Tick) {
 }
 
 // TestSaturatedSteadyStateZeroAlloc is the integration-level pooling
-// guard: once the pool and event wheel are warm, the full
+// guard: once the pool and the event heap are warm, the full
 // issue→complete→retire loop — enqueue from pool, FR-FCFS arbitration,
 // bank commands, completion events, retire back to pool — performs zero
 // allocations per cycle. This is what makes the busy-path overhaul
@@ -84,7 +84,7 @@ func TestSaturatedSteadyStateZeroAlloc(t *testing.T) {
 	h := newSaturatedHarness(t)
 	now := sim.Tick(0)
 	h.fill(0)
-	// Warm-up: let the pool and wheel slots reach their high-water
+	// Warm-up: let the pool and the event heap reach their high-water
 	// marks (in-flight population is bounded by the queue capacities).
 	for ; now < 4096; now++ {
 		h.step(now)

@@ -36,7 +36,7 @@ var HookPurity = &Analyzer{
 // them from a hook body is a purity violation regardless of how the
 // receiver was reached.
 var mutatingMethods = map[string][]string{
-	"internal/sim":        {"Schedule", "ScheduleAfter", "ScheduleArg", "Step", "Run", "RunUntil", "Advance", "SetHook"},
+	"internal/sim":        {"ScheduleArg", "Step", "Run", "RunUntil", "Advance", "SetHook"},
 	"internal/core":       {"Activate", "Read", "Write"},
 	"internal/bank":       {"Activate", "Read", "Write", "SetTelemetry"},
 	"internal/controller": {"Enqueue", "Cycle", "SkipCycles"},

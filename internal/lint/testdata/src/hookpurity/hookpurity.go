@@ -29,8 +29,8 @@ type BadSink struct {
 }
 
 func (s *BadSink) Command(telemetry.Command) {
-	globalEvents++                       // want "package-level state"
-	s.eng.Schedule(1, func(sim.Tick) {}) // want "state-mutating"
+	globalEvents++                                    // want "package-level state"
+	s.eng.ScheduleArg(1, func(sim.Tick, any) {}, nil) // want "state-mutating"
 }
 func (s *BadSink) Request(telemetry.RequestEvent) {}
 func (s *BadSink) Stall(telemetry.StallEvent)     {}

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	fgnvm "repro"
 )
 
 func TestCacheLRUEviction(t *testing.T) {
@@ -215,6 +217,48 @@ func TestRunRequestCanonicalKeys(t *testing.T) {
 	} {
 		if key(other) == a {
 			t.Errorf("case %d: distinct request collided with base key", i)
+		}
+	}
+}
+
+// TestRunRequestWarmupKeys: warm-up settings the library treats alike
+// share one cache key. Zero and DefaultWarmupAccesses both run the
+// default, every negative value disables warm-up, and without an LLC
+// warm-up is ignored altogether.
+func TestRunRequestWarmupKeys(t *testing.T) {
+	key := func(body RunRequest) string {
+		norm, _, err := body.normalize()
+		if err != nil {
+			t.Fatalf("normalize: %v", err)
+		}
+		return norm.cacheKey()
+	}
+	for _, tc := range []struct {
+		name string
+		a, b RunRequest
+		same bool
+	}{
+		{"default spelled out",
+			RunRequest{Benchmark: "mcf"},
+			RunRequest{Benchmark: "mcf", WarmupAccesses: fgnvm.DefaultWarmupAccesses}, true},
+		{"negatives all disable",
+			RunRequest{Benchmark: "mcf", WarmupAccesses: -1},
+			RunRequest{Benchmark: "mcf", WarmupAccesses: -5}, true},
+		{"ignored without LLC",
+			RunRequest{Benchmark: "mcf", SkipLLC: true},
+			RunRequest{Benchmark: "mcf", SkipLLC: true, WarmupAccesses: 100}, true},
+		{"disabled differs from default",
+			RunRequest{Benchmark: "mcf"},
+			RunRequest{Benchmark: "mcf", WarmupAccesses: -1}, false},
+		{"explicit length differs from default",
+			RunRequest{Benchmark: "mcf"},
+			RunRequest{Benchmark: "mcf", WarmupAccesses: 100}, false},
+		{"skip_llc differs from warmed",
+			RunRequest{Benchmark: "mcf"},
+			RunRequest{Benchmark: "mcf", SkipLLC: true}, false},
+	} {
+		if got := key(tc.a) == key(tc.b); got != tc.same {
+			t.Errorf("%s: keys equal = %v, want %v", tc.name, got, tc.same)
 		}
 	}
 }

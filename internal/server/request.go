@@ -196,6 +196,14 @@ func (r RunRequest) normalize() (RunRequest, fgnvm.Options, error) {
 	if r.Cores == 0 {
 		r.Cores = 1
 	}
+	// The library ignores warm-up without an LLC, fills in the default
+	// for 0, and treats every negative value as "disabled".
+	switch {
+	case r.SkipLLC, r.WarmupAccesses == fgnvm.DefaultWarmupAccesses:
+		r.WarmupAccesses = 0
+	case r.WarmupAccesses < 0:
+		r.WarmupAccesses = -1
+	}
 	if len(r.Mix) > 0 {
 		// Mix overrides Benchmark/Cores in the library; canonicalize so
 		// the redundant fields cannot split the cache key.

@@ -18,7 +18,7 @@ func TestHookObservesDispatch(t *testing.T) {
 		hooked = append(hooked, sample{now, pending})
 	})
 	for _, w := range []Tick{3, 8, 8, 20} {
-		e.Schedule(w, func(now Tick) {
+		at(e, w, func(now Tick) {
 			// The hook for this dispatch must already have run.
 			if len(hooked) != len(fired)+1 {
 				t.Errorf("event at %d ran before its hook", now)
@@ -45,10 +45,10 @@ func TestHookDetach(t *testing.T) {
 	e := NewEngine()
 	calls := 0
 	e.SetHook(func(Tick, int) { calls++ })
-	e.Schedule(1, func(Tick) {})
+	e.ScheduleArg(1, nop, nil)
 	e.Step()
 	e.SetHook(nil)
-	e.Schedule(2, func(Tick) {})
+	e.ScheduleArg(2, nop, nil)
 	if !e.Step() {
 		t.Fatal("second event not dispatched")
 	}

@@ -2,41 +2,57 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 )
 
+// at schedules fn at when through ScheduleArg. The closure adapter
+// allocates, so zero-alloc tests and benchmarks schedule nop directly.
+func at(e *Engine, when Tick, fn func(now Tick)) {
+	e.ScheduleArg(when, func(now Tick, _ any) { fn(now) }, nil)
+}
+
+// nop is a cached ArgEvent: scheduling it never allocates.
+var nop ArgEvent = func(Tick, any) {}
+
+// mustPanic fails the test unless fn panics.
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	fn()
+}
+
 func TestEngineZeroValue(t *testing.T) {
 	var e Engine
-	if e.Now() != 0 {
-		t.Fatalf("zero engine Now = %d, want 0", e.Now())
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("zero engine Pending = %d, want 0", e.Pending())
-	}
-	if e.Step() {
-		t.Fatal("Step on empty engine reported true")
+	if e.Now() != 0 || e.Pending() != 0 || e.Step() {
+		t.Fatalf("zero engine: Now=%d Pending=%d, Step reported an event", e.Now(), e.Pending())
 	}
 }
 
+// TestScheduleAndStep: events dispatch in time order, each with the
+// argument it was scheduled with, and the clock ends on the last one.
 func TestScheduleAndStep(t *testing.T) {
 	e := NewEngine()
 	var fired []Tick
-	e.Schedule(10, func(now Tick) { fired = append(fired, now) })
-	e.Schedule(5, func(now Tick) { fired = append(fired, now) })
-	e.Schedule(7, func(now Tick) { fired = append(fired, now) })
-
+	rec := func(now Tick, arg any) {
+		if arg.(Tick) != now {
+			t.Errorf("event at %d got arg %v", now, arg)
+		}
+		fired = append(fired, now)
+	}
+	for _, w := range []Tick{10, 5, 7} {
+		e.ScheduleArg(w, rec, w)
+	}
 	for e.Step() {
 	}
-	want := []Tick{5, 7, 10}
-	if len(fired) != len(want) {
+	if want := []Tick{5, 7, 10}; !slices.Equal(fired, want) {
 		t.Fatalf("fired %v, want %v", fired, want)
-	}
-	for i := range want {
-		if fired[i] != want[i] {
-			t.Fatalf("fired %v, want %v", fired, want)
-		}
 	}
 	if e.Now() != 10 {
 		t.Fatalf("Now = %d, want 10", e.Now())
@@ -47,8 +63,7 @@ func TestFIFOWithinTick(t *testing.T) {
 	e := NewEngine()
 	var order []int
 	for i := 0; i < 100; i++ {
-		i := i
-		e.Schedule(42, func(Tick) { order = append(order, i) })
+		at(e, 42, func(Tick) { order = append(order, i) })
 	}
 	e.Run()
 	for i, got := range order {
@@ -58,73 +73,52 @@ func TestFIFOWithinTick(t *testing.T) {
 	}
 }
 
+// TestSameTickFIFOAcrossHorizons: an event scheduled far ahead fires
+// before events scheduled later, from close by, for the same tick.
+func TestSameTickFIFOAcrossHorizons(t *testing.T) {
+	e := NewEngine()
+	var order []int
+	const target = 300
+	at(e, target, func(Tick) { order = append(order, 0) })
+	at(e, target-10, func(Tick) {
+		at(e, target, func(Tick) { order = append(order, 1) })
+		at(e, target, func(Tick) { order = append(order, 2) })
+	})
+	e.Run()
+	if !slices.Equal(order, []int{0, 1, 2}) {
+		t.Fatalf("same-tick dispatch order = %v, want [0 1 2]", order)
+	}
+}
+
 func TestSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(5, func(Tick) {})
+	e.ScheduleArg(5, nop, nil)
 	e.Step()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("scheduling in the past did not panic")
-		}
-	}()
-	e.Schedule(1, func(Tick) {})
+	mustPanic(t, "scheduling in the past", func() { e.ScheduleArg(1, nop, nil) })
 }
 
 func TestScheduleNilPanics(t *testing.T) {
-	e := NewEngine()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("scheduling nil event did not panic")
-		}
-	}()
-	e.Schedule(1, nil)
-}
-
-func TestScheduleAfter(t *testing.T) {
-	e := NewEngine()
-	e.Schedule(100, func(now Tick) {
-		e.ScheduleAfter(5, func(now Tick) {
-			if now != 105 {
-				t.Errorf("nested event at %d, want 105", now)
-			}
-		})
-	})
-	e.Run()
-	if e.Now() != 105 {
-		t.Fatalf("Now = %d, want 105", e.Now())
-	}
+	mustPanic(t, "scheduling a nil event", func() { NewEngine().ScheduleArg(1, nil, nil) })
 }
 
 func TestRunUntil(t *testing.T) {
 	e := NewEngine()
-	var fired []Tick
 	for _, w := range []Tick{1, 5, 10, 15} {
-		w := w
-		e.Schedule(w, func(now Tick) { fired = append(fired, now) })
+		e.ScheduleArg(w, nop, nil)
 	}
-	n := e.RunUntil(10)
-	if n != 3 {
-		t.Fatalf("RunUntil dispatched %d events, want 3", n)
+	if n := e.RunUntil(10); n != 3 || e.Now() != 10 || e.Pending() != 1 {
+		t.Fatalf("RunUntil(10): n=%d Now=%d Pending=%d, want 3, 10 (clock advances to limit), 1",
+			n, e.Now(), e.Pending())
 	}
-	if e.Now() != 10 {
-		t.Fatalf("Now = %d, want 10 (clock advances to limit)", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", e.Pending())
-	}
-	n = e.RunUntil(20)
-	if n != 1 || e.Now() != 20 {
+	if n := e.RunUntil(20); n != 1 || e.Now() != 20 {
 		t.Fatalf("second RunUntil: n=%d Now=%d, want 1, 20", n, e.Now())
 	}
 }
 
 func TestRunUntilIdleAdvancesClock(t *testing.T) {
 	e := NewEngine()
-	if n := e.RunUntil(1000); n != 0 {
-		t.Fatalf("dispatched %d, want 0", n)
-	}
-	if e.Now() != 1000 {
-		t.Fatalf("Now = %d, want 1000", e.Now())
+	if n := e.RunUntil(1000); n != 0 || e.Now() != 1000 {
+		t.Fatalf("RunUntil on an idle engine: n=%d Now=%d, want 0, 1000", n, e.Now())
 	}
 }
 
@@ -138,38 +132,81 @@ func TestAdvance(t *testing.T) {
 
 func TestAdvanceSkippingEventPanics(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(10, func(Tick) {})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Advance past pending event did not panic")
-		}
-	}()
-	e.Advance(20)
+	e.ScheduleArg(10, nop, nil)
+	mustPanic(t, "Advance past a pending event", func() { e.Advance(20) })
+}
+
+// TestAdvanceUpToPendingEvent: Advance may land exactly on the earliest
+// pending event's tick, as the run loop's fast-forward does, and the
+// event still dispatches there.
+func TestAdvanceUpToPendingEvent(t *testing.T) {
+	e := NewEngine()
+	var fired []Tick
+	at(e, 10, func(now Tick) { fired = append(fired, now) })
+	e.Advance(10)
+	e.Run()
+	if !slices.Equal(fired, []Tick{10}) || e.Now() != 10 {
+		t.Fatalf("fired %v, Now=%d; want [10], 10", fired, e.Now())
+	}
 }
 
 func TestAdvanceBackwardsPanics(t *testing.T) {
 	e := NewEngine()
 	e.Advance(20)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Advance backwards did not panic")
-		}
-	}()
-	e.Advance(10)
+	mustPanic(t, "Advance backwards", func() { e.Advance(10) })
 }
 
+// TestSelfReschedulingTicker: an event may schedule itself again from
+// inside its own dispatch; RunUntil bounds the otherwise endless chain.
 func TestSelfReschedulingTicker(t *testing.T) {
 	e := NewEngine()
 	count := 0
-	var tickFn Event
-	tickFn = func(now Tick) {
+	var tickFn ArgEvent
+	tickFn = func(now Tick, _ any) {
 		count++
-		e.Schedule(now+1, tickFn)
+		e.ScheduleArg(now+1, tickFn, nil)
 	}
-	e.Schedule(0, tickFn)
+	e.ScheduleArg(0, tickFn, nil)
 	e.RunUntil(99)
 	if count != 100 {
 		t.Fatalf("ticker fired %d times over [0,99], want 100", count)
+	}
+}
+
+// TestLongRunClock drives a one-tick ticker to completion over a long
+// stretch of simulated time; the clock stops on the last dispatch.
+func TestLongRunClock(t *testing.T) {
+	const ticks = 1280
+	e := NewEngine()
+	count := 0
+	var tickFn ArgEvent
+	tickFn = func(now Tick, _ any) {
+		if count++; count < ticks {
+			e.ScheduleArg(now+1, tickFn, nil)
+		}
+	}
+	e.ScheduleArg(0, tickFn, nil)
+	e.Run()
+	if count != ticks || e.Now() != ticks-1 {
+		t.Fatalf("ticker fired %d times, Now=%d; want %d, %d", count, e.Now(), ticks, ticks-1)
+	}
+}
+
+// TestSteadyStateZeroAlloc: once the heap's backing array is warm, the
+// schedule→dispatch loop must not allocate.
+func TestSteadyStateZeroAlloc(t *testing.T) {
+	e := NewEngine()
+	e.ScheduleArg(1, nop, nil)
+	e.ScheduleArg(512, nop, nil)
+	e.Run()
+	allocs := testing.AllocsPerRun(1000, func() {
+		e.ScheduleArg(e.Now()+7, nop, nil)
+		e.ScheduleArg(e.Now()+63, nop, nil)
+		e.Step()
+		e.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state schedule/dispatch allocates %.1f per iteration, want 0", allocs)
 	}
 }
 
@@ -184,10 +221,7 @@ func TestEventOrderProperty(t *testing.T) {
 		}
 		var fired []rec
 		for i, tm := range times {
-			i, when := i, Tick(tm)
-			e.Schedule(when, func(now Tick) {
-				fired = append(fired, rec{now, i})
-			})
+			at(e, Tick(tm), func(now Tick) { fired = append(fired, rec{now, i}) })
 		}
 		e.Run()
 		if len(fired) != len(times) {
@@ -213,12 +247,7 @@ func TestEventOrderProperty(t *testing.T) {
 		}
 		sort.Ints(want)
 		sort.Ints(got)
-		for i := range want {
-			if want[i] != got[i] {
-				return false
-			}
-		}
-		return true
+		return slices.Equal(want, got)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -234,8 +263,7 @@ func TestHeapStress(t *testing.T) {
 	dispatched := 0
 	for i := 0; i < 5000; i++ {
 		if rng.Intn(3) != 0 || e.Pending() == 0 {
-			delta := Tick(rng.Intn(100))
-			e.Schedule(e.Now()+delta, func(now Tick) {
+			at(e, e.Now()+Tick(rng.Intn(100)), func(now Tick) {
 				if now < last {
 					t.Errorf("clock went backwards: %d after %d", now, last)
 				}
@@ -247,23 +275,47 @@ func TestHeapStress(t *testing.T) {
 		}
 	}
 	e.Run()
-	if e.Pending() != 0 {
-		t.Fatalf("events left over: %d", e.Pending())
-	}
-	if dispatched == 0 {
-		t.Fatal("stress test dispatched nothing")
+	if e.Pending() != 0 || dispatched == 0 {
+		t.Fatalf("stress run: %d events left over, %d dispatched", e.Pending(), dispatched)
 	}
 }
 
-func BenchmarkScheduleStep(b *testing.B) {
+// BenchmarkDispatchNear measures short-horizon completions like bank
+// timing delays, one in flight at a time.
+func BenchmarkDispatchNear(b *testing.B) {
 	e := NewEngine()
-	fn := func(Tick) {}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.Schedule(e.Now()+Tick(i%64), fn)
-		if i%2 == 1 {
-			e.Step()
+		e.ScheduleArg(e.Now()+Tick(1+i%100), nop, nil)
+		e.Step()
+	}
+}
+
+// BenchmarkDispatchFar measures far-horizon events like refresh timers.
+func BenchmarkDispatchFar(b *testing.B) {
+	e := NewEngine()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e.ScheduleArg(e.Now()+Tick(256+i%1000), nop, nil)
+		e.Step()
+	}
+}
+
+// BenchmarkDispatchMixed approximates a busy controller: several
+// in-flight near completions plus an occasional far event.
+func BenchmarkDispatchMixed(b *testing.B) {
+	e := NewEngine()
+	for i := 0; i < 8; i++ {
+		e.ScheduleArg(Tick(10+i*7), nop, nil)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%64 == 0 {
+			e.ScheduleArg(e.Now()+356, nop, nil)
+		} else {
+			e.ScheduleArg(e.Now()+Tick(1+i%90), nop, nil)
 		}
+		e.Step()
 	}
 	for e.Step() {
 	}
