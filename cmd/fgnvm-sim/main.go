@@ -35,7 +35,7 @@ func main() {
 
 func run() error {
 	var (
-		designName = flag.String("design", "fgnvm", "design: baseline, fgnvm, fgnvm-multiissue, manybanks, salp")
+		designName = flag.String("design", "fgnvm", "design: baseline, fgnvm, fgnvm-multiissue, manybanks, salp, dram")
 		sags       = flag.Int("sags", 8, "subarray groups")
 		cds        = flag.Int("cds", 2, "column divisions")
 		bench      = flag.String("bench", "mcf", "benchmark profile (see -list)")
@@ -114,28 +114,20 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	var scheduler fgnvm.Scheduler
-	switch *sched {
-	case "frfcfs":
-		scheduler = fgnvm.SchedFRFCFS
-	case "fcfs":
-		scheduler = fgnvm.SchedFCFS
-	default:
-		return fmt.Errorf("unknown scheduler %q", *sched)
+	scheduler, err := fgnvm.ParseScheduler(*sched)
+	if err != nil {
+		return err
+	}
+	technology, err := fgnvm.ParseTechnology(*tech)
+	if err != nil {
+		return err
 	}
 
 	opts := fgnvm.Options{
 		Design: design, SAGs: *sags, CDs: *cds,
 		Instructions: *instr, Seed: *seed, Cores: *cores,
-		IssueLanes: *lanes, Scheduler: scheduler, SkipLLC: *skipLLC,
-	}
-	switch *tech {
-	case "pcm":
-		opts.Technology = fgnvm.TechPCM
-	case "rram":
-		opts.Technology = fgnvm.TechRRAM
-	default:
-		return fmt.Errorf("unknown technology %q", *tech)
+		IssueLanes: *lanes, Scheduler: scheduler, Technology: technology,
+		SkipLLC: *skipLLC,
 	}
 	if *mix != "" {
 		opts.Mix = strings.Split(*mix, ",")

@@ -82,6 +82,120 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestCanonicalRejects: a negative core count (once run silently as
+// one core) and lane counts past maxIssueLanes (2^24 lanes pins a
+// worker for seconds) are refused, even by designs that ignore them.
+func TestCanonicalRejects(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		o    Options
+	}{
+		{"negative cores", Options{Benchmark: "mcf", Cores: -3}},
+		{"negative cores under mix", Options{Mix: []string{"mcf"}, Cores: -1}},
+		{"lanes past the cap", Options{Benchmark: "mcf", IssueLanes: maxIssueLanes + 1}},
+		{"2^24 lanes", Options{Design: DesignFgNVMMultiIssue, Benchmark: "mcf", IssueLanes: 1 << 24}},
+		{"2^24 lanes on dram", Options{Design: DesignDRAM, Benchmark: "mcf", IssueLanes: 1 << 24}},
+		{"negative lanes", Options{Benchmark: "mcf", IssueLanes: -1}},
+	} {
+		if _, err := tc.o.Canonical(); err == nil {
+			t.Errorf("%s: Canonical accepted %+v", tc.name, tc.o)
+		}
+		if _, err := Run(tc.o); err == nil {
+			t.Errorf("%s: Run accepted %+v", tc.name, tc.o)
+		}
+	}
+	if _, err := (Options{Benchmark: "mcf", IssueLanes: maxIssueLanes}).Canonical(); err != nil {
+		t.Errorf("IssueLanes = maxIssueLanes rejected: %v", err)
+	}
+}
+
+// TestCanonicalResetsIgnoredFields: options that differ only in
+// defaults spelled out, or in fields the design or workload ignores,
+// canonicalize equal.
+func TestCanonicalResetsIgnoredFields(t *testing.T) {
+	modes := &AccessModeSet{PartialActivation: true}
+	for _, tc := range []struct {
+		name string
+		a, b Options
+	}{
+		{"defaults spelled out",
+			Options{Design: DesignFgNVM, Benchmark: "mcf"},
+			Options{Design: DesignFgNVM, Benchmark: "mcf", SAGs: 8, CDs: 2, Cores: 1, Instructions: 200_000,
+				Seed: 1, IssueLanes: 1, MaxCycles: 2_000_000_000, WarmupAccesses: DefaultWarmupAccesses}},
+		{"baseline grid",
+			Options{Benchmark: "mcf"},
+			Options{Benchmark: "mcf", SAGs: 4, CDs: 8, Modes: modes}},
+		{"salp cds",
+			Options{Design: DesignSALP, Benchmark: "mcf"},
+			Options{Design: DesignSALP, Benchmark: "mcf", CDs: 8, Modes: modes}},
+		{"manybanks modes",
+			Options{Design: DesignManyBanks, Benchmark: "mcf"},
+			Options{Design: DesignManyBanks, Benchmark: "mcf", Modes: modes}},
+		{"dram controller knobs",
+			Options{Design: DesignDRAM, Benchmark: "mcf"},
+			Options{Design: DesignDRAM, Benchmark: "mcf", SAGs: 4, Scheduler: SchedFCFS, IssueLanes: 4,
+				Technology: TechRRAM, Telemetry: &TelemetryOptions{Attribution: true}}},
+		{"workload seed",
+			Options{Workload: &WorkloadSpec{Preset: "gpt2s-attn-qkv"}},
+			Options{Workload: &WorkloadSpec{Preset: "gpt2s-attn-qkv", Tiling: "sag"}, Seed: 7}},
+		{"mix overrides benchmark and cores",
+			Options{Mix: []string{"mcf", "lbm"}},
+			Options{Mix: []string{"mcf", "lbm"}, Benchmark: "mcf", Cores: 3}},
+		{"warm-up ignored without LLC",
+			Options{Benchmark: "mcf", SkipLLC: true},
+			Options{Benchmark: "mcf", SkipLLC: true, WarmupAccesses: -7}},
+	} {
+		ca, err := tc.a.Canonical()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		cb, err := tc.b.Canonical()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(ca, cb) {
+			t.Errorf("%s: canonical forms differ:\n%+v\n%+v", tc.name, ca, cb)
+		}
+	}
+}
+
+// TestCanonicalDoesNotAllocate pins the single-benchmark path that
+// every Run takes to zero allocations.
+func TestCanonicalDoesNotAllocate(t *testing.T) {
+	o := Options{Design: DesignFgNVM, Benchmark: "mcf"}
+	if n := testing.AllocsPerRun(100, func() { _, _ = o.Canonical() }); n != 0 {
+		t.Errorf("Canonical allocates %.1f times per call, want 0", n)
+	}
+}
+
+// FuzzOptionsCanonical: Canonical never panics, and the canonical form
+// of a canonical form is itself.
+func FuzzOptionsCanonical(f *testing.F) {
+	f.Add(int(DesignFgNVM), 8, 2, 1, 0, 0, uint64(1), uint64(20_000), false, 0, 0, "mcf")
+	f.Add(int(DesignDRAM), 4, 8, 2, 4, -5, uint64(7), uint64(0), true, 1, 1, "lbm")
+	f.Add(int(DesignSALP), 0, 3, 0, 64, DefaultWarmupAccesses, uint64(0), uint64(1), false, 0, 1, "milc")
+	f.Add(int(DesignManyBanks), -1, 0, -3, 1<<24, 100, uint64(2), uint64(5), false, 2, -1, "nope")
+	f.Fuzz(func(t *testing.T, design, sags, cds, cores, lanes, warmup int, seed, instr uint64,
+		skipLLC bool, sched, tech int, bench string) {
+		o := Options{
+			Design: Design(design), SAGs: sags, CDs: cds, Cores: cores, IssueLanes: lanes,
+			WarmupAccesses: warmup, Seed: seed, Instructions: instr, SkipLLC: skipLLC,
+			Scheduler: Scheduler(sched), Technology: Technology(tech), Benchmark: bench,
+		}
+		once, err := o.Canonical()
+		if err != nil {
+			return
+		}
+		twice, err := once.Canonical()
+		if err != nil {
+			t.Fatalf("canonical %+v fails to canonicalize again: %v", once, err)
+		}
+		if !reflect.DeepEqual(once, twice) {
+			t.Fatalf("Canonical is not idempotent:\n once  %+v\n twice %+v", once, twice)
+		}
+	})
+}
+
 func TestRunBaselineSmoke(t *testing.T) {
 	r, err := Run(Options{Design: DesignBaseline, Benchmark: "mcf", Instructions: tinyInstr})
 	if err != nil {

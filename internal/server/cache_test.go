@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -218,6 +219,52 @@ func TestRunRequestCanonicalKeys(t *testing.T) {
 		if key(other) == a {
 			t.Errorf("case %d: distinct request collided with base key", i)
 		}
+	}
+}
+
+// TestRunRequestIgnoredFieldKeys: requests that differ only in fields
+// the run ignores share one cache key and produce byte-identical
+// results. DRAM has no NVM scheduler, issue lanes or cell technology,
+// and a GEMM workload is not seeded. A negative core count, which once
+// ran as one core under a key of its own, is rejected instead.
+func TestRunRequestIgnoredFieldKeys(t *testing.T) {
+	run := func(body RunRequest) (string, []byte) {
+		norm, o, err := body.normalize()
+		if err != nil {
+			t.Fatalf("normalize %+v: %v", body, err)
+		}
+		res, err := fgnvm.Run(o)
+		if err != nil {
+			t.Fatalf("run %+v: %v", body, err)
+		}
+		b, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return norm.cacheKey(), b
+	}
+	dram := RunRequest{Design: "dram", Benchmark: "mcf", Instructions: 20_000}
+	gemm := RunRequest{Design: "fgnvm", Workload: &fgnvm.WorkloadSpec{Preset: "gpt2s-attn-qkv"}, Instructions: 20_000}
+	for _, tc := range []struct {
+		name string
+		a, b RunRequest
+	}{
+		{"dram scheduler", dram, RunRequest{Design: "dram", Benchmark: "mcf", Instructions: 20_000, Scheduler: "fcfs"}},
+		{"dram issue lanes", dram, RunRequest{Design: "dram", Benchmark: "mcf", Instructions: 20_000, IssueLanes: 4}},
+		{"dram technology", dram, RunRequest{Design: "dram", Benchmark: "mcf", Instructions: 20_000, Technology: "rram"}},
+		{"workload seed", gemm, RunRequest{Design: "fgnvm", Workload: &fgnvm.WorkloadSpec{Preset: "gpt2s-attn-qkv"}, Instructions: 20_000, Seed: 7}},
+	} {
+		ka, ra := run(tc.a)
+		kb, rb := run(tc.b)
+		if ka != kb {
+			t.Errorf("%s: equivalent requests hash to different keys", tc.name)
+		}
+		if !bytes.Equal(ra, rb) {
+			t.Errorf("%s: results differ:\n%s\n%s", tc.name, ra, rb)
+		}
+	}
+	if _, _, err := (RunRequest{Benchmark: "mcf", Cores: -3}).normalize(); err == nil {
+		t.Error("cores:-3 accepted")
 	}
 }
 

@@ -332,6 +332,8 @@ func TestBadRequests(t *testing.T) {
 		{"unknown field", "/v1/run", `{"benchmark":"mcf","bogus":1}`},
 		{"unknown scheduler", "/v1/run", `{"benchmark":"mcf","scheduler":"magic"}`},
 		{"over instruction cap", "/v1/run", `{"benchmark":"mcf","instructions":1000000}`},
+		{"too many issue lanes", "/v1/run", `{"benchmark":"mcf","issue_lanes":16777216}`},
+		{"negative cores", "/v1/run", `{"benchmark":"mcf","cores":-3}`},
 		{"unknown axis", "/v1/sweep", `{"axis":"voltage"}`},
 		{"figure4 bad bench", "/v1/figure4", `{"benchmarks":["nope"]}`},
 	} {

@@ -19,15 +19,15 @@ func TestWorkloadRequestCanonicalKeys(t *testing.T) {
 		}
 		return norm.cacheKey()
 	}
-	a := key(RunRequest{Design: "fgnvm", Workload: &WorkloadRequest{Preset: "gpt2s-attn-qkv"}})
-	b := key(RunRequest{Design: "fgnvm", Workload: &WorkloadRequest{Preset: "gpt2s-attn-qkv", Tiling: "sag", Gap: 4}})
+	a := key(RunRequest{Design: "fgnvm", Workload: &fgnvm.WorkloadSpec{Preset: "gpt2s-attn-qkv"}})
+	b := key(RunRequest{Design: "fgnvm", Workload: &fgnvm.WorkloadSpec{Preset: "gpt2s-attn-qkv", Tiling: "sag", Gap: 4}})
 	if a != b {
 		t.Error("defaulted and explicit workload requests hash to different keys")
 	}
 	for i, other := range []RunRequest{
-		{Design: "fgnvm", Workload: &WorkloadRequest{Preset: "gpt2s-attn-qkv", Tiling: "cd"}},
-		{Design: "fgnvm", Workload: &WorkloadRequest{Preset: "gpt2s-ffn-down"}},
-		{Design: "fgnvm", Workload: &WorkloadRequest{M: 128, K: 768, N: 2304}},
+		{Design: "fgnvm", Workload: &fgnvm.WorkloadSpec{Preset: "gpt2s-attn-qkv", Tiling: "cd"}},
+		{Design: "fgnvm", Workload: &fgnvm.WorkloadSpec{Preset: "gpt2s-ffn-down"}},
+		{Design: "fgnvm", Workload: &fgnvm.WorkloadSpec{M: 128, K: 768, N: 2304}},
 		{Design: "fgnvm", Benchmark: "mcf"},
 	} {
 		if key(other) == a {
@@ -41,12 +41,12 @@ func TestWorkloadRequestValidation(t *testing.T) {
 		name string
 		req  RunRequest
 	}{
-		{"workload and benchmark", RunRequest{Benchmark: "mcf", Workload: &WorkloadRequest{Preset: "gpt2s-attn-qkv"}}},
-		{"workload and mix", RunRequest{Mix: []string{"mcf"}, Workload: &WorkloadRequest{Preset: "gpt2s-attn-qkv"}}},
-		{"unknown preset", RunRequest{Workload: &WorkloadRequest{Preset: "nope"}}},
-		{"preset plus shape", RunRequest{Workload: &WorkloadRequest{Preset: "gpt2s-attn-qkv", M: 8, K: 8, N: 8}}},
-		{"bad tiling", RunRequest{Workload: &WorkloadRequest{M: 8, K: 8, N: 8, Tiling: "zigzag"}}},
-		{"empty workload", RunRequest{Workload: &WorkloadRequest{}}},
+		{"workload and benchmark", RunRequest{Benchmark: "mcf", Workload: &fgnvm.WorkloadSpec{Preset: "gpt2s-attn-qkv"}}},
+		{"workload and mix", RunRequest{Mix: []string{"mcf"}, Workload: &fgnvm.WorkloadSpec{Preset: "gpt2s-attn-qkv"}}},
+		{"unknown preset", RunRequest{Workload: &fgnvm.WorkloadSpec{Preset: "nope"}}},
+		{"preset plus shape", RunRequest{Workload: &fgnvm.WorkloadSpec{Preset: "gpt2s-attn-qkv", M: 8, K: 8, N: 8}}},
+		{"bad tiling", RunRequest{Workload: &fgnvm.WorkloadSpec{M: 8, K: 8, N: 8, Tiling: "zigzag"}}},
+		{"empty workload", RunRequest{Workload: &fgnvm.WorkloadSpec{}}},
 	} {
 		if _, _, err := tc.req.normalize(); err == nil {
 			t.Errorf("%s: normalize accepted invalid request", tc.name)
@@ -55,7 +55,7 @@ func TestWorkloadRequestValidation(t *testing.T) {
 
 	// A valid workload normalizes with defaults explicit and reaches
 	// the Options.
-	norm, o, err := RunRequest{Workload: &WorkloadRequest{Preset: "gpt2s-attn-qkv"}}.normalize()
+	norm, o, err := RunRequest{Workload: &fgnvm.WorkloadSpec{Preset: "gpt2s-attn-qkv"}}.normalize()
 	if err != nil {
 		t.Fatalf("normalize: %v", err)
 	}
@@ -73,14 +73,14 @@ func TestSweepWorkloadValidation(t *testing.T) {
 		req  SweepRequest
 	}{
 		{"tiling axis without workload", SweepRequest{Axis: "tiling"}},
-		{"workload and benchmark", SweepRequest{Axis: "sags", Benchmark: "mcf", Workload: &WorkloadRequest{Preset: "gpt2s-attn-qkv"}}},
-		{"unknown preset", SweepRequest{Axis: "sags", Workload: &WorkloadRequest{Preset: "nope"}}},
+		{"workload and benchmark", SweepRequest{Axis: "sags", Benchmark: "mcf", Workload: &fgnvm.WorkloadSpec{Preset: "gpt2s-attn-qkv"}}},
+		{"unknown preset", SweepRequest{Axis: "sags", Workload: &fgnvm.WorkloadSpec{Preset: "nope"}}},
 	} {
 		if _, _, err := tc.req.normalize(); err == nil {
 			t.Errorf("%s: normalize accepted invalid request", tc.name)
 		}
 	}
-	norm, p, err := SweepRequest{Axis: "tiling", Workload: &WorkloadRequest{Preset: "gpt2s-attn-score"}}.normalize()
+	norm, p, err := SweepRequest{Axis: "tiling", Workload: &fgnvm.WorkloadSpec{Preset: "gpt2s-attn-score"}}.normalize()
 	if err != nil {
 		t.Fatalf("normalize: %v", err)
 	}
