@@ -172,7 +172,7 @@ type Options struct {
 	// the workload through it before timing starts — the stand-in for
 	// the paper's SimPoint checkpoint restore, without which a short
 	// run sees only cold misses and no writeback traffic. Default (0):
-	// DefaultWarmupAccesses. Set negative to disable.
+	// DefaultWarmupAccesses. Set negative to disable. At most 1<<24.
 	WarmupAccesses int
 
 	// IssueLanes overrides the controller's command/data lanes.
@@ -413,6 +413,13 @@ const maxCores = 4
 // an arbitrarily long one; the paper's Multi-Issue controller uses 4.
 const maxIssueLanes = 64
 
+// maxWarmupAccesses bounds Options.WarmupAccesses. The warm-up runs
+// before the first simulated cycle, so MaxCycles does not limit it,
+// and a server with no deadline would spend a worker on it for as long
+// as the request asks. The bound is 256 times the default, about 3 s
+// per core on a 2-vCPU host.
+const maxWarmupAccesses = 1 << 24
+
 // Canonical validates o and returns the canonical form of the run it
 // describes: defaults filled in, and every field the chosen design or
 // workload ignores reset to one fixed value, so two Options that run the
@@ -436,6 +443,8 @@ func (o Options) Canonical() (Options, error) {
 		return Options{}, fmt.Errorf("fgnvm: Cores = %d, must not be negative", o.Cores)
 	case o.IssueLanes < 0 || o.IssueLanes > maxIssueLanes:
 		return Options{}, fmt.Errorf("fgnvm: IssueLanes = %d, want 0 (design default) to %d", o.IssueLanes, maxIssueLanes)
+	case o.WarmupAccesses > maxWarmupAccesses:
+		return Options{}, fmt.Errorf("fgnvm: WarmupAccesses = %d, want at most %d", o.WarmupAccesses, maxWarmupAccesses)
 	}
 	sources := 0
 	for _, set := range [...]bool{o.Benchmark != "" || len(o.Mix) > 0, o.Stream != nil, len(o.Streams) > 0, o.Workload != nil} {
@@ -935,7 +944,7 @@ type coreSlot struct {
 // between, so the intervening cycles would each repeat exactly the
 // same no-op with the same counter increments. The loop jumps
 // straight to that tick, batch-crediting the per-cycle accounting
-// (core stall cycles, queued-wait and bus-stall counters, weighted
+// (core stall cycles, the queued-wait counter, weighted
 // stall-attribution events, rejected-retry telemetry), which keeps
 // fast-forwarded runs byte-identical to cycle-by-cycle runs — the
 // property the differential tests pin. The paper's long PCM write

@@ -96,6 +96,7 @@ func TestCanonicalRejects(t *testing.T) {
 		{"2^24 lanes", Options{Design: DesignFgNVMMultiIssue, Benchmark: "mcf", IssueLanes: 1 << 24}},
 		{"2^24 lanes on dram", Options{Design: DesignDRAM, Benchmark: "mcf", IssueLanes: 1 << 24}},
 		{"negative lanes", Options{Benchmark: "mcf", IssueLanes: -1}},
+		{"warm-up past the cap", Options{Benchmark: "mcf", WarmupAccesses: maxWarmupAccesses + 1}},
 	} {
 		if _, err := tc.o.Canonical(); err == nil {
 			t.Errorf("%s: Canonical accepted %+v", tc.name, tc.o)
@@ -106,6 +107,9 @@ func TestCanonicalRejects(t *testing.T) {
 	}
 	if _, err := (Options{Benchmark: "mcf", IssueLanes: maxIssueLanes}).Canonical(); err != nil {
 		t.Errorf("IssueLanes = maxIssueLanes rejected: %v", err)
+	}
+	if _, err := (Options{Benchmark: "mcf", WarmupAccesses: maxWarmupAccesses}).Canonical(); err != nil {
+		t.Errorf("WarmupAccesses = maxWarmupAccesses rejected: %v", err)
 	}
 }
 
@@ -436,7 +440,7 @@ func TestWarmupHonoursDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := RunContext(ctx, Options{Benchmark: "mcf", Instructions: 2_000, WarmupAccesses: 1 << 40})
+	_, err := RunContext(ctx, Options{Benchmark: "mcf", Instructions: 2_000, WarmupAccesses: maxWarmupAccesses})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}

@@ -118,7 +118,6 @@ type Stats struct {
 	SegmentHits      stats.Counter // reads whose segment was already open at first service
 	BackgroundedRds  stats.Counter // reads issued while a write was in flight in the same bank
 	WriteDrainEvents stats.Counter // transitions into drain mode
-	BusStallCycles   stats.Counter // issuable column reads blocked only by the data bus
 	ForwardedReads   stats.Counter // reads served from a queued write's data
 	CoalescedWrites  stats.Counter // writes merged into a queued write to the same line
 	// QueuedWaitCycles sums, over every cycle, the number of requests
@@ -591,25 +590,19 @@ func (s *shard) tryIssueRead(now sim.Tick, mayActivate bool) (bool, bool) {
 	}
 
 	// First pass (the "first ready" of FR-FCFS): oldest request whose
-	// segment is open, sensed, and whose data burst fits on the bus.
-	// Bus admission depends only on now, not the candidate, so the
-	// lane is resolved once for the pass: with a lane free the
-	// first device-ready request issues (no stall increments); with no
-	// lane free every device-ready request counts one bus stall,
-	// exactly as the per-candidate formulation would.
-	lane := s.busLaneFor(now + s.cfg.Tim.TCAS)
-	for i := 0; i < limit; i++ {
-		r := q.At(i)
-		b := s.bankOf(r)
-		if !b.CanRead(r.Loc.Row, r.Loc.Col, now) {
-			continue
+	// segment is open and sensed. Bus admission depends only on now,
+	// not the candidate, so the lane is resolved once: with no lane
+	// free no column read can issue (column conflict: I/O lines busy)
+	// and the pass is skipped.
+	if lane := s.busLaneFor(now + s.cfg.Tim.TCAS); lane >= 0 {
+		for i := 0; i < limit; i++ {
+			r := q.At(i)
+			b := s.bankOf(r)
+			if b.CanRead(r.Loc.Row, r.Loc.Col, now) {
+				s.issueColumnRead(r, b, lane, i, now)
+				return true, false
+			}
 		}
-		if lane < 0 {
-			s.st.BusStallCycles.Inc()
-			continue // column conflict: I/O lines busy
-		}
-		s.issueColumnRead(r, b, lane, i, now)
-		return true, false
 	}
 
 	if !mayActivate {
@@ -918,39 +911,15 @@ func (s *shard) channelNextWork(now sim.Tick) sim.Tick {
 	return next
 }
 
-// busStallsPerCycle counts the column-read candidates that are
-// device-ready but blocked only by the shared bus — exactly the
-// per-cycle busStallCycles increment tryIssueRead's first pass
-// performs when nothing can issue.
-func (s *shard) busStallsPerCycle(now sim.Tick) int {
-	if s.busLaneFor(now+s.cfg.Tim.TCAS) >= 0 {
-		return 0 // a free lane means device-ready candidates issue, not stall
-	}
-	q := s.readQ
-	limit := q.Len()
-	if s.cfg.Scheduler == FCFS && limit > 1 {
-		limit = 1
-	}
-	n := 0
-	for i := 0; i < limit; i++ {
-		r := q.At(i)
-		b := s.bankOf(r)
-		if b.CanRead(r.Loc.Row, r.Loc.Col, now) {
-			n++
-		}
-	}
-	return n
-}
-
 // SkipCycles batch-credits n skipped controller cycles (ticks now+1
 // through now+n) during a fast-forward window. The caller guarantees
 // the window is quiescent: Cycle(now) issued nothing, no event fires
 // before now+n+1, and no enqueue succeeds in the window — under which
 // NextWork's flip-tick analysis proves every scheduling predicate and
 // stall classification equal to its value at now throughout. The
-// per-cycle work therefore reduces to multiplication: queued-wait and
-// bus-stall counters advance by n times their per-cycle increment, and
-// stall attribution emits one weighted event per queued request.
+// per-cycle work therefore reduces to multiplication: the queued-wait
+// counter advances by n times its per-cycle increment, and stall
+// attribution emits one weighted event per queued request.
 // Background energy needs no crediting here — the energy model
 // integrates elapsed ticks exactly on the next Cycle.
 func (c *Controller) SkipCycles(now sim.Tick, n uint64) {
@@ -969,9 +938,6 @@ func (s *shard) skipCycles(now sim.Tick, n uint64) {
 		return
 	}
 	s.st.QueuedWaitCycles.Add(uint64(queued) * n)
-	if stalls := s.busStallsPerCycle(now); stalls > 0 {
-		s.st.BusStallCycles.Add(uint64(stalls) * n)
-	}
 	if s.tel != nil {
 		emitted := s.attributeStalls(now, n)
 		if invariant.Enabled {

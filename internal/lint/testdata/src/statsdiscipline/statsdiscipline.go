@@ -29,13 +29,13 @@ func tamper(st *controller.Stats) uint64 {
 	return st.Reads.Value()       // allowed: reading is everyone's right
 }
 
-// replaySkip mimics fast-forward's batch credit of per-cycle stall
+// replaySkip mimics fast-forward's batch credit of per-cycle
 // counters (controller.SkipCycles) — legitimate inside the controller,
 // flagged from any other package: an external replay would double-count
 // the skipped window.
 func replaySkip(st *controller.Stats, skipped, perCycle uint64) {
-	st.BusStallCycles.Add(skipped * perCycle) // want "owned by package"
-	st.QueuedWaitCycles.Add(skipped)          // want "owned by package"
+	st.ColumnReads.Add(skipped * perCycle) // want "owned by package"
+	st.QueuedWaitCycles.Add(skipped)       // want "owned by package"
 }
 
 // replayOwnSkip does the same batch credit against this package's own

@@ -7,9 +7,9 @@ import (
 )
 
 // Heatmap renders a 2-D matrix of counts as a shaded text grid — the
-// presentation form of the telemetry occupancy and per-tile stall
-// matrices. Each cell shows its value plus a shade character scaled to
-// the matrix maximum, so hot tiles stand out in plain terminal output.
+// presentation form of the telemetry occupancy matrix. Each cell shows
+// its value plus a shade character scaled to the matrix maximum, so hot
+// tiles stand out in plain terminal output.
 type Heatmap struct {
 	title    string
 	rowLabel string // e.g. "SAG"

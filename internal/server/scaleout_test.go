@@ -115,6 +115,81 @@ func TestShardedSweepPeerFailure(t *testing.T) {
 	}
 }
 
+// TestShardedSweepPeerDiesMidStream: a peer that streams part of its
+// shard and then hangs up (or repeats a point) hands only its
+// undelivered points back to local execution, so the relayed stream
+// still carries exactly one point event per plan index and its done
+// count never passes total.
+func TestShardedSweepPeerDiesMidStream(t *testing.T) {
+	// The peer owns plan indices 1 and 3 (values 2 and 8); it delivers
+	// shard-local index 0 (plan index 1) and ends the stream.
+	const point = `{"event":"point","index":0,"value":2,"point":{"value":2,"ipc":1}}` + "\n"
+	for _, tc := range []struct{ name, stream string }{
+		{"closes", point},
+		{"repeats", point + point},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Type", "application/x-ndjson")
+				w.Write([]byte(tc.stream))
+			}))
+			t.Cleanup(peer.Close)
+			stub := func(ctx context.Context, o fgnvm.Options) (fgnvm.Result, error) {
+				return fgnvm.Result{
+					IPC:    1 + float64(o.CDs),
+					Energy: fgnvm.EnergyBreakdown{TotalPJ: 100},
+				}, nil
+			}
+			coord, cts := newTestServer(t, Config{Workers: 2, Peers: []string{peer.URL}}, stub)
+
+			resp, err := http.Post(cts.URL+"/v1/sweep/stream", "application/json",
+				strings.NewReader(`{"axis":"cds","values":[1,2,4,8],"benchmark":"mcf","instructions":1000}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			seen := map[int]int{} // plan index → point events
+			points, done := 0, false
+			sc := bufio.NewScanner(resp.Body)
+			for sc.Scan() {
+				var ev streamEvent
+				if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+					t.Fatalf("bad stream line %q: %v", sc.Text(), err)
+				}
+				switch ev.Event {
+				case "point":
+					points++
+					seen[ev.Index]++
+					if ev.Done != points || ev.Total != 4 || ev.Done > ev.Total {
+						t.Errorf("point event %d reads done=%d total=%d", points, ev.Done, ev.Total)
+					}
+				case "error":
+					t.Fatalf("stream errored: %s", ev.Error)
+				case "done":
+					done = true
+				}
+			}
+			if err := sc.Err(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 4; i++ {
+				if seen[i] != 1 {
+					t.Errorf("plan index %d: %d point events, want 1", i, seen[i])
+				}
+			}
+			if points != 4 {
+				t.Errorf("%d point events, want 4", points)
+			}
+			if !done {
+				t.Error("stream never sent a done event")
+			}
+			if got := coord.metrics.shardFallbacks.Load(); got != 1 {
+				t.Errorf("shardFallbacks = %d, want 1", got)
+			}
+		})
+	}
+}
+
 // TestStoreSurvivesRestart proves a result computed before a "restart"
 // (new Server, same store directory) is served from the disk store —
 // byte-identical, no simulation started in the new process.
@@ -159,6 +234,7 @@ func TestStoreSurvivesRestart(t *testing.T) {
 // streamEvent decodes any /v1/sweep/stream NDJSON line in tests.
 type streamEvent struct {
 	Event  string          `json:"event"`
+	Index  int             `json:"index"`
 	Value  int             `json:"value"`
 	Cached bool            `json:"cached"`
 	Done   int             `json:"done"`

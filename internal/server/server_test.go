@@ -334,6 +334,7 @@ func TestBadRequests(t *testing.T) {
 		{"over instruction cap", "/v1/run", `{"benchmark":"mcf","instructions":1000000}`},
 		{"too many issue lanes", "/v1/run", `{"benchmark":"mcf","issue_lanes":16777216}`},
 		{"negative cores", "/v1/run", `{"benchmark":"mcf","cores":-3}`},
+		{"warm-up past the cap", "/v1/run", `{"benchmark":"mcf","warmup_accesses":4611686018427387904}`},
 		{"unknown axis", "/v1/sweep", `{"axis":"voltage"}`},
 		{"figure4 bad bench", "/v1/figure4", `{"benchmarks":["nope"]}`},
 	} {

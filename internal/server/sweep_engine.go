@@ -217,8 +217,7 @@ func (s *Server) runSweepPoints(ctx context.Context, norm SweepRequest, plan fgn
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			indices := a.Shard(r)
-			err := s.runRemoteShard(ctx, s.peers[r-1], norm, plan, indices, emit != nil, record)
+			rest, err := s.runRemoteShard(ctx, s.peers[r-1], norm, plan, a.Shard(r), emit != nil, record)
 			if err == nil {
 				return
 			}
@@ -226,10 +225,11 @@ func (s *Server) runSweepPoints(ctx context.Context, norm SweepRequest, plan fgn
 				fail(ctx.Err())
 				return
 			}
-			// A dead or erroring peer must not fail the sweep: its shard
-			// falls back to local execution (store hits included).
+			// A dead or erroring peer must not fail the sweep: the points
+			// it did not deliver fall back to local execution (store
+			// hits included).
 			s.metrics.shardFallbacks.Add(1)
-			runLocal(indices)
+			runLocal(rest)
 		}(r)
 	}
 	runLocal(a.Shard(0))
@@ -247,8 +247,10 @@ func (s *Server) runSweepPoints(ctx context.Context, norm SweepRequest, plan fgn
 // runRemoteShard dispatches one shard to a peer and records its points
 // re-indexed into plan order. With relay set it consumes the peer's
 // NDJSON stream so progress forwards point by point; otherwise one
-// /v1/sweep round trip returns the whole shard.
-func (s *Server) runRemoteShard(ctx context.Context, peer shard.Peer, norm SweepRequest, plan fgnvm.SweepPlan, indices []int, relay bool, record func(int, pointEvent)) error {
+// /v1/sweep round trip returns the whole shard. On error it also
+// returns the plan indices it did not record, for the caller to run
+// locally: a relay that dies mid-stream has already recorded some.
+func (s *Server) runRemoteShard(ctx context.Context, peer shard.Peer, norm SweepRequest, plan fgnvm.SweepPlan, indices []int, relay bool, record func(int, pointEvent)) ([]int, error) {
 	sub := norm
 	sub.Values = make([]int, len(indices))
 	for k, i := range indices {
@@ -257,7 +259,7 @@ func (s *Server) runRemoteShard(ctx context.Context, peer shard.Peer, norm Sweep
 	sub.Parallel = 0
 	body, err := json.Marshal(sub)
 	if err != nil {
-		return err
+		return indices, err
 	}
 	start := time.Now() //lint:allow wallclock fan-out round-trip latency for /metrics
 	defer func() {
@@ -265,52 +267,30 @@ func (s *Server) runRemoteShard(ctx context.Context, peer shard.Peer, norm Sweep
 	}()
 
 	if relay {
-		rc, err := peer.SweepStream(ctx, body)
-		if err != nil {
-			return err
+		delivered := make([]bool, len(indices))
+		err := s.relayShard(ctx, peer, body, indices, delivered, record)
+		if err == nil {
+			return nil, nil
 		}
-		defer rc.Close()
-		sc := bufio.NewScanner(rc)
-		sc.Buffer(make([]byte, 0, 64*1024), 8<<20)
-		got := 0
-		for sc.Scan() {
-			var ev pointEvent
-			if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-				return fmt.Errorf("peer stream: %w", err)
-			}
-			switch ev.Event {
-			case "point":
-				if ev.Index < 0 || ev.Index >= len(indices) {
-					return fmt.Errorf("peer stream: point index %d outside %d-point shard", ev.Index, len(indices))
-				}
-				i := indices[ev.Index]
-				ev.Index, ev.Remote = i, true
-				record(i, ev)
-				got++
-				s.metrics.shardRemotePoints.Add(1)
-			case "error":
-				return fmt.Errorf("peer: %s", ev.Error)
+		var rest []int
+		for k, i := range indices {
+			if !delivered[k] {
+				rest = append(rest, i)
 			}
 		}
-		if err := sc.Err(); err != nil {
-			return fmt.Errorf("peer stream: %w", err)
-		}
-		if got != len(indices) {
-			return fmt.Errorf("peer stream ended after %d of %d points", got, len(indices))
-		}
-		return nil
+		return rest, err
 	}
 
 	b, err := peer.Sweep(ctx, body)
 	if err != nil {
-		return err
+		return indices, err
 	}
 	var res fgnvm.SweepResult
 	if err := json.Unmarshal(b, &res); err != nil {
-		return fmt.Errorf("peer sweep response: %w", err)
+		return indices, fmt.Errorf("peer sweep response: %w", err)
 	}
 	if len(res.Points) != len(indices) {
-		return fmt.Errorf("peer returned %d points, want %d", len(res.Points), len(indices))
+		return indices, fmt.Errorf("peer returned %d points, want %d", len(res.Points), len(indices))
 	}
 	for k, i := range indices {
 		pt := res.Points[k]
@@ -318,6 +298,50 @@ func (s *Server) runRemoteShard(ctx context.Context, peer shard.Peer, norm Sweep
 			Event: "point", Index: i, Value: pt.Value, Remote: true, Point: pt,
 		})
 		s.metrics.shardRemotePoints.Add(1)
+	}
+	return nil, nil
+}
+
+// relayShard consumes a peer's NDJSON stream for one shard, recording
+// each point as it arrives and marking delivered[k] for shard-local
+// index k.
+func (s *Server) relayShard(ctx context.Context, peer shard.Peer, body []byte, indices []int, delivered []bool, record func(int, pointEvent)) error {
+	rc, err := peer.SweepStream(ctx, body)
+	if err != nil {
+		return err
+	}
+	defer rc.Close()
+	sc := bufio.NewScanner(rc)
+	sc.Buffer(make([]byte, 0, 64*1024), 8<<20)
+	got := 0
+	for sc.Scan() {
+		var ev pointEvent
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			return fmt.Errorf("peer stream: %w", err)
+		}
+		switch ev.Event {
+		case "point":
+			if ev.Index < 0 || ev.Index >= len(indices) {
+				return fmt.Errorf("peer stream: point index %d outside %d-point shard", ev.Index, len(indices))
+			}
+			if delivered[ev.Index] {
+				return fmt.Errorf("peer stream: point index %d repeated", ev.Index)
+			}
+			delivered[ev.Index] = true
+			i := indices[ev.Index]
+			ev.Index, ev.Remote = i, true
+			record(i, ev)
+			got++
+			s.metrics.shardRemotePoints.Add(1)
+		case "error":
+			return fmt.Errorf("peer: %s", ev.Error)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("peer stream: %w", err)
+	}
+	if got != len(indices) {
+		return fmt.Errorf("peer stream ended after %d of %d points", got, len(indices))
 	}
 	return nil
 }

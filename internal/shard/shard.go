@@ -1,19 +1,17 @@
-// Package shard plans and merges the scale-out execution of a sweep:
-// a deterministic assignment of sweep-point indices to replicas, an
-// HTTP fan-out client for dispatching a replica's share to a peer, and
-// an order-independent merge back into the original point order.
+// Package shard plans the scale-out execution of a sweep: a
+// deterministic assignment of sweep-point indices to replicas and an
+// HTTP fan-out client for dispatching a replica's share to a peer.
 //
 // The contract the serving layer depends on: for a fixed point count
 // and replica count the assignment is a pure function (stable across
 // processes, restarts, and replicas — every replica computes the same
-// plan without coordination), the shards partition the index space
-// exactly, and merging the per-shard results reproduces the
-// single-process result byte for byte regardless of shard count or
-// completion order. Simulation determinism supplies identical point
-// values; this package supplies identical placement.
+// plan without coordination) and the shards partition the index space
+// exactly. The caller records each point by its plan index, so the
+// sharded sweep reproduces the single-process result byte for byte
+// regardless of shard count or completion order. Simulation
+// determinism supplies identical point values; this package supplies
+// identical placement.
 package shard
-
-import "fmt"
 
 // Assignment maps point indices 0..Points-1 onto Replicas shards.
 type Assignment struct {
@@ -55,32 +53,4 @@ func (a Assignment) Shard(r int) []int {
 		out = append(out, i)
 	}
 	return out
-}
-
-// Merge scatters per-shard results back into original point order:
-// partials[r][k] is the result of point index Shard(r)[k]. It is the
-// inverse of Shard for any replica count, which is what makes the
-// sharded sweep byte-identical to the single-process one.
-func Merge[T any](a Assignment, partials [][]T) ([]T, error) {
-	if len(partials) != a.Replicas {
-		return nil, fmt.Errorf("shard: merging %d partials into a %d-replica assignment",
-			len(partials), a.Replicas)
-	}
-	out := make([]T, a.Points)
-	seen := 0
-	for r, part := range partials {
-		idx := a.Shard(r)
-		if len(part) != len(idx) {
-			return nil, fmt.Errorf("shard: replica %d returned %d points, want %d",
-				r, len(part), len(idx))
-		}
-		for k, i := range idx {
-			out[i] = part[k]
-		}
-		seen += len(part)
-	}
-	if seen != a.Points {
-		return nil, fmt.Errorf("shard: merged %d of %d points", seen, a.Points)
-	}
-	return out, nil
 }

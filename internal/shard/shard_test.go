@@ -64,43 +64,6 @@ func TestPlanStability(t *testing.T) {
 	}
 }
 
-// TestMergeRoundTrip: Merge inverts Shard for any replica count, so a
-// sharded result equals the unsharded one element-for-element.
-func TestMergeRoundTrip(t *testing.T) {
-	full := make([]string, 11)
-	for i := range full {
-		full[i] = fmt.Sprintf("point-%d", i)
-	}
-	for replicas := 1; replicas <= 5; replicas++ {
-		a := Plan(len(full), replicas)
-		partials := make([][]string, a.Replicas)
-		for r := 0; r < a.Replicas; r++ {
-			for _, i := range a.Shard(r) {
-				partials[r] = append(partials[r], full[i])
-			}
-		}
-		merged, err := Merge(a, partials)
-		if err != nil {
-			t.Fatalf("replicas=%d: %v", replicas, err)
-		}
-		if !reflect.DeepEqual(merged, full) {
-			t.Fatalf("replicas=%d: merge != original:\n%v\n%v", replicas, merged, full)
-		}
-	}
-}
-
-// TestMergeRejectsShapeMismatch: a replica returning the wrong number
-// of points is an error, not silent truncation.
-func TestMergeRejectsShapeMismatch(t *testing.T) {
-	a := Plan(4, 2)
-	if _, err := Merge(a, [][]int{{1, 2}}); err == nil {
-		t.Error("wrong partial count accepted")
-	}
-	if _, err := Merge(a, [][]int{{1}, {2, 3}}); err == nil {
-		t.Error("short shard accepted")
-	}
-}
-
 // TestPeerSweep exercises the HTTP client: shard header set, body
 // forwarded, non-200 mapped to an error, cancellation honored.
 func TestPeerSweep(t *testing.T) {

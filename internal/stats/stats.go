@@ -5,8 +5,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strings"
 )
 
 // Counter is a monotonically increasing event count.
@@ -115,56 +113,4 @@ func Mean(vs []float64) float64 {
 		sum += v
 	}
 	return sum / float64(len(vs))
-}
-
-// Set is an ordered collection of named values, used to assemble the
-// per-run statistics report deterministically.
-type Set struct {
-	names  []string
-	values map[string]float64
-}
-
-// NewSet returns an empty statistics set.
-func NewSet() *Set {
-	return &Set{values: make(map[string]float64)}
-}
-
-// Put records a named value, preserving first-insertion order.
-func (s *Set) Put(name string, v float64) {
-	if _, ok := s.values[name]; !ok {
-		s.names = append(s.names, name)
-	}
-	s.values[name] = v
-}
-
-// Get returns the named value and whether it exists.
-func (s *Set) Get(name string) (float64, bool) {
-	v, ok := s.values[name]
-	return v, ok
-}
-
-// Names returns the insertion-ordered names.
-func (s *Set) Names() []string {
-	out := make([]string, len(s.names))
-	copy(out, s.names)
-	return out
-}
-
-// Len returns the number of recorded values.
-func (s *Set) Len() int { return len(s.names) }
-
-// String renders the set as "name=value" lines in insertion order.
-func (s *Set) String() string {
-	var b strings.Builder
-	for _, n := range s.names {
-		fmt.Fprintf(&b, "%s=%.6g\n", n, s.values[n])
-	}
-	return b.String()
-}
-
-// SortedNames returns the names in lexical order (for map-like use).
-func (s *Set) SortedNames() []string {
-	out := s.Names()
-	sort.Strings(out)
-	return out
 }

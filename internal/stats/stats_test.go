@@ -118,41 +118,3 @@ func TestMean(t *testing.T) {
 		t.Errorf("Mean = %v, want 3", got)
 	}
 }
-
-func TestSetOrderAndOverwrite(t *testing.T) {
-	s := NewSet()
-	s.Put("b", 1)
-	s.Put("a", 2)
-	s.Put("b", 3) // overwrite keeps position
-	names := s.Names()
-	if len(names) != 2 || names[0] != "b" || names[1] != "a" {
-		t.Fatalf("Names = %v", names)
-	}
-	if v, ok := s.Get("b"); !ok || v != 3 {
-		t.Fatalf("Get(b) = %v,%v", v, ok)
-	}
-	if _, ok := s.Get("zzz"); ok {
-		t.Fatal("missing key reported present")
-	}
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	sorted := s.SortedNames()
-	if sorted[0] != "a" || sorted[1] != "b" {
-		t.Fatalf("SortedNames = %v", sorted)
-	}
-	str := s.String()
-	if !strings.Contains(str, "b=3") || !strings.Contains(str, "a=2") {
-		t.Fatalf("String = %q", str)
-	}
-}
-
-func TestSetNamesIsCopy(t *testing.T) {
-	s := NewSet()
-	s.Put("x", 1)
-	n := s.Names()
-	n[0] = "mutated"
-	if s.Names()[0] != "x" {
-		t.Fatal("Names leaked internal slice")
-	}
-}

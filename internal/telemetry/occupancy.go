@@ -16,9 +16,8 @@ import (
 // utilization measure (where did the machine spend its device time),
 // not a duty cycle.
 type Occupancy struct {
-	geom  addr.Geometry
-	busy  []stats.Counter  // [(sag*CDs)+cd]
-	kinds [3]stats.Counter // cycles by command kind: ACT, RD, WR
+	geom addr.Geometry
+	busy []stats.Counter // [(sag*CDs)+cd]
 }
 
 // NewOccupancy builds an occupancy matrix for a geometry.
@@ -31,9 +30,7 @@ func (o *Occupancy) Command(ev Command) {
 	if ev.Kind == CmdBus {
 		return // the bus is not a tile
 	}
-	d := uint64(ev.End - ev.Start)
-	o.busy[ev.SAG*o.geom.CDs+ev.CD].Add(d)
-	o.kinds[ev.Kind].Add(d)
+	o.busy[ev.SAG*o.geom.CDs+ev.CD].Add(uint64(ev.End - ev.Start))
 }
 
 // Request implements Sink (occupancy ignores request lifecycles).
@@ -52,10 +49,4 @@ func (o *Occupancy) Matrix() [][]uint64 {
 		}
 	}
 	return out
-}
-
-// KindCycles returns total busy cycles split by command kind
-// (activate, read, write).
-func (o *Occupancy) KindCycles() (act, rd, wr uint64) {
-	return o.kinds[CmdActivate].Value(), o.kinds[CmdRead].Value(), o.kinds[CmdWrite].Value()
 }

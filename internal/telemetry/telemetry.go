@@ -6,8 +6,7 @@
 //   - Attribution: a stall-attribution engine that classifies every
 //     cycle a queued request waits into a fixed taxonomy (SAG conflict,
 //     CD conflict, bus conflict, write-drain block, queue full,
-//     controller idle) and aggregates per request, per tile and per
-//     run;
+//     controller idle) and totals it per cause over the run;
 //   - Occupancy: a per-tile (SAG × CD) busy-cycle matrix;
 //   - Trace: a Chrome trace-event / Perfetto JSON exporter with one
 //     track per (bank, SAG, CD) resource and request-lifetime flow
