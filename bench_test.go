@@ -216,6 +216,37 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "sim-cycles/s")
 }
 
+// BenchmarkRunWarmup times one paper-config run (FgNVM 8x2 on mcf,
+// 200 k instructions) two ways: cold, with the warm-up memo cleared
+// before each run so the LLC warms from scratch, and memo, restoring
+// the memoized warm-up as every repeat of a warm-up key does.
+func BenchmarkRunWarmup(b *testing.B) {
+	o := Options{Design: DesignFgNVM, Benchmark: "mcf"}
+	for _, cold := range []bool{true, false} {
+		name := "memo"
+		if cold {
+			name = "cold"
+		}
+		b.Run(name, func(b *testing.B) {
+			resetWarmMemo()
+			if _, err := Run(o); err != nil { // fills the memo
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if cold {
+					b.StopTimer()
+					resetWarmMemo()
+					b.StartTimer()
+				}
+				if _, err := Run(o); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkAblationTechnology compares PCM and RRAM cells on the same
 // FgNVM organization — the paper's techniques apply to both (§2).
 func BenchmarkAblationTechnology(b *testing.B) {

@@ -46,7 +46,7 @@ func run() error {
 		workers  = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 		queue    = flag.Int("queue", 64, "queued requests beyond executing before 429s (negative: none)")
 		cache    = flag.Int("cache", 256, "result-cache entries (negative disables)")
-		timeout  = flag.Duration("timeout", 0, "default per-request timeout (0 = none; requests may set timeout_ms)")
+		timeout  = flag.Duration("timeout", 10*time.Minute, "per-request timeout for requests that set no timeout_ms (0 = none)")
 		maxInstr = flag.Uint64("max-instructions", 5_000_000, "reject runs longer than this (0 = unlimited)")
 		drain    = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 

@@ -9,6 +9,7 @@ package cpu
 
 import (
 	"fmt"
+	"slices"
 )
 
 // LLCConfig sizes the last-level cache. Zero fields take Nehalem-like
@@ -51,7 +52,7 @@ type llcLine struct {
 // replacement.
 type LLC struct {
 	cfg   LLCConfig
-	sets  [][]llcLine
+	lines []llcLine // set s occupies lines[s*Ways : (s+1)*Ways]
 	setsN uint64
 	clock uint64
 
@@ -72,12 +73,7 @@ func NewLLC(cfg LLCConfig) (*LLC, error) {
 	if setsN == 0 || setsN&(setsN-1) != 0 {
 		return nil, fmt.Errorf("cpu: set count %d not a power of two", setsN)
 	}
-	sets := make([][]llcLine, setsN)
-	backing := make([]llcLine, setsN*cfg.Ways)
-	for i := range sets {
-		sets[i], backing = backing[:cfg.Ways], backing[cfg.Ways:]
-	}
-	return &LLC{cfg: cfg, sets: sets, setsN: uint64(setsN)}, nil
+	return &LLC{cfg: cfg, lines: make([]llcLine, lines), setsN: uint64(setsN)}, nil
 }
 
 // MustNewLLC is NewLLC but panics on error.
@@ -89,6 +85,15 @@ func MustNewLLC(cfg LLCConfig) *LLC {
 	return l
 }
 
+// Clone returns an independent copy of l: its lines, LRU clock and
+// hit/miss/writeback counters. Accesses to either leave the other as it
+// was.
+func (l *LLC) Clone() *LLC {
+	c := *l
+	c.lines = slices.Clone(l.lines)
+	return &c
+}
+
 // Access performs one access; write marks the line dirty. On a miss the
 // line is allocated (write-allocate) and a dirty victim produces a
 // writeback.
@@ -97,7 +102,8 @@ func (l *LLC) Access(addr uint64, write bool) LLCResult {
 	lineAddr := addr / uint64(l.cfg.LineBytes)
 	set := lineAddr % l.setsN
 	tag := lineAddr / l.setsN
-	ways := l.sets[set]
+	w := uint64(l.cfg.Ways)
+	ways := l.lines[set*w : set*w+w]
 
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == tag {

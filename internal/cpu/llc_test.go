@@ -122,3 +122,31 @@ func TestLLCStoreDirtiesOnHit(t *testing.T) {
 		t.Fatal("store-hit-dirtied line evicted without writeback")
 	}
 }
+
+// TestLLCClone: a clone starts with its source's lines, LRU clock and
+// counters, and the two evolve independently afterwards.
+func TestLLCClone(t *testing.T) {
+	l := MustNewLLC(LLCConfig{SizeBytes: 4096, Ways: 2, LineBytes: 64}) // 32 sets
+	l.Access(0, true)
+	l.Access(0, false)
+	l.Access(32*64, false) // same set, second way
+	c := l.Clone()
+	if c.clock != l.clock || c.Hits() != 1 || c.Misses() != 2 || c.Writebacks() != 0 {
+		t.Fatalf("clone clock/hits/misses/writebacks = %d/%d/%d/%d, want %d/1/2/0",
+			c.clock, c.Hits(), c.Misses(), c.Writebacks(), l.clock)
+	}
+	// Line 0 is dirty and least recently used in both: a third line in
+	// the set evicts it with a writeback in the clone only.
+	if r := c.Access(64*64, false); !r.Miss || !r.HasWriteback || r.Writeback != 0 {
+		t.Fatalf("clone access = %+v, want a miss writing back line 0", r)
+	}
+	if l.Misses() != 2 || l.Writebacks() != 0 || l.clock == c.clock {
+		t.Fatalf("accessing the clone changed the source: misses %d, writebacks %d", l.Misses(), l.Writebacks())
+	}
+	if l.Access(0, false).Miss {
+		t.Fatal("line 0 left the source when the clone evicted it")
+	}
+	if !c.Access(0, false).Miss {
+		t.Fatal("line 0 came back to the clone when the source touched it")
+	}
+}

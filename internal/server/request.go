@@ -17,6 +17,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	fgnvm "repro"
 	"repro/internal/trace"
@@ -166,6 +167,11 @@ func (r Figure4Request) normalize() (Figure4Request, fgnvm.ExperimentParams, err
 	if err := checkBenchmarks(r.Benchmarks...); err != nil {
 		return r, fgnvm.ExperimentParams{}, err
 	}
+	for i, b := range r.Benchmarks {
+		if slices.Contains(r.Benchmarks[:i], b) {
+			return r, fgnvm.ExperimentParams{}, fmt.Errorf("benchmark %q listed twice", b)
+		}
+	}
 	p := fgnvm.ExperimentParams{
 		Instructions: r.Instructions,
 		Seed:         r.Seed,
@@ -179,6 +185,12 @@ func (r Figure4Request) cacheKey() string {
 	r.Parallel, r.TimeoutMS = 0, 0
 	return hashKey("figure4", r)
 }
+
+// maxSweepValues bounds one sweep's points. Each point is two
+// simulations (the design and its baseline), and without a bound a
+// 1 MiB body could ask for half a million of them. No built-in axis
+// default has more than 6 values.
+const maxSweepValues = 64
 
 // SweepRequest is the body of POST /v1/sweep, mirroring
 // fgnvm.SweepParams.
@@ -207,6 +219,9 @@ func (r SweepRequest) normalize() (SweepRequest, fgnvm.SweepParams, error) {
 	}
 	if len(r.Values) == 0 {
 		r.Values = ax.Default
+	}
+	if len(r.Values) > maxSweepValues {
+		return r, fgnvm.SweepParams{}, fmt.Errorf("%d sweep values, want at most %d", len(r.Values), maxSweepValues)
 	}
 	if r.Design == "" {
 		r.Design = fgnvm.DesignFgNVM.String()

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -337,12 +338,23 @@ func TestBadRequests(t *testing.T) {
 		{"warm-up past the cap", "/v1/run", `{"benchmark":"mcf","warmup_accesses":4611686018427387904}`},
 		{"unknown axis", "/v1/sweep", `{"axis":"voltage"}`},
 		{"figure4 bad bench", "/v1/figure4", `{"benchmarks":["nope"]}`},
+		{"figure4 duplicate bench", "/v1/figure4", `{"benchmarks":["mcf","lbm","mcf"],"instructions":1000}`},
+		{"too many sweep values", "/v1/sweep", `{"axis":"rob","instructions":1000,"values":[` + robValues(maxSweepValues+1) + `]}`},
 	} {
 		resp, b := postJSON(t, ts.URL+tc.path, tc.body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (body %s)", tc.name, resp.StatusCode, b)
 		}
 	}
+}
+
+// robValues lists n distinct valid reorder-buffer sizes as JSON numbers.
+func robValues(n int) string {
+	vs := make([]string, n)
+	for i := range vs {
+		vs[i] = strconv.Itoa(64 + i)
+	}
+	return strings.Join(vs, ",")
 }
 
 // TestHealthz sanity-checks the liveness endpoint.

@@ -9,7 +9,7 @@ import (
 // synthAccesses builds a deterministic access slice from a seed using
 // the package's own SplitMix64 — the property-test input generator.
 func synthAccesses(seed uint64, n int) []Access {
-	r := newRNG(seed)
+	r := rng{state: seed}
 	out := make([]Access, n)
 	for i := range out {
 		out[i] = Access{

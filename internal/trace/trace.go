@@ -93,8 +93,6 @@ func ProfileByName(name string) (Profile, bool) {
 // rng is a SplitMix64 generator: tiny, fast, and identical everywhere.
 type rng struct{ state uint64 }
 
-func newRNG(seed uint64) *rng { return &rng{state: seed} }
-
 func (r *rng) next() uint64 {
 	r.state += 0x9e3779b97f4a7c15
 	z := r.state
@@ -116,25 +114,25 @@ func (r *rng) intn(n uint64) uint64 {
 	return r.next() % n
 }
 
-// Generator synthesizes an infinite access stream from a Profile.
+// Generator synthesizes an infinite access stream from a Profile. Its
+// whole state is plain values, so Clone is one struct copy.
 type Generator struct {
 	p         Profile
-	r         *rng
+	r         rng
 	lineBytes uint64
-	rowBytes  uint64
 	cur       uint64 // current address cursor
 	meanGap   float64
 }
 
-// NewGenerator builds a deterministic generator. lineBytes and rowBytes
-// shape the sequential-walk pattern: a "sequential" access advances one
-// line and wraps row-locality jumps on row boundaries.
+// NewGenerator builds a deterministic generator. lineBytes is the step
+// of the sequential walk: a "sequential" access advances one line.
+// rowBytes is unused: the stream does not depend on the memory's row
+// size, so every design of a benchmark sees the same accesses.
 func NewGenerator(p Profile, lineBytes, rowBytes int, seed uint64) *Generator {
 	g := &Generator{
 		p:         p,
-		r:         newRNG(seed ^ hashName(p.Name)),
+		r:         rng{state: seed ^ hashName(p.Name)},
 		lineBytes: uint64(lineBytes),
-		rowBytes:  uint64(rowBytes),
 	}
 	// Mean instructions between accesses so that the stream averages
 	// APKI accesses per 1000 instructions.
@@ -146,6 +144,13 @@ func NewGenerator(p Profile, lineBytes, rowBytes int, seed uint64) *Generator {
 	}
 	g.cur = g.randomLine()
 	return g
+}
+
+// Clone returns an independent copy that continues the stream exactly
+// where g stands, without advancing g.
+func (g *Generator) Clone() *Generator {
+	c := *g
+	return &c
 }
 
 func hashName(s string) uint64 {

@@ -265,8 +265,55 @@ func TestTraceFormatRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestGeneratorIgnoresRowBytes: the stream depends on the profile, the
+// line size and the seed only, so designs with different row sizes (the
+// many-banks design has smaller rows) see the same accesses.
+func TestGeneratorIgnoresRowBytes(t *testing.T) {
+	p, _ := ProfileByName("mcf")
+	g1 := NewGenerator(p, 64, 4096, 3)
+	g2 := NewGenerator(p, 64, 256, 3)
+	for i := 0; i < 1000; i++ {
+		a1, _ := g1.Next()
+		a2, _ := g2.Next()
+		if a1 != a2 {
+			t.Fatalf("access %d differs across row sizes: %+v vs %+v", i, a1, a2)
+		}
+	}
+}
+
+// TestGeneratorClone: a clone continues exactly like its original, and
+// drawing from the clone does not advance the original.
+func TestGeneratorClone(t *testing.T) {
+	p, _ := ProfileByName("lbm")
+	g := NewGenerator(p, 64, 4096, 5)
+	ref := NewGenerator(p, 64, 4096, 5)
+	for i := 0; i < 100; i++ {
+		g.Next()
+		ref.Next()
+	}
+	c := g.Clone()
+	for i := 0; i < 1000; i++ {
+		a, _ := c.Next()
+		want, _ := ref.Next()
+		if a != want {
+			t.Fatalf("clone access %d = %+v, want %+v", i, a, want)
+		}
+	}
+	ref = NewGenerator(p, 64, 4096, 5)
+	for i := 0; i < 100; i++ {
+		ref.Next()
+	}
+	for i := 0; i < 1000; i++ {
+		a, _ := g.Next()
+		want, _ := ref.Next()
+		if a != want {
+			t.Fatalf("original access %d = %+v after cloning, want %+v", i, a, want)
+		}
+	}
+}
+
 func TestSplitMixDistribution(t *testing.T) {
-	r := newRNG(1)
+	r := rng{state: 1}
 	var sum float64
 	const n = 100000
 	for i := 0; i < n; i++ {
