@@ -77,3 +77,50 @@ func TestGoldenFigure5(t *testing.T) {
 	}
 	checkGolden(t, "figure5.json", fig)
 }
+
+// TestStallBreakdownGolden pins the stall-attribution buckets and the
+// per-tile occupancy matrix. The figure goldens never attach
+// telemetry, so without this a change to the bank's stall classifiers
+// that keeps every bucket summing to QueuedWaitCycles would pass
+// unnoticed. The runs cover every design on every benchmark, the
+// per-mode FgNVM ablations, FCFS, and a 2-channel 2-core SALP system.
+func TestStallBreakdownGolden(t *testing.T) {
+	type entry struct {
+		Run           string
+		Stalls        *StallBreakdown
+		TileOccupancy [][]uint64
+	}
+	modes := []struct {
+		name string
+		set  AccessModeSet
+	}{
+		{"none", AccessModeSet{}},
+		{"BW", AccessModeSet{BackgroundedWrites: true}},
+		{"MA", AccessModeSet{MultiActivation: true}},
+		{"PA", AccessModeSet{PartialActivation: true}},
+		{"PA+BW", AccessModeSet{PartialActivation: true, BackgroundedWrites: true}},
+	}
+	tel := &TelemetryOptions{Attribution: true, Occupancy: true}
+	var got []entry
+	run := func(name string, o Options) {
+		o.Instructions = goldenInstr
+		o.Telemetry = tel
+		res, err := Run(o)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got = append(got, entry{name, res.Stalls, res.TileOccupancy})
+	}
+	for _, b := range Benchmarks() {
+		for _, d := range Designs() {
+			run(b+"/"+d.String(), Options{Design: d, Benchmark: b})
+		}
+		for _, m := range modes {
+			set := m.set
+			run(b+"/FgNVM/modes="+m.name, Options{Design: DesignFgNVM, Benchmark: b, Modes: &set})
+		}
+		run(b+"/FgNVM/FCFS", Options{Design: DesignFgNVM, Benchmark: b, Scheduler: SchedFCFS})
+		run(b+"/SALP/2ch-2core", Options{Design: DesignSALP, Benchmark: b, Cores: 2, Geometry: multiChannelGeom(2)})
+	}
+	checkGolden(t, "stalls.json", got)
+}

@@ -77,8 +77,8 @@ type Config struct {
 	Energy     *energy.Model // optional
 
 	// Telemetry, when non-nil, receives command spans from every bank,
-	// request lifecycle events, and one stall-attribution event per
-	// queued request per cycle (see internal/telemetry). Nil disables
+	// request lifecycle events, and one Stall(cause, n) call per queued
+	// request per cycle (see internal/telemetry). Nil disables
 	// all hooks; the disabled path adds no allocations (guarded by a
 	// testing.AllocsPerRun regression test).
 	Telemetry telemetry.Sink
@@ -310,20 +310,20 @@ func (s *shard) enqueue(r *mem.Request, now sim.Tick) bool {
 			r.MarkIssued(now)
 			s.st.ForwardedReads.Inc()
 			if s.tel != nil {
-				s.telRequest(telemetry.ReqEnqueued, r, now)
-				s.telRequest(telemetry.ReqIssued, r, now)
+				telRequest(s.tel, telemetry.ReqEnqueued, r, now)
+				telRequest(s.tel, telemetry.ReqIssued, r, now)
 			}
 			s.eng.ScheduleArg(now+1, s.finishReadFn, r)
 			return true
 		}
 		if !s.readQ.Push(r) {
 			if s.tel != nil {
-				s.telStallQueueFull(r, now)
+				s.tel.Stall(telemetry.StallQueueFull, 1)
 			}
 			return false
 		}
 		if s.tel != nil {
-			s.telRequest(telemetry.ReqEnqueued, r, now)
+			telRequest(s.tel, telemetry.ReqEnqueued, r, now)
 		}
 		return true
 	}
@@ -341,40 +341,29 @@ func (s *shard) enqueue(r *mem.Request, now sim.Tick) bool {
 		r.MarkIssued(now)
 		s.st.CoalescedWrites.Inc()
 		if s.tel != nil {
-			s.telRequest(telemetry.ReqEnqueued, r, now)
-			s.telRequest(telemetry.ReqIssued, r, now)
+			telRequest(s.tel, telemetry.ReqEnqueued, r, now)
+			telRequest(s.tel, telemetry.ReqIssued, r, now)
 		}
 		s.eng.ScheduleArg(now+1, s.finishWriteFn, r)
 		return true
 	}
 	if !s.writeQ.Push(r) {
 		if s.tel != nil {
-			s.telStallQueueFull(r, now)
+			s.tel.Stall(telemetry.StallQueueFull, 1)
 		}
 		return false
 	}
 	if s.tel != nil {
-		s.telRequest(telemetry.ReqEnqueued, r, now)
+		telRequest(s.tel, telemetry.ReqEnqueued, r, now)
 	}
 	return true
 }
 
-// telRequest emits one request lifecycle event. Callers guard with an
-// s.tel nil check to keep the disabled path branch-only.
-func (s *shard) telRequest(phase telemetry.RequestPhase, r *mem.Request, now sim.Tick) {
-	s.tel.Request(telemetry.RequestEvent{
-		Phase: phase, ID: r.ID, Write: r.Op == mem.Write,
-		Loc: r.Loc, Now: now, Arrive: r.Arrive,
-	})
-}
-
-// telStallQueueFull attributes one rejected enqueue attempt. The
-// request is not in a queue, so these cycles sit outside the
-// queued-wait conservation sum.
-func (s *shard) telStallQueueFull(r *mem.Request, now sim.Tick) {
-	s.tel.Stall(telemetry.StallEvent{
-		ReqID: r.ID, Write: r.Op == mem.Write, Loc: r.Loc,
-		Cause: telemetry.StallQueueFull, Now: now,
+// telRequest emits one request lifecycle event to tel. Callers guard
+// with a nil check to keep the disabled path branch-only.
+func telRequest(tel telemetry.Sink, phase telemetry.RequestPhase, r *mem.Request, now sim.Tick) {
+	tel.Request(telemetry.RequestEvent{
+		Phase: phase, ID: r.ID, Write: r.Op == mem.Write, Loc: r.Loc, Now: now,
 	})
 }
 
@@ -383,12 +372,6 @@ func (c *Controller) Pending() int { return c.inflight }
 
 // Drained reports whether no request is queued or in flight.
 func (c *Controller) Drained() bool { return c.inflight == 0 }
-
-// ReadQueueLen returns the read queue depth for a channel.
-func (c *Controller) ReadQueueLen(ch int) int { return c.shards[ch].readQ.Len() }
-
-// WriteQueueLen returns the write queue depth for a channel.
-func (c *Controller) WriteQueueLen(ch int) int { return c.shards[ch].writeQ.Len() }
 
 // Cycle performs one controller clock of scheduling work across all
 // channels and returns the number of commands issued (activations,
@@ -427,33 +410,23 @@ func (s *shard) cycle(now sim.Tick) int {
 }
 
 // attributeStalls classifies every request still queued after this
-// cycle's scheduling, emitting exactly one StallEvent per request — the
+// cycle's scheduling, making exactly one Stall call per request — the
 // conservation invariant the stall-attribution engine relies on (sum of
-// attributed causes == QueuedWaitCycles). Each event carries weight n:
+// attributed causes == QueuedWaitCycles). Each call carries weight n:
 // the per-cycle path passes 1, the fast-forward path passes the width
 // of a window over which it has proved the classification constant. It
-// returns the number of events emitted so the tagged build can assert
+// returns the number of calls made so the tagged build can assert
 // conservation.
 func (s *shard) attributeStalls(now sim.Tick, n uint64) int {
 	emitted := 0
 	s.readQ.Scan(func(_ int, r *mem.Request) bool {
 		emitted++
-		b := s.bankOf(r)
-		s.tel.Stall(telemetry.StallEvent{
-			ReqID: r.ID, Loc: r.Loc,
-			SAG: b.SAGOf(r.Loc.Row), CD: b.CDOf(r.Loc.Col),
-			Cause: s.classifyReadStall(r, b, now), Now: now, N: n,
-		})
+		s.tel.Stall(s.classifyReadStall(r, s.bankOf(r), now), n)
 		return true
 	})
 	s.writeQ.Scan(func(_ int, w *mem.Request) bool {
 		emitted++
-		b := s.bankOf(w)
-		s.tel.Stall(telemetry.StallEvent{
-			ReqID: w.ID, Write: true, Loc: w.Loc,
-			SAG: b.SAGOf(w.Loc.Row), CD: b.CDOf(w.Loc.Col),
-			Cause: s.classifyWriteStall(w, b, now), Now: now, N: n,
-		})
+		s.tel.Stall(s.classifyWriteStall(w, s.bankOf(w), now), n)
 		return true
 	})
 	return emitted
@@ -541,9 +514,11 @@ func (s *shard) schedule(now sim.Tick) int {
 // the high watermark and runs down to the low watermark, so writes pay
 // their tile-blocking cost in batches rather than one at a time in the
 // middle of read bursts. With Backgrounded Writes the threshold is the
-// full queue — deferring writes is nearly free there because a
-// draining write blocks one tile instead of the bank, so the queue is
-// allowed to back up further before the batch starts.
+// full queue, whatever the geometry: the mode moves the watermark, not
+// the number of tiles a write blocks. On a 1×1 bank a backgrounded
+// write still blocks the whole bank, so there the later start is a
+// drain-policy difference from the baseline, not tile parallelism (see
+// DESIGN.md, "Write-drain watermark").
 func (s *shard) updateDrain() {
 	if s.drain {
 		if s.writeQ.Len() <= s.cfg.WriteLowWM {
@@ -629,7 +604,7 @@ func (s *shard) tryIssueRead(now sim.Tick, mayActivate bool) (bool, bool) {
 				s.hitSeen[r] = true
 			}
 			if s.tel != nil {
-				s.telRequest(telemetry.ReqIssued, r, now)
+				telRequest(s.tel, telemetry.ReqIssued, r, now)
 			}
 		}
 		b.Activate(r.Loc.Row, r.Loc.Col, now)
@@ -678,7 +653,7 @@ func (s *shard) issueColumnRead(r *mem.Request, b *core.Bank, lane, qi int, now 
 		r.MarkIssued(now)
 		s.hitSeen[r] = true // ready without us ever activating for it
 		if s.tel != nil {
-			s.telRequest(telemetry.ReqIssued, r, now)
+			telRequest(s.tel, telemetry.ReqIssued, r, now)
 		}
 	}
 	if s.hitSeen[r] {
@@ -714,7 +689,7 @@ func (c *Controller) finishRead(t sim.Tick, arg any) {
 	c.st.ReadLatencyHist.Observe(uint64(r.Latency()))
 	c.inflight--
 	if c.tel != nil {
-		c.telRequest(telemetry.ReqCompleted, r, t)
+		telRequest(c.tel, telemetry.ReqCompleted, r, t)
 	}
 }
 
@@ -726,16 +701,8 @@ func (c *Controller) finishWrite(t sim.Tick, arg any) {
 	c.st.WriteLatency.Observe(float64(w.Latency()))
 	c.inflight--
 	if c.tel != nil {
-		c.telRequest(telemetry.ReqCompleted, w, t)
+		telRequest(c.tel, telemetry.ReqCompleted, w, t)
 	}
-}
-
-// telRequest is the lifecycle emitter used by the completion callbacks.
-func (c *Controller) telRequest(phase telemetry.RequestPhase, r *mem.Request, now sim.Tick) {
-	c.tel.Request(telemetry.RequestEvent{
-		Phase: phase, ID: r.ID, Write: r.Op == mem.Write,
-		Loc: r.Loc, Now: now, Arrive: r.Arrive,
-	})
 }
 
 // tryIssueWrite issues at most one line write, returning whether one
@@ -806,7 +773,7 @@ func (s *shard) tryIssueWrite(now sim.Tick) bool {
 	done := b.Write(w.Loc.Row, w.Loc.Col, now)
 	s.busUse[lane] = now + s.cfg.Tim.TCWD + s.cfg.Tim.TBURST
 	if s.tel != nil {
-		s.telRequest(telemetry.ReqIssued, w, now)
+		telRequest(s.tel, telemetry.ReqIssued, w, now)
 		s.tel.Command(telemetry.Command{
 			Kind: telemetry.CmdBus,
 			Bank: telemetry.BankID{Channel: w.Loc.Channel, Rank: w.Loc.Rank, Bank: w.Loc.Bank},
@@ -919,7 +886,7 @@ func (s *shard) channelNextWork(now sim.Tick) sim.Tick {
 // stall classification equal to its value at now throughout. The
 // per-cycle work therefore reduces to multiplication: the queued-wait
 // counter advances by n times its per-cycle increment, and stall
-// attribution emits one weighted event per queued request.
+// attribution makes one weighted Stall call per queued request.
 // Background energy needs no crediting here — the energy model
 // integrates elapsed ticks exactly on the next Cycle.
 func (c *Controller) SkipCycles(now sim.Tick, n uint64) {
@@ -950,18 +917,14 @@ func (s *shard) skipCycles(now sim.Tick, n uint64) {
 
 // SkipRejects batch-credits n futile enqueue retries of r (one per
 // skipped tick): the reference loop would have re-attempted Enqueue
-// each cycle and emitted one StallQueueFull event per rejection. The
-// caller guarantees WouldAccept(r) is false for the whole window. Only
-// telemetry observes rejections, so with no sink this is a no-op.
+// each cycle and attributed one StallQueueFull cycle per rejection.
+// The caller guarantees WouldAccept(r) is false for the whole window.
+// Only telemetry observes rejections, so with no sink this is a no-op.
 func (c *Controller) SkipRejects(r *mem.Request, now sim.Tick, n uint64) {
 	if n == 0 || c.tel == nil {
 		return
 	}
-	loc := c.mapper.Decode(r.Addr)
-	c.tel.Stall(telemetry.StallEvent{
-		ReqID: r.ID, Write: r.Op == mem.Write, Loc: loc,
-		Cause: telemetry.StallQueueFull, Now: now, N: n,
-	})
+	c.tel.Stall(telemetry.StallQueueFull, n)
 }
 
 // writeClobbersPendingRead reports whether issuing w would invalidate a

@@ -235,56 +235,23 @@ func (b *Bank) NeedsActivate(row, col int, now sim.Tick) bool {
 
 // SegmentOpen reports whether the segment holding (row, col) has been
 // sensed and its wordline latch still selects that row (ignoring whether
-// sensing has finished; see SegmentReadyAt).
+// sensing has finished; see NeedsActivate).
 func (b *Bank) SegmentOpen(row, col int) bool {
 	s, c := b.sag(row), b.cd(col)
 	return b.openRow[s] == row && b.openSeg[s][c] == row
 }
 
-// SegmentReadyAt returns when the sensed data for (row, col) becomes
-// usable. Only meaningful if SegmentOpen is true.
-func (b *Bank) SegmentReadyAt(row, col int) sim.Tick {
-	return b.segReady[b.sag(row)][b.cd(col)]
-}
-
 // CanActivate reports whether an activation targeting (row, col) may
 // issue at time now under the conflict rules.
 func (b *Bank) CanActivate(row, col int, now sim.Tick) bool {
-	s := b.sag(row)
-	if b.openRow[s] == row && b.openSeg[s][b.cd(col)] == row && now < b.segReady[s][b.cd(col)] {
+	s, c := b.sag(row), b.cd(col)
+	if b.openRow[s] == row && b.openSeg[s][c] == row && now < b.segReady[s][c] {
 		// The target segment is already being sensed: a second
 		// activation would only restart the sense and delay the data.
 		return false
 	}
-	if b.openRow[s] == row {
-		// The SAG's wordline already selects this row: sensing another
-		// segment of the same row needs no new row selection and may
-		// overlap in-flight senses of this row — only an in-flight
-		// write in the SAG blocks it.
-		if now < b.sagWrite[s] {
-			return false
-		}
-	} else if now < b.sagBusy[s] {
-		return false // rule 3: a new wordline needs the SAG quiet
-	}
-	if !b.modes.MultiActivation && now < b.bankBusy {
-		return false // no intra-bank parallelism in the baseline
-	}
-	if b.modes.LocalSenseAmps {
-		// DRAM-SALP: sensing happens in the subarray's own amplifiers
-		// and never contends for the bank-edge column path.
-		return true
-	}
-	if b.modes.PartialActivation {
-		return now >= b.cdBusy[b.cd(col)] // rule 2
-	}
-	// Full-row activation senses every CD: all must be free.
-	for c := range b.cdBusy {
-		if now < b.cdBusy[c] {
-			return false
-		}
-	}
-	return true
+	_, blocked := b.activationBlocker(s, c, row, now)
+	return !blocked
 }
 
 // SenseOccupancy returns how long an activation holds its SAG and
@@ -435,36 +402,14 @@ func (b *Bank) Read(row, col int, now sim.Tick) sim.Tick {
 }
 
 // CanWrite reports whether a line write targeting (row, col) may issue
-// at now. A write needs its SAG's wordline and its CD's write drivers;
-// with BackgroundedWrites off it also needs the whole bank idle.
+// at now: no conflict rule blocks it (see WriteStallCause) and tCCD
+// spacing on its CD's column path is respected.
 func (b *Bank) CanWrite(row, col int, now sim.Tick) bool {
-	s, c := b.sag(row), b.cd(col)
-	if now < b.sagBusy[s] || now < b.cdBusy[c] {
+	c := b.cd(col)
+	if _, blocked := b.writeBlocker(b.sag(row), c, now); blocked {
 		return false
 	}
-	if !b.modes.BackgroundedWrites {
-		// Baseline: a write serializes the bank. It must wait for every
-		// in-flight operation and blocks everything until done.
-		for i := range b.sagBusy {
-			if now < b.sagBusy[i] {
-				return false
-			}
-		}
-		for i := range b.cdBusy {
-			if now < b.cdBusy[i] {
-				return false
-			}
-		}
-		if now < b.bankBusy {
-			return false
-		}
-	} else if !b.modes.MultiActivation && now < b.bankBusy {
-		return false
-	}
-	if now < b.colReady[c] {
-		return false // column-path spacing on this CD
-	}
-	return true
+	return now >= b.colReady[c]
 }
 
 // Write issues a line write at now; panics if CanWrite is false.
@@ -603,10 +548,6 @@ func (b *Bank) busyAnywhere(now sim.Tick) bool {
 	return false
 }
 
-// BusyAnywhere is the exported view of busyAnywhere, used by the
-// controller to count reads issued under a backgrounded write.
-func (b *Bank) BusyAnywhere(now sim.Tick) bool { return b.busyAnywhere(now) }
-
 // Activations returns the number of activation commands issued.
 func (b *Bank) Activations() uint64 { return b.acts }
 
@@ -632,27 +573,31 @@ func (b *Bank) CDOf(col int) int { return b.cd(col) }
 // means no bank resource is in the way: the segment is ready (the
 // remaining blockers — shared bus, tCCD pacing, scheduling — belong to
 // the controller), or the request's own activation is still sensing
-// (service, not a stall).
-//
-// Precedence mirrors the conflict rules: in-flight writes first (rule
-// 4), then SAG wordline serialization (rule 3), then CD sense-path
-// serialization (rule 2). Whole-bank serialization in the
-// non-Multi-Activation modes is attributed to the operation occupying
-// the bank: a write in flight → write-drain, otherwise → SAG conflict
-// (the single wordline/sense path is what the baseline serializes on).
+// (service, not a stall). A closed segment is classified by the
+// activation rules CanActivate applies.
 func (b *Bank) ReadStallCause(row, col int, now sim.Tick) (cause telemetry.StallCause, blocked bool) {
 	s, c := b.sag(row), b.cd(col)
-	if b.SegmentOpen(row, col) {
-		if now < b.segReady[s][c] {
-			return 0, false // own sense in flight: service, not a stall
-		}
-		if now < b.cdWrite[c] {
-			return telemetry.StallWriteDrain, true
-		}
-		return 0, false // device-ready (bus/tCCD are controller-side)
+	if !b.SegmentOpen(row, col) {
+		return b.activationBlocker(s, c, row, now)
 	}
-	// The segment must be (re)sensed: attribute whatever blocks the
-	// activation.
+	if now < b.segReady[s][c] {
+		return 0, false // own sense in flight: service, not a stall
+	}
+	if now < b.cdWrite[c] {
+		return telemetry.StallWriteDrain, true
+	}
+	return 0, false // device-ready (bus/tCCD are controller-side)
+}
+
+// activationBlocker names the first conflict rule that keeps an
+// activation of row in SAG s through CD c from issuing at now, or
+// reports blocked=false. Precedence mirrors the rules: in-flight
+// writes first (rule 4), then SAG wordline serialization (rule 3),
+// then whole-bank serialization without Multi-Activation, then CD
+// sense-path serialization (rule 2). A row the SAG's wordline already
+// selects needs no new row selection, so only a write in the SAG
+// blocks it there.
+func (b *Bank) activationBlocker(s, c, row int, now sim.Tick) (telemetry.StallCause, bool) {
 	if now < b.sagWrite[s] {
 		return telemetry.StallWriteDrain, true
 	}
@@ -660,38 +605,60 @@ func (b *Bank) ReadStallCause(row, col int, now sim.Tick) (cause telemetry.Stall
 		return telemetry.StallSAGConflict, true
 	}
 	if !b.modes.MultiActivation && now < b.bankBusy {
-		if b.WriteInFlight(now) {
-			return telemetry.StallWriteDrain, true
-		}
-		return telemetry.StallSAGConflict, true
+		return b.bankBlocker(now), true
 	}
-	if !b.modes.LocalSenseAmps {
-		if b.modes.PartialActivation {
-			if now < b.cdWrite[c] {
-				return telemetry.StallWriteDrain, true
-			}
-			if now < b.cdBusy[c] {
-				return telemetry.StallCDConflict, true
-			}
-		} else {
-			for i := range b.cdBusy {
-				if now < b.cdWrite[i] {
-					return telemetry.StallWriteDrain, true
-				}
-				if now < b.cdBusy[i] {
-					return telemetry.StallCDConflict, true
-				}
-			}
+	if b.modes.LocalSenseAmps {
+		// DRAM-SALP: sensing happens in the subarray's own amplifiers
+		// and never contends for the bank-edge column path.
+		return 0, false
+	}
+	if b.modes.PartialActivation {
+		return b.cdBlocker(c, now)
+	}
+	// Full-row activation senses every CD: all must be free.
+	for i := range b.cdBusy {
+		if cause, blocked := b.cdBlocker(i, now); blocked {
+			return cause, true
 		}
 	}
 	return 0, false
 }
 
+// cdBlocker classifies CD c's bank-edge sense path at now: write
+// drivers first, then an in-flight sense.
+func (b *Bank) cdBlocker(c int, now sim.Tick) (telemetry.StallCause, bool) {
+	if now < b.cdWrite[c] {
+		return telemetry.StallWriteDrain, true
+	}
+	if now < b.cdBusy[c] {
+		return telemetry.StallCDConflict, true
+	}
+	return 0, false
+}
+
+// bankBlocker attributes whole-bank serialization to the operation
+// occupying the bank: a write in flight → write-drain, otherwise → SAG
+// conflict (the single wordline/sense path is what the baseline
+// serializes on).
+func (b *Bank) bankBlocker(now sim.Tick) telemetry.StallCause {
+	if b.WriteInFlight(now) {
+		return telemetry.StallWriteDrain
+	}
+	return telemetry.StallSAGConflict
+}
+
 // WriteStallCause is ReadStallCause's analogue for a line write of
-// (row, col): a write needs its SAG's wordline and its CD's write
-// drivers (the whole bank without Backgrounded Writes).
+// (row, col).
 func (b *Bank) WriteStallCause(row, col int, now sim.Tick) (cause telemetry.StallCause, blocked bool) {
-	s, c := b.sag(row), b.cd(col)
+	return b.writeBlocker(b.sag(row), b.cd(col), now)
+}
+
+// writeBlocker names the first conflict rule that keeps a write in SAG
+// s through CD c from issuing at now, or reports blocked=false. A
+// write needs its SAG's wordline and its CD's write drivers (every SAG
+// and CD without Backgrounded Writes), and the bank itself when writes
+// or senses serialize it.
+func (b *Bank) writeBlocker(s, c int, now sim.Tick) (telemetry.StallCause, bool) {
 	classify := func(i, j int) (telemetry.StallCause, bool) {
 		if now < b.sagWrite[i] || now < b.cdWrite[j] {
 			return telemetry.StallWriteDrain, true
@@ -717,10 +684,7 @@ func (b *Bank) WriteStallCause(row, col int, now sim.Tick) (cause telemetry.Stal
 		}
 	}
 	if now < b.bankBusy && (!b.modes.BackgroundedWrites || !b.modes.MultiActivation) {
-		if b.WriteInFlight(now) {
-			return telemetry.StallWriteDrain, true
-		}
-		return telemetry.StallSAGConflict, true
+		return b.bankBlocker(now), true
 	}
 	return 0, false
 }

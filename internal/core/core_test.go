@@ -454,6 +454,56 @@ func TestRandomOperationInvariants(t *testing.T) {
 	}
 }
 
+// TestWriteTimersBoundedByBusyTimers checks the ordering CanActivate
+// and CanWrite rely on when they read only the blocked result of the
+// stall classifiers: every timer update keeps sagWrite <= sagBusy and
+// cdWrite <= cdBusy, so "write-driving" implies "busy" and the
+// classifiers' write-drain checks never block anything the busy checks
+// would not. Random walks over every mode combination.
+func TestWriteTimersBoundedByBusyTimers(t *testing.T) {
+	g := testGeom()
+	for m := 0; m < 16; m++ {
+		modes := AccessModes{
+			PartialActivation:  m&1 != 0,
+			MultiActivation:    m&2 != 0,
+			BackgroundedWrites: m&4 != 0,
+			LocalSenseAmps:     m&8 != 0,
+		}
+		rng := rand.New(rand.NewSource(int64(m)))
+		b := MustNewBank(Config{Geom: g, Tim: timing.Paper(), Modes: modes, WriteDrivers: 64})
+		now := sim.Tick(0)
+		for step := 0; step < 2000; step++ {
+			row, col := rng.Intn(8)*(g.Rows/8), rng.Intn(g.Cols)
+			switch rng.Intn(3) {
+			case 0:
+				// Like the controller, activate only what needs it.
+				if b.NeedsActivate(row, col, now) && b.CanActivate(row, col, now) {
+					b.Activate(row, col, now)
+				}
+			case 1:
+				if b.CanRead(row, col, now) {
+					b.Read(row, col, now)
+				}
+			case 2:
+				if b.CanWrite(row, col, now) {
+					b.Write(row, col, now)
+				}
+			}
+			for s := range b.sagBusy {
+				if b.sagWrite[s] > b.sagBusy[s] {
+					t.Fatalf("%+v step %d: SAG %d write timer %d past busy timer %d", modes, step, s, b.sagWrite[s], b.sagBusy[s])
+				}
+			}
+			for c := range b.cdBusy {
+				if b.cdWrite[c] > b.cdBusy[c] {
+					t.Fatalf("%+v step %d: CD %d write timer %d past busy timer %d", modes, step, c, b.cdWrite[c], b.cdBusy[c])
+				}
+			}
+			now += sim.Tick(rng.Intn(12))
+		}
+	}
+}
+
 // salpModes is the DRAM-SALP configuration: 1-D multi-activation with
 // per-subarray sense amplifiers.
 func salpModes() AccessModes {

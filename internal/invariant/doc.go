@@ -21,7 +21,7 @@
 //     device operations within one bank respect the paper's Section 4
 //     conflict rules, independently re-checked by TileTracker.
 //   - Stall-bucket conservation (internal/controller): the attribution
-//     pass emits exactly one StallEvent per queued request per cycle,
+//     pass makes exactly one Stall call per queued request per cycle,
 //     so the per-cause buckets sum to QueuedWaitCycles.
 //
 // TileTracker itself is compiled unconditionally (it panics directly

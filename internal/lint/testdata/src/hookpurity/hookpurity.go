@@ -20,8 +20,8 @@ func (s *GoodSink) Command(ev telemetry.Command) {
 	s.commands++
 	s.lastTick = ev.Start
 }
-func (s *GoodSink) Request(telemetry.RequestEvent) {}
-func (s *GoodSink) Stall(telemetry.StallEvent)     {}
+func (s *GoodSink) Request(telemetry.RequestEvent)     {}
+func (s *GoodSink) Stall(telemetry.StallCause, uint64) {}
 
 // BadSink writes package state and drives the engine: flagged twice.
 type BadSink struct {
@@ -32,8 +32,8 @@ func (s *BadSink) Command(telemetry.Command) {
 	globalEvents++                                    // want "package-level state"
 	s.eng.ScheduleArg(1, func(sim.Tick, any) {}, nil) // want "state-mutating"
 }
-func (s *BadSink) Request(telemetry.RequestEvent) {}
-func (s *BadSink) Stall(telemetry.StallEvent)     {}
+func (s *BadSink) Request(telemetry.RequestEvent)     {}
+func (s *BadSink) Stall(telemetry.StallCause, uint64) {}
 
 // Sampler has the sim.Hook signature, so its body is held to the same
 // rules even though it is not a Sink method.
@@ -70,7 +70,7 @@ func (s *RecyclingSink) Request(telemetry.RequestEvent) {
 	s.pool.Put(s.spare) // want "state-mutating"
 	s.spare.Reset()     // want "state-mutating"
 }
-func (s *RecyclingSink) Stall(telemetry.StallEvent) {}
+func (s *RecyclingSink) Stall(telemetry.StallCause, uint64) {}
 
 func installHooks(eng *sim.Engine) {
 	// Observation-only literal: allowed.

@@ -1,4 +1,4 @@
-// The stall-attribution engine: aggregates StallEvents into per-cause
+// The stall-attribution engine: aggregates stall calls into per-cause
 // totals.
 
 package telemetry
@@ -30,17 +30,10 @@ func (a *Attribution) Command(Command) {}
 // Request implements Sink (attribution ignores request lifecycles).
 func (a *Attribution) Request(RequestEvent) {}
 
-// Stall implements Sink. Events carry a cycle weight in N (0 means 1):
-// the fast-forward path batches a constant-classification window into
-// one weighted event, and weighting here keeps every total equal to
-// the cycle-by-cycle count.
-func (a *Attribution) Stall(ev StallEvent) {
-	n := ev.N
-	if n == 0 {
-		n = 1
-	}
-	a.causes[ev.Cause].Add(n)
-}
+// Stall implements Sink. The fast-forward path batches a
+// constant-classification window into one call of weight n, and
+// weighting here keeps every total equal to the cycle-by-cycle count.
+func (a *Attribution) Stall(cause StallCause, n uint64) { a.causes[cause].Add(n) }
 
 // Causes returns the per-cause attributed cycle totals.
 func (a *Attribution) Causes() [NumStallCauses]uint64 {

@@ -37,7 +37,7 @@ func (o *Occupancy) Command(ev Command) {
 func (o *Occupancy) Request(RequestEvent) {}
 
 // Stall implements Sink (occupancy ignores stalls).
-func (o *Occupancy) Stall(StallEvent) {}
+func (o *Occupancy) Stall(StallCause, uint64) {}
 
 // Matrix returns the [SAG][CD] busy-cycle matrix.
 func (o *Occupancy) Matrix() [][]uint64 {

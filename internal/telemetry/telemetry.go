@@ -135,41 +135,26 @@ const (
 
 // RequestEvent is one request lifecycle transition.
 type RequestEvent struct {
-	Phase  RequestPhase
-	ID     uint64
-	Write  bool
-	Loc    addr.Location
-	Now    sim.Tick
-	Arrive sim.Tick // set on ReqCompleted (for latency accounting)
+	Phase RequestPhase
+	ID    uint64
+	Write bool
+	Loc   addr.Location
+	Now   sim.Tick
 }
 
-// StallEvent attributes waiting cycles of one queued request to a
-// cause. One StallEvent is emitted per queued request per cycle it
-// remains queued after scheduling, plus one per rejected enqueue
-// attempt (StallQueueFull) — except across a fast-forwarded idle
-// window, where the controller proves the classification constant and
-// emits a single event with N carrying the cycle count. Consumers that
-// count cycles must weight by N (treating 0 as 1); the aggregate
-// totals are identical either way.
-type StallEvent struct {
-	ReqID   uint64
-	Write   bool
-	Loc     addr.Location
-	SAG, CD int
-	Cause   StallCause
-	Now     sim.Tick
-	// N is the number of cycles this event stands for. Zero means 1
-	// (the common cycle-by-cycle case leaves it unset).
-	N uint64
-}
-
-// Sink receives simulation events. Implementations must be cheap: the
-// controller calls Stall once per queued request per cycle when a sink
-// is attached. A nil Sink means telemetry is off.
+// Sink receives simulation events. A nil Sink means telemetry is off.
+//
+// Stall attributes n waiting cycles to cause. The controller calls it
+// once per queued request per cycle the request stays queued after
+// scheduling, and once per rejected enqueue attempt (StallQueueFull),
+// so implementations must be cheap. Across a fast-forwarded idle
+// window the controller proves each classification constant and
+// delivers the window as one call with n its cycle count; consumers
+// that count cycles must weight by n.
 type Sink interface {
 	Command(ev Command)
 	Request(ev RequestEvent)
-	Stall(ev StallEvent)
+	Stall(cause StallCause, n uint64)
 }
 
 // Fanout broadcasts events to several sinks in order.
@@ -190,9 +175,9 @@ func (f Fanout) Request(ev RequestEvent) {
 }
 
 // Stall implements Sink.
-func (f Fanout) Stall(ev StallEvent) {
+func (f Fanout) Stall(cause StallCause, n uint64) {
 	for _, s := range f {
-		s.Stall(ev)
+		s.Stall(cause, n)
 	}
 }
 

@@ -20,16 +20,16 @@ func testGeom() addr.Geometry {
 // countingSink counts calls per hook.
 type countingSink struct{ cmd, req, stall int }
 
-func (c *countingSink) Command(Command)      { c.cmd++ }
-func (c *countingSink) Request(RequestEvent) { c.req++ }
-func (c *countingSink) Stall(StallEvent)     { c.stall++ }
+func (c *countingSink) Command(Command)          { c.cmd++ }
+func (c *countingSink) Request(RequestEvent)     { c.req++ }
+func (c *countingSink) Stall(StallCause, uint64) { c.stall++ }
 
 func TestFanoutBroadcastsAndCompacts(t *testing.T) {
 	a, b := &countingSink{}, &countingSink{}
 	f := Fanout{a, b}
 	f.Command(Command{})
 	f.Request(RequestEvent{})
-	f.Stall(StallEvent{})
+	f.Stall(StallSAGConflict, 1)
 	for _, s := range []*countingSink{a, b} {
 		if s.cmd != 1 || s.req != 1 || s.stall != 1 {
 			t.Errorf("sink saw %d/%d/%d events, want 1/1/1", s.cmd, s.req, s.stall)
@@ -65,13 +65,12 @@ func TestStallCauseNames(t *testing.T) {
 
 func TestAttributionAggregates(t *testing.T) {
 	a := NewAttribution(testGeom())
-	// Request 1 stalls twice, request 2 once with a fast-forward weight
-	// of 4, and one queue-full rejection; lifecycle events carry no
-	// stall cycles.
-	a.Stall(StallEvent{ReqID: 1, SAG: 1, CD: 0, Cause: StallSAGConflict})
-	a.Stall(StallEvent{ReqID: 1, SAG: 1, CD: 0, Cause: StallBusConflict})
-	a.Stall(StallEvent{ReqID: 2, SAG: 3, CD: 1, Cause: StallWriteDrain, N: 4})
-	a.Stall(StallEvent{ReqID: 3, Cause: StallQueueFull})
+	// Two single cycles, one fast-forwarded window of weight 4, and one
+	// queue-full rejection; lifecycle events carry no stall cycles.
+	a.Stall(StallSAGConflict, 1)
+	a.Stall(StallBusConflict, 1)
+	a.Stall(StallWriteDrain, 4)
+	a.Stall(StallQueueFull, 1)
 	a.Request(RequestEvent{Phase: ReqCompleted, ID: 1})
 
 	causes := a.Causes()

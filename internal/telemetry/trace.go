@@ -192,7 +192,7 @@ func (t *Trace) Request(ev RequestEvent) {
 
 // Stall implements Sink (stall cycles are aggregated by Attribution;
 // emitting one event per stalled cycle would swamp the trace).
-func (t *Trace) Stall(StallEvent) {}
+func (t *Trace) Stall(StallCause, uint64) {}
 
 // EngineSample records the simulation kernel's pending-event count as
 // a counter track, at most once per tick. Wire it to sim.Engine's

@@ -35,10 +35,11 @@ type TelemetryOptions struct {
 	// Sink, when non-nil, additionally receives every raw event —
 	// the extension point for custom consumers. Event order is part of
 	// the simulator's determinism contract: within a tick, channels
-	// emit in ascending order. The idle-cycle fast-forward delivers
-	// skipped stretches as one cycle-weighted StallEvent batch instead
-	// of per-cycle events; disable fast-forward to get per-cycle
-	// emission. Sink callbacks run on the goroutine that called Run.
+	// emit in ascending order. Stall events arrive as Stall(cause, n):
+	// n is 1 per queued request per cycle, except that the idle-cycle
+	// fast-forward delivers a skipped stretch as one call per queued
+	// request with n the stretch's length; disable fast-forward to get
+	// only n = 1. Sink callbacks run on the goroutine that called Run.
 	Sink telemetry.Sink
 }
 
