@@ -23,7 +23,7 @@ type ExperimentParams struct {
 	Instructions uint64
 	// Seed for the workload generators (default 1).
 	Seed uint64
-	// Benchmarks to evaluate; nil means the full Figure 4 set.
+	// Benchmarks to evaluate; empty means the full Figure 4 set.
 	Benchmarks []string
 	// Parallel is the number of benchmarks simulated concurrently
 	// (default: GOMAXPROCS, capped at the benchmark count). Each
@@ -32,25 +32,38 @@ type ExperimentParams struct {
 	Parallel int
 }
 
-func (p *ExperimentParams) applyDefaults() {
+// Canonical validates p and returns it with its defaults made
+// explicit: 100 000 instructions, seed 1 and, when Benchmarks is empty,
+// the full Figure 4 set. Unknown benchmark names are an error that
+// names every one of them. Parallel is execution-only and passes
+// through unchanged.
+func (p ExperimentParams) Canonical() (ExperimentParams, error) {
 	if p.Instructions == 0 {
 		p.Instructions = 100_000
 	}
 	if p.Seed == 0 {
 		p.Seed = 1
 	}
-	if p.Benchmarks == nil {
+	if len(p.Benchmarks) == 0 {
 		p.Benchmarks = Benchmarks()
 	}
-	if p.Parallel == 0 {
-		p.Parallel = runtime.GOMAXPROCS(0)
+	var errs []error
+	for _, b := range p.Benchmarks {
+		errs = append(errs, checkBenchmark(b))
 	}
-	if p.Parallel > len(p.Benchmarks) {
-		p.Parallel = len(p.Benchmarks)
+	if err := errors.Join(errs...); err != nil {
+		return ExperimentParams{}, err
 	}
-	if p.Parallel < 1 {
-		p.Parallel = 1
+	return p, nil
+}
+
+// workers resolves a Parallel knob for n independent jobs: 0 means
+// GOMAXPROCS, and the result is capped at n and at least 1.
+func workers(parallel, n int) int {
+	if parallel == 0 {
+		parallel = runtime.GOMAXPROCS(0)
 	}
+	return max(1, min(parallel, n))
 }
 
 // forEach runs fn for every benchmark index on a bounded worker pool.
@@ -125,10 +138,13 @@ func Figure4(p ExperimentParams) (Figure4Result, error) {
 // Figure4Context is Figure4 with cancellation: ctx aborts in-flight
 // simulations and stops dispatching further benchmarks.
 func Figure4Context(ctx context.Context, p ExperimentParams) (Figure4Result, error) {
-	p.applyDefaults()
 	var out Figure4Result
+	p, err := p.Canonical()
+	if err != nil {
+		return out, err
+	}
 	out.Rows = make([]Figure4Row, len(p.Benchmarks))
-	err := forEach(ctx, p.Benchmarks, p.Parallel, func(i int, bench string) error {
+	err = forEach(ctx, p.Benchmarks, workers(p.Parallel, len(p.Benchmarks)), func(i int, bench string) error {
 		runOne := func(d Design) (Result, error) {
 			return RunContext(ctx, Options{
 				Design: d, SAGs: 8, CDs: 2,
@@ -210,10 +226,13 @@ func Figure5(p ExperimentParams) (Figure5Result, error) {
 // Figure5Context is Figure5 with cancellation: ctx aborts in-flight
 // simulations and stops dispatching further benchmarks.
 func Figure5Context(ctx context.Context, p ExperimentParams) (Figure5Result, error) {
-	p.applyDefaults()
 	var out Figure5Result
+	p, err := p.Canonical()
+	if err != nil {
+		return out, err
+	}
 	out.Rows = make([]Figure5Row, len(p.Benchmarks))
-	err := forEach(ctx, p.Benchmarks, p.Parallel, func(i int, bench string) error {
+	err = forEach(ctx, p.Benchmarks, workers(p.Parallel, len(p.Benchmarks)), func(i int, bench string) error {
 		base, err := RunContext(ctx, Options{
 			Design: DesignBaseline, Benchmark: bench,
 			Instructions: p.Instructions, Seed: p.Seed,
@@ -333,10 +352,13 @@ func StallStory(p ExperimentParams) (StallStoryResult, error) {
 // entry of p.Benchmarks is used (default "lbm", the write-heaviest
 // profile, where write-induced serialization is starkest).
 func StallStoryContext(ctx context.Context, p ExperimentParams) (StallStoryResult, error) {
-	if p.Benchmarks == nil {
+	if len(p.Benchmarks) == 0 {
 		p.Benchmarks = []string{"lbm"}
 	}
-	p.applyDefaults()
+	p, err := p.Canonical()
+	if err != nil {
+		return StallStoryResult{}, err
+	}
 	out := StallStoryResult{Benchmark: p.Benchmarks[0]}
 	noMA := &AccessModeSet{PartialActivation: true, BackgroundedWrites: true}
 	points := []struct {
@@ -350,7 +372,7 @@ func StallStoryContext(ctx context.Context, p ExperimentParams) (StallStoryResul
 		{"fgnvm-multiissue", DesignFgNVMMultiIssue, nil},
 	}
 	out.Rows = make([]StallStoryRow, len(points))
-	err := forEachN(ctx, len(points), min(p.Parallel, len(points)), func(i int) error {
+	err = forEachN(ctx, len(points), min(workers(p.Parallel, len(p.Benchmarks)), len(points)), func(i int) error {
 		pt := points[i]
 		r, err := RunContext(ctx, Options{
 			Design: pt.design, SAGs: 8, CDs: 2, Modes: pt.modes,

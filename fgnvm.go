@@ -510,12 +510,14 @@ func (o Options) Canonical() (Options, error) {
 		}
 		o.Workload = &w
 	case o.Benchmark != "" || len(o.Mix) > 0:
-		if _, ok := trace.ProfileByName(o.Benchmark); o.Benchmark != "" && !ok {
-			return Options{}, fmt.Errorf("fgnvm: unknown benchmark %q", o.Benchmark)
+		if o.Benchmark != "" {
+			if err := checkBenchmark(o.Benchmark); err != nil {
+				return Options{}, err
+			}
 		}
 		for _, name := range o.Mix {
-			if _, ok := trace.ProfileByName(name); !ok {
-				return Options{}, fmt.Errorf("fgnvm: unknown benchmark %q", name)
+			if err := checkBenchmark(name); err != nil {
+				return Options{}, err
 			}
 		}
 		if len(o.Mix) > 0 {
@@ -1061,6 +1063,14 @@ func runSerial(ctx context.Context, o Options, eng *sim.Engine, memsys memDevice
 		}
 	}
 	return now, nil
+}
+
+// checkBenchmark rejects a name that is not a built-in profile.
+func checkBenchmark(name string) error {
+	if _, ok := trace.ProfileByName(name); !ok {
+		return fmt.Errorf("fgnvm: unknown benchmark %q", name)
+	}
+	return nil
 }
 
 // Benchmarks returns the names of the built-in workload profiles in

@@ -26,6 +26,7 @@ type metrics struct {
 	rejected    atomic.Uint64 // 429s from a saturated pool
 	canceled    atomic.Uint64 // client cancellations and timeouts
 	errored     atomic.Uint64 // internal failures
+	panics      atomic.Uint64 // computations that panicked (also failures)
 
 	storeErrors        atomic.Uint64 // disk-store write failures (non-fatal)
 	shardFanouts       atomic.Uint64 // sweeps that fanned out to peers
@@ -71,6 +72,7 @@ func (m *metrics) writeTo(w io.Writer, queueDepth int, inflight int64) {
 	fmt.Fprintf(w, "fgnvm_rejected_total %d\n", m.rejected.Load())
 	fmt.Fprintf(w, "fgnvm_canceled_total %d\n", m.canceled.Load())
 	fmt.Fprintf(w, "fgnvm_errors_total %d\n", m.errored.Load())
+	fmt.Fprintf(w, "fgnvm_panics_total %d\n", m.panics.Load())
 	fmt.Fprintf(w, "fgnvm_queue_depth %d\n", queueDepth)
 	fmt.Fprintf(w, "fgnvm_inflight_runs %d\n", inflight)
 	fmt.Fprintf(w, "fgnvm_store_errors_total %d\n", m.storeErrors.Load())

@@ -20,7 +20,6 @@ import (
 	"slices"
 
 	fgnvm "repro"
-	"repro/internal/trace"
 )
 
 // RunRequest is the body of POST /v1/run: the JSON-serializable subset
@@ -53,20 +52,6 @@ type RunRequest struct {
 	// TimeoutMS bounds this request's wall-clock time. Execution-only:
 	// excluded from the cache key.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-}
-
-// checkBenchmarks validates profile names up front so typos become
-// HTTP 400s instead of mid-run failures.
-func checkBenchmarks(names ...string) error {
-	for _, n := range names {
-		if n == "" {
-			continue
-		}
-		if _, ok := trace.ProfileByName(n); !ok {
-			return fmt.Errorf("unknown benchmark %q", n)
-		}
-	}
-	return nil
 }
 
 // normalize validates the request and returns its canonical wire form
@@ -154,30 +139,25 @@ type Figure4Request struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
+// normalize canonicalizes the request through
+// fgnvm.ExperimentParams.Canonical and refuses a benchmark listed twice
+// (the figure would simulate it twice).
 func (r Figure4Request) normalize() (Figure4Request, fgnvm.ExperimentParams, error) {
-	if r.Instructions == 0 {
-		r.Instructions = 100_000
-	}
-	if r.Seed == 0 {
-		r.Seed = 1
-	}
-	if len(r.Benchmarks) == 0 {
-		r.Benchmarks = fgnvm.Benchmarks()
-	}
-	if err := checkBenchmarks(r.Benchmarks...); err != nil {
-		return r, fgnvm.ExperimentParams{}, err
-	}
-	for i, b := range r.Benchmarks {
-		if slices.Contains(r.Benchmarks[:i], b) {
-			return r, fgnvm.ExperimentParams{}, fmt.Errorf("benchmark %q listed twice", b)
-		}
-	}
-	p := fgnvm.ExperimentParams{
+	p, err := fgnvm.ExperimentParams{
 		Instructions: r.Instructions,
 		Seed:         r.Seed,
 		Benchmarks:   r.Benchmarks,
 		Parallel:     r.Parallel,
+	}.Canonical()
+	if err != nil {
+		return r, p, err
 	}
+	for i, b := range p.Benchmarks {
+		if slices.Contains(p.Benchmarks[:i], b) {
+			return r, p, fmt.Errorf("benchmark %q listed twice", b)
+		}
+	}
+	r.Instructions, r.Seed, r.Benchmarks = p.Instructions, p.Seed, p.Benchmarks
 	return r, p, nil
 }
 
@@ -209,55 +189,23 @@ type SweepRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-func (r SweepRequest) normalize() (SweepRequest, fgnvm.SweepParams, error) {
-	if r.Axis == "" {
-		r.Axis = "cds"
-	}
-	ax, err := fgnvm.SweepAxisByName(r.Axis)
+// normalize applies the wire defaults (axis cds, design fgnvm) and the
+// checks on outside input, then plans the sweep: fgnvm.PlanSweep owns
+// every other default and validation, and the canonical request is the
+// wire projection of the parameters it planned.
+func (r SweepRequest) normalize() (SweepRequest, fgnvm.SweepPlan, error) {
+	design, err := fgnvm.ParseDesign(cmp.Or(r.Design, fgnvm.DesignFgNVM.String()))
 	if err != nil {
-		return r, fgnvm.SweepParams{}, err
-	}
-	if len(r.Values) == 0 {
-		r.Values = ax.Default
+		return r, fgnvm.SweepPlan{}, err
 	}
 	if len(r.Values) > maxSweepValues {
-		return r, fgnvm.SweepParams{}, fmt.Errorf("%d sweep values, want at most %d", len(r.Values), maxSweepValues)
+		return r, fgnvm.SweepPlan{}, fmt.Errorf("%d sweep values, want at most %d", len(r.Values), maxSweepValues)
 	}
-	if r.Design == "" {
-		r.Design = fgnvm.DesignFgNVM.String()
+	if r.Workload != nil && r.Benchmark != "" {
+		return r, fgnvm.SweepPlan{}, fmt.Errorf("set either workload or benchmark, not both")
 	}
-	design, err := fgnvm.ParseDesign(r.Design)
-	if err != nil {
-		return r, fgnvm.SweepParams{}, err
-	}
-	r.Design = design.String()
-	if r.Workload != nil {
-		if r.Benchmark != "" {
-			return r, fgnvm.SweepParams{}, fmt.Errorf("set either workload or benchmark, not both")
-		}
-		canon, err := r.Workload.Canonical()
-		if err != nil {
-			return r, fgnvm.SweepParams{}, err
-		}
-		r.Workload = &canon
-	} else if r.Axis == "tiling" {
-		return r, fgnvm.SweepParams{}, fmt.Errorf("the tiling axis requires a workload")
-	} else {
-		if r.Benchmark == "" {
-			r.Benchmark = "mcf"
-		}
-		if err := checkBenchmarks(r.Benchmark); err != nil {
-			return r, fgnvm.SweepParams{}, err
-		}
-	}
-	if r.Instructions == 0 {
-		r.Instructions = 100_000
-	}
-	if r.Seed == 0 {
-		r.Seed = 1
-	}
-	p := fgnvm.SweepParams{
-		Axis:         r.Axis,
+	plan, err := fgnvm.PlanSweep(fgnvm.SweepParams{
+		Axis:         cmp.Or(r.Axis, "cds"),
 		Values:       r.Values,
 		Design:       design,
 		Benchmark:    r.Benchmark,
@@ -265,9 +213,23 @@ func (r SweepRequest) normalize() (SweepRequest, fgnvm.SweepParams, error) {
 		Seed:         r.Seed,
 		SkipLLC:      r.SkipLLC,
 		Workload:     r.Workload,
-		Parallel:     r.Parallel,
+	})
+	if err != nil {
+		return r, plan, err
 	}
-	return r, p, nil
+	p := plan.Params
+	return SweepRequest{
+		Axis:         p.Axis,
+		Values:       p.Values,
+		Design:       p.Design.String(),
+		Benchmark:    p.Benchmark,
+		Workload:     p.Workload,
+		Instructions: p.Instructions,
+		Seed:         p.Seed,
+		SkipLLC:      p.SkipLLC,
+		Parallel:     r.Parallel,
+		TimeoutMS:    r.TimeoutMS,
+	}, plan, nil
 }
 
 func (r SweepRequest) cacheKey() string {

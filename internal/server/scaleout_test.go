@@ -117,76 +117,113 @@ func TestShardedSweepPeerFailure(t *testing.T) {
 
 // TestShardedSweepPeerDiesMidStream: a peer that streams part of its
 // shard and then hangs up (or repeats a point) hands only its
-// undelivered points back to local execution, so the relayed stream
-// still carries exactly one point event per plan index and its done
-// count never passes total.
+// undelivered points back to local execution, on the streaming and on
+// the blocking endpoint alike (both relay the peer's stream). The
+// relayed stream carries exactly one point event per plan index and
+// its done count never passes total; the blocking answer carries all
+// four points; and only the three undelivered points simulate locally.
 func TestShardedSweepPeerDiesMidStream(t *testing.T) {
 	// The peer owns plan indices 1 and 3 (values 2 and 8); it delivers
 	// shard-local index 0 (plan index 1) and ends the stream.
 	const point = `{"event":"point","index":0,"value":2,"point":{"value":2,"ipc":1}}` + "\n"
+	const body = `{"axis":"cds","values":[1,2,4,8],"benchmark":"mcf","instructions":1000}`
 	for _, tc := range []struct{ name, stream string }{
 		{"closes", point},
 		{"repeats", point + point},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				w.Header().Set("Content-Type", "application/x-ndjson")
-				w.Write([]byte(tc.stream))
-			}))
-			t.Cleanup(peer.Close)
-			stub := func(ctx context.Context, o fgnvm.Options) (fgnvm.Result, error) {
-				return fgnvm.Result{
-					IPC:    1 + float64(o.CDs),
-					Energy: fgnvm.EnergyBreakdown{TotalPJ: 100},
-				}, nil
-			}
-			coord, cts := newTestServer(t, Config{Workers: 2, Peers: []string{peer.URL}}, stub)
-
-			resp, err := http.Post(cts.URL+"/v1/sweep/stream", "application/json",
-				strings.NewReader(`{"axis":"cds","values":[1,2,4,8],"benchmark":"mcf","instructions":1000}`))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			seen := map[int]int{} // plan index → point events
-			points, done := 0, false
-			sc := bufio.NewScanner(resp.Body)
-			for sc.Scan() {
-				var ev streamEvent
-				if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-					t.Fatalf("bad stream line %q: %v", sc.Text(), err)
-				}
-				switch ev.Event {
-				case "point":
-					points++
-					seen[ev.Index]++
-					if ev.Done != points || ev.Total != 4 || ev.Done > ev.Total {
-						t.Errorf("point event %d reads done=%d total=%d", points, ev.Done, ev.Total)
+			for _, ep := range []struct{ name, path string }{
+				{"stream", "/v1/sweep/stream"},
+				{"blocking", "/v1/sweep"},
+			} {
+				t.Run(ep.name, func(t *testing.T) {
+					peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+						w.Header().Set("Content-Type", "application/x-ndjson")
+						w.Write([]byte(tc.stream))
+					}))
+					t.Cleanup(peer.Close)
+					var calls atomic.Int64
+					stub := func(ctx context.Context, o fgnvm.Options) (fgnvm.Result, error) {
+						calls.Add(1)
+						return fgnvm.Result{
+							IPC:    1 + float64(o.CDs),
+							Energy: fgnvm.EnergyBreakdown{TotalPJ: 100},
+						}, nil
 					}
-				case "error":
-					t.Fatalf("stream errored: %s", ev.Error)
-				case "done":
-					done = true
-				}
-			}
-			if err := sc.Err(); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 4; i++ {
-				if seen[i] != 1 {
-					t.Errorf("plan index %d: %d point events, want 1", i, seen[i])
-				}
-			}
-			if points != 4 {
-				t.Errorf("%d point events, want 4", points)
-			}
-			if !done {
-				t.Error("stream never sent a done event")
-			}
-			if got := coord.metrics.shardFallbacks.Load(); got != 1 {
-				t.Errorf("shardFallbacks = %d, want 1", got)
+					coord, cts := newTestServer(t, Config{Workers: 2, Peers: []string{peer.URL}}, stub)
+
+					if ep.name == "blocking" {
+						resp, b := postJSON(t, cts.URL+ep.path, body)
+						if resp.StatusCode != http.StatusOK {
+							t.Fatalf("status %d, body %s", resp.StatusCode, b)
+						}
+						var res fgnvm.SweepResult
+						if err := json.Unmarshal(b, &res); err != nil {
+							t.Fatal(err)
+						}
+						for i, want := range []int{1, 2, 4, 8} {
+							if i >= len(res.Points) || res.Points[i].Value != want {
+								t.Fatalf("points %+v, want values 1, 2, 4, 8", res.Points)
+							}
+						}
+					} else {
+						checkRelayedStream(t, cts.URL+ep.path, body, 4)
+					}
+					if got := coord.metrics.shardFallbacks.Load(); got != 1 {
+						t.Errorf("shardFallbacks = %d, want 1", got)
+					}
+					if got := calls.Load(); got != 6 {
+						t.Errorf("runFn calls = %d, want 6 (two per undelivered point)", got)
+					}
+				})
 			}
 		})
+	}
+}
+
+// checkRelayedStream reads a /v1/sweep/stream answer and requires one
+// point event per plan index, in-order done counts and a done event.
+func checkRelayedStream(t *testing.T, url, body string, total int) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	seen := map[int]int{} // plan index → point events
+	points, done := 0, false
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var ev streamEvent
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("bad stream line %q: %v", sc.Text(), err)
+		}
+		switch ev.Event {
+		case "point":
+			points++
+			seen[ev.Index]++
+			if ev.Done != points || ev.Total != total || ev.Done > ev.Total {
+				t.Errorf("point event %d reads done=%d total=%d", points, ev.Done, ev.Total)
+			}
+		case "error":
+			t.Fatalf("stream errored: %s", ev.Error)
+		case "done":
+			done = true
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < total; i++ {
+		if seen[i] != 1 {
+			t.Errorf("plan index %d: %d point events, want 1", i, seen[i])
+		}
+	}
+	if points != total {
+		t.Errorf("%d point events, want %d", points, total)
+	}
+	if !done {
+		t.Error("stream never sent a done event")
 	}
 }
 

@@ -1,30 +1,36 @@
 // Package server is the simulation-as-a-service layer: an HTTP/JSON
 // front-end over the fgnvm library that turns the simulator's
-// determinism into serving throughput. Three mechanisms stack per
-// request:
+// determinism into serving throughput. Every result — a run, a Figure
+// 4, one sweep point — is computed through one path, cachedCompute,
+// which stacks four tiers under a canonical cache key:
 //
 //  1. an LRU cache of serialized results keyed by a canonical hash of
 //     the resolved request (identical Options ⇒ identical Result, so a
 //     hit is byte-identical to re-running);
-//  2. singleflight coalescing, so N concurrent identical requests cost
+//  2. an optional disk-backed content-addressed store (internal/store)
+//     that survives restarts and is shared by replicas on one volume;
+//  3. singleflight coalescing, so N concurrent identical requests cost
 //     one simulation — with reference-counted cancellation, so the run
 //     is aborted only when the last interested client has gone;
-//  3. a bounded worker pool with queue-depth backpressure — a full
-//     queue answers 429 + Retry-After instead of accepting unbounded
-//     work.
+//  4. a bounded worker pool with queue-depth backpressure — /v1/run and
+//     /v1/figure4 answer 429 + Retry-After on a full queue instead of
+//     accepting unbounded work; sweep points, whose sweep was already
+//     admitted, wait for room. A panic on a worker fails only its own
+//     request (a 500 naming the cache key, counted in
+//     fgnvm_panics_total); the process keeps serving.
 //
 // Cancellation is honest end to end: a disconnected client or an
 // expired per-request timeout propagates through context into the
 // simulation loop (fgnvm.RunContext), freeing the worker promptly.
 //
-// Scale-out (see store.go/sweep_engine.go in this package and
-// internal/store, internal/shard): an optional disk-backed
-// content-addressed store persists results across restarts and lets N
-// stateless replicas on one volume share them; configured peers turn
-// /v1/sweep into a sharded fan-out whose merged output is
-// byte-identical to the single-process sweep; and /v1/sweep/stream
-// reports per-point progress as NDJSON events, resumable because every
-// completed point lands in the store.
+// Scale-out (see sweep_engine.go in this package and internal/shard):
+// configured peers turn /v1/sweep and /v1/sweep/stream into a sharded
+// fan-out whose merged output is byte-identical to the single-process
+// sweep. Peers speak one protocol, their own /v1/sweep/stream: its
+// per-point events let the coordinator re-run locally only the points a
+// failed peer did not deliver. /v1/sweep/stream reports per-point
+// progress as NDJSON events, resumable because every completed point
+// lands in the store.
 //
 // Endpoints: POST /v1/run, /v1/figure4, /v1/sweep, /v1/sweep/stream;
 // GET /healthz, /metrics (plain-text counters; see metrics.go).
@@ -35,8 +41,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"time"
 
 	fgnvm "repro"
@@ -183,13 +191,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	norm, opts, err := req.normalize()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if s.cfg.MaxInstructions > 0 && norm.Instructions > s.cfg.MaxInstructions {
-		http.Error(w, fmt.Sprintf("instructions %d exceeds server limit %d",
-			norm.Instructions, s.cfg.MaxInstructions), http.StatusBadRequest)
+	if !s.admit(w, norm.Instructions, err) {
 		return
 	}
 	s.serveCached(w, r, norm.cacheKey(), req.TimeoutMS, func(ctx context.Context) (any, error) {
@@ -203,13 +205,7 @@ func (s *Server) handleFigure4(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	norm, params, err := req.normalize()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if s.cfg.MaxInstructions > 0 && norm.Instructions > s.cfg.MaxInstructions {
-		http.Error(w, fmt.Sprintf("instructions %d exceeds server limit %d",
-			norm.Instructions, s.cfg.MaxInstructions), http.StatusBadRequest)
+	if !s.admit(w, norm.Instructions, err) {
 		return
 	}
 	s.serveCached(w, r, norm.cacheKey(), req.TimeoutMS, func(ctx context.Context) (any, error) {
@@ -217,32 +213,74 @@ func (s *Server) handleFigure4(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// admit answers 400 and returns false for a request that failed
+// normalization or asks for more instructions than the server allows.
+func (s *Server) admit(w http.ResponseWriter, instructions uint64, err error) bool {
+	if err == nil && s.cfg.MaxInstructions > 0 && instructions > s.cfg.MaxInstructions {
+		err = fmt.Errorf("instructions %d exceeds server limit %d", instructions, s.cfg.MaxInstructions)
+	}
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return false
+	}
+	return true
+}
+
 // handleSweep and handleSweepStream — the per-point, store-backed,
 // optionally sharded sweep paths — live in sweep_engine.go.
 
-// serveCached is the shared request path: cache lookup, coalescing,
-// pool admission, execution with cancellation, response. compute runs
-// on a pool worker under a context that ends when every client
-// interested in this key has gone away.
+// serveCached answers /v1/run and /v1/figure4: one cachedCompute call
+// under the request's context, with admission that fails fast (a full
+// pool is a 429), the response newline-terminated, and the result
+// counted in the cache hit/miss counters.
 func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string, timeoutMS int64, compute func(context.Context) (any, error)) {
 	s.metrics.requests.Add(1)
-	if b, ok := s.cache.Get(key); ok {
-		s.metrics.cacheHits.Add(1)
-		writeJSON(w, "hit", b)
-		return
-	}
-	// Tier 2: the shared disk store — a restart (or a sibling replica's
-	// earlier run) serves here instead of re-simulating.
-	if b, ok := s.storeGet(key); ok {
-		s.cache.Add(key, b)
-		writeJSON(w, "store", b)
-		return
-	}
-	s.metrics.cacheMisses.Add(1)
-
 	ctx, cancel := s.requestContext(r, timeoutMS)
 	defer cancel()
+	tryPool := func(_ context.Context, task func()) error { return s.pool.TrySubmit(task) }
+	b, disposition, err := s.cachedCompute(ctx, key, tryPool, func(ctx context.Context) ([]byte, error) {
+		v, err := compute(ctx)
+		if err != nil {
+			return nil, err
+		}
+		b, err := json.Marshal(v)
+		if err != nil {
+			return nil, err
+		}
+		return append(b, '\n'), nil
+	})
+	switch disposition {
+	case "hit":
+		s.metrics.cacheHits.Add(1)
+	case "store": // the disk store keeps its own hit/miss counters
+	default:
+		s.metrics.cacheMisses.Add(1)
+	}
+	if err != nil {
+		s.writeComputeError(w, err)
+		return
+	}
+	writeJSON(w, disposition, b)
+}
 
+// cachedCompute is the one path from a cache key to its serialized
+// result: the memory cache, then the shared disk store (a restart, or a
+// sibling replica's earlier run, answers here), then a coalesced flight
+// that submits compute to the pool and writes its bytes through to both
+// tiers. The disposition is "hit" (memory), "store", "miss" (this call
+// ran compute) or "coalesced" (it joined a flight another call
+// started); a failed flight reports "miss" or "coalesced" with its
+// error. compute runs on a pool worker under a context that ends when
+// every caller interested in key has gone; a panic in it becomes an
+// error (a 500 naming key) instead of killing the process.
+func (s *Server) cachedCompute(ctx context.Context, key string, submit func(context.Context, func()) error, compute func(context.Context) ([]byte, error)) (b []byte, disposition string, err error) {
+	if b, ok := s.cache.Get(key); ok {
+		return b, "hit", nil
+	}
+	if b, ok := s.storeGet(key); ok {
+		s.cache.Add(key, b)
+		return b, "store", nil
+	}
 	b, shared, err := s.flights.do(ctx, key, func(fctx context.Context) ([]byte, error) {
 		type outcome struct {
 			b   []byte
@@ -250,44 +288,48 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string,
 		}
 		ch := make(chan outcome, 1)
 		task := func() {
-			// The flight may have been abandoned while this task sat in
-			// the queue; don't start a doomed simulation.
-			if err := fctx.Err(); err != nil {
-				ch <- outcome{nil, err}
-				return
-			}
-			s.metrics.runsStarted.Add(1)
-			start := time.Now() //lint:allow wallclock measuring real run latency for /metrics
-			v, err := compute(fctx)
-			if err != nil {
-				ch <- outcome{nil, err}
-				return
-			}
-			s.metrics.observeLatency(uint64(time.Since(start).Milliseconds()))
-			data, err := json.Marshal(v)
-			if err != nil {
-				ch <- outcome{nil, err}
-				return
-			}
-			ch <- outcome{append(data, '\n'), nil}
+			b, err := s.runTask(fctx, key, compute)
+			ch <- outcome{b, err}
 		}
-		if err := s.pool.TrySubmit(task); err != nil {
+		if err := submit(fctx, task); err != nil {
 			return nil, err
 		}
 		o := <-ch
 		return o.b, o.err
 	})
-	if err != nil {
-		s.writeComputeError(w, err)
-		return
-	}
-	s.cache.Add(key, b)
-	s.storePut(key, b)
-	disposition := "miss"
+	disposition = "miss"
 	if shared {
 		disposition = "coalesced"
 	}
-	writeJSON(w, disposition, b)
+	if err != nil {
+		return nil, disposition, err
+	}
+	s.cache.Add(key, b)
+	s.storePut(key, b)
+	return b, disposition, nil
+}
+
+// runTask is the body of one pool task: it skips a flight abandoned
+// while the task sat in the queue, times the computation for /metrics,
+// and turns a panic into an error naming key, counted and logged.
+func (s *Server) runTask(ctx context.Context, key string, compute func(context.Context) ([]byte, error)) (b []byte, err error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	defer func() {
+		if v := recover(); v != nil {
+			s.metrics.panics.Add(1)
+			log.Printf("server: panic computing %s: %v\n%s", key, v, debug.Stack())
+			b, err = nil, fmt.Errorf("internal error: computing %s panicked: %v", key, v)
+		}
+	}()
+	s.metrics.runsStarted.Add(1)
+	start := time.Now() //lint:allow wallclock measuring real run latency for /metrics
+	b, err = compute(ctx)
+	if err == nil {
+		s.metrics.observeLatency(uint64(time.Since(start).Milliseconds()))
+	}
+	return b, err
 }
 
 // requestContext derives the compute context: the client's lifetime

@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -469,5 +471,58 @@ func TestRunStallReport(t *testing.T) {
 	}
 	if plain.Stalls != nil {
 		t.Error("uninstrumented run unexpectedly carries a Stalls breakdown")
+	}
+}
+
+// TestPanicContained: a computation that panics on a pool worker fails
+// only its own request — a 500 naming the cache key on /v1/run and
+// /v1/sweep, an error event on /v1/sweep/stream — the next request is
+// served, and fgnvm_panics_total counts every panic.
+func TestPanicContained(t *testing.T) {
+	log.SetOutput(io.Discard) // the recovered panics log their stacks
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+	s, ts := newTestServer(t, Config{Workers: 2}, func(ctx context.Context, o fgnvm.Options) (fgnvm.Result, error) {
+		if o.Benchmark == "lbm" {
+			panic("simulated bug")
+		}
+		return fgnvm.Result{Benchmark: o.Benchmark, IPC: 1, Energy: fgnvm.EnergyBreakdown{TotalPJ: 100}}, nil
+	})
+
+	norm, _, err := RunRequest{Benchmark: "lbm"}.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, b := postJSON(t, ts.URL+"/v1/run", `{"benchmark":"lbm"}`)
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(b), norm.cacheKey()) {
+		t.Errorf("/v1/run panic: status %d, body %q; want 500 naming %s", resp.StatusCode, b, norm.cacheKey())
+	}
+	if resp, b := postJSON(t, ts.URL+"/v1/run", `{"benchmark":"mcf"}`); resp.StatusCode != http.StatusOK {
+		t.Errorf("/v1/run after a panic: status %d, body %s", resp.StatusCode, b)
+	}
+
+	// Both points panic (their baseline runs are lbm too).
+	resp, b = postJSON(t, ts.URL+"/v1/sweep", `{"axis":"cds","values":[1,2],"benchmark":"lbm","instructions":1000}`)
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(b), "sweeppoint:") {
+		t.Errorf("/v1/sweep panic: status %d, body %q; want 500 naming a sweep point", resp.StatusCode, b)
+	}
+	if resp, b := postJSON(t, ts.URL+"/v1/sweep", `{"axis":"cds","values":[1,2],"benchmark":"mcf","instructions":1000}`); resp.StatusCode != http.StatusOK {
+		t.Errorf("/v1/sweep after a panic: status %d, body %s", resp.StatusCode, b)
+	}
+
+	resp, b = postJSON(t, ts.URL+"/v1/sweep/stream", `{"axis":"cds","values":[4],"benchmark":"lbm","instructions":1000}`)
+	lines := strings.Split(strings.TrimSpace(string(b)), "\n")
+	var last streamEvent
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
+		t.Fatalf("stream tail %q: %v", lines[len(lines)-1], err)
+	}
+	if resp.StatusCode != http.StatusOK || last.Event != "error" || !strings.Contains(last.Error, "panicked") {
+		t.Errorf("/v1/sweep/stream panic: status %d, last event %+v; want an error event", resp.StatusCode, last)
+	}
+
+	if got := metricValue(t, ts, "fgnvm_panics_total"); got != 4 {
+		t.Errorf("fgnvm_panics_total = %d, want 4", got)
+	}
+	if got := s.pool.InFlight(); got != 0 {
+		t.Errorf("pool reports %d tasks in flight after the panics", got)
 	}
 }

@@ -1,10 +1,12 @@
 // The sweep engine: /v1/sweep and /v1/sweep/stream decomposed into
 // per-point units of work. Each point (one baseline run + one
 // design-under-test run at one axis value) is content-addressed by a
-// canonical point key, so it is independently cacheable (memory →
-// shared disk store), independently coalescible (the flight group),
-// and independently placeable (local pool worker or a peer replica via
-// internal/shard). The single-process fgnvm.Sweep, the sharded
+// canonical point key and computed through cachedCompute, the same
+// memory cache → shared disk store → coalesced flight → pool path that
+// /v1/run takes, so it is independently cacheable and coalescible. It
+// is also independently placeable: a local pool worker, or a peer
+// replica (internal/shard) reached through that peer's
+// /v1/sweep/stream. The single-process fgnvm.Sweep, the sharded
 // fan-out, and the streaming path all execute the same fgnvm.SweepPlan
 // and assemble points with the same fgnvm.NewSweepPoint, so their
 // outputs are byte-identical by construction — the property the
@@ -16,7 +18,9 @@
 // (or an "error" event). Because completed points persist in the
 // store, a client that disconnects mid-sweep and reconnects replays
 // the finished points instantly (cached=true) and only the unfinished
-// remainder simulates.
+// remainder simulates. The stream is also the one peer protocol: a
+// coordinator relays each peer's point events, blocking sweep or not,
+// and runs locally only the points a failed peer did not deliver.
 
 package server
 
@@ -73,84 +77,42 @@ type pointEvent struct {
 	Error       string           `json:"error,omitempty"`
 }
 
-// sweepPoint computes (or recalls) one point: memory cache, then the
-// shared store, then a coalesced flight that runs both simulations on
-// a pool worker. cached reports that no simulation ran.
+// sweepPoint computes (or recalls) one point through cachedCompute.
+// Admission waits for pool room instead of failing fast: the sweep
+// holding this point was already admitted. cached reports that no
+// simulation ran.
 func (s *Server) sweepPoint(ctx context.Context, key string, job fgnvm.SweepJob) (rec sweepPointRecord, cached bool, err error) {
-	if b, ok := s.cache.Get(key); ok {
-		if json.Unmarshal(b, &rec) == nil {
-			return rec, true, nil
-		}
-	}
-	if b, ok := s.storeGet(key); ok {
-		if json.Unmarshal(b, &rec) == nil {
-			s.cache.Add(key, b)
-			return rec, true, nil
-		}
-	}
-	b, _, err := s.flights.do(ctx, key, func(fctx context.Context) ([]byte, error) {
-		type outcome struct {
-			b   []byte
-			err error
-		}
-		ch := make(chan outcome, 1)
-		task := func() {
-			if err := fctx.Err(); err != nil {
-				ch <- outcome{nil, err}
-				return
-			}
-			s.metrics.runsStarted.Add(1)
-			start := time.Now() //lint:allow wallclock measuring real run latency for /metrics
-			base, err := s.runFn(fctx, job.Baseline)
-			if err != nil {
-				ch <- outcome{nil, err}
-				return
-			}
-			r, err := s.runFn(fctx, job.Options)
-			if err != nil {
-				ch <- outcome{nil, err}
-				return
-			}
-			s.metrics.observeLatency(uint64(time.Since(start).Milliseconds()))
-			rec := sweepPointRecord{
-				Value:       job.Value,
-				Point:       fgnvm.NewSweepPoint(job.Value, r, base),
-				Cycles:      uint64(r.Cycles),
-				StallCycles: r.StallCycles,
-				Reads:       r.Reads,
-				Writes:      r.Writes,
-			}
-			data, err := json.Marshal(rec)
-			if err != nil {
-				ch <- outcome{nil, err}
-				return
-			}
-			ch <- outcome{data, nil}
-		}
-		if err := s.pool.SubmitWait(fctx, task); err != nil {
+	b, disposition, err := s.cachedCompute(ctx, key, s.pool.SubmitWait, func(ctx context.Context) ([]byte, error) {
+		base, err := s.runFn(ctx, job.Baseline)
+		if err != nil {
 			return nil, err
 		}
-		o := <-ch
-		return o.b, o.err
+		r, err := s.runFn(ctx, job.Options)
+		if err != nil {
+			return nil, err
+		}
+		return json.Marshal(sweepPointRecord{
+			Value:       job.Value,
+			Point:       fgnvm.NewSweepPoint(job.Value, r, base),
+			Cycles:      uint64(r.Cycles),
+			StallCycles: r.StallCycles,
+			Reads:       r.Reads,
+			Writes:      r.Writes,
+		})
 	})
 	if err != nil {
 		return rec, false, err
 	}
-	s.cache.Add(key, b)
-	s.storePut(key, b)
-	if err := json.Unmarshal(b, &rec); err != nil {
-		return rec, false, err
-	}
-	return rec, false, nil
+	err = json.Unmarshal(b, &rec)
+	return rec, disposition == "hit" || disposition == "store", err
 }
 
 // runSweepPoints executes every job of plan — local shard on the pool,
-// remote shards on peers — and returns the points in plan order.
-// emit, when non-nil, receives one event per completed point in
-// completion order (and selects the streaming relay for remote
-// shards, so peer progress is forwarded point by point). allCached
-// reports that no simulation ran anywhere locally and every local
-// point came from cache or store.
+// remote shards relayed from peers — and returns the points in plan
+// order. emit, when non-nil, receives one event per completed point in
+// completion order, peer points included. allCached reports that every
+// point, local or relayed, came from a cache or store and no
+// simulation ran anywhere.
 func (s *Server) runSweepPoints(ctx context.Context, norm SweepRequest, plan fgnvm.SweepPlan, fanout bool, emit func(pointEvent)) (points []fgnvm.SweepPoint, allCached bool, err error) {
 	n := len(plan.Jobs)
 	points = make([]fgnvm.SweepPoint, n)
@@ -217,7 +179,7 @@ func (s *Server) runSweepPoints(ctx context.Context, norm SweepRequest, plan fgn
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			rest, err := s.runRemoteShard(ctx, s.peers[r-1], norm, plan, a.Shard(r), emit != nil, record)
+			rest, err := s.relayShard(ctx, s.peers[r-1], norm, plan, a.Shard(r), record)
 			if err == nil {
 				return
 			}
@@ -244,13 +206,22 @@ func (s *Server) runSweepPoints(ctx context.Context, norm SweepRequest, plan fgn
 	return points, cachedAll, nil
 }
 
-// runRemoteShard dispatches one shard to a peer and records its points
-// re-indexed into plan order. With relay set it consumes the peer's
-// NDJSON stream so progress forwards point by point; otherwise one
-// /v1/sweep round trip returns the whole shard. On error it also
-// returns the plan indices it did not record, for the caller to run
-// locally: a relay that dies mid-stream has already recorded some.
-func (s *Server) runRemoteShard(ctx context.Context, peer shard.Peer, norm SweepRequest, plan fgnvm.SweepPlan, indices []int, relay bool, record func(int, pointEvent)) ([]int, error) {
+// relayShard dispatches one shard to a peer's /v1/sweep/stream and
+// records each point event as it arrives, re-indexed into plan order.
+// On error it also returns the plan indices it did not record, for the
+// caller to run locally: a peer that dies mid-stream has already
+// delivered some.
+func (s *Server) relayShard(ctx context.Context, peer shard.Peer, norm SweepRequest, plan fgnvm.SweepPlan, indices []int, record func(int, pointEvent)) (rest []int, err error) {
+	delivered := make([]bool, len(indices))
+	defer func() {
+		if err != nil {
+			for k, i := range indices {
+				if !delivered[k] {
+					rest = append(rest, i)
+				}
+			}
+		}
+	}()
 	sub := norm
 	sub.Values = make([]int, len(indices))
 	for k, i := range indices {
@@ -259,56 +230,15 @@ func (s *Server) runRemoteShard(ctx context.Context, peer shard.Peer, norm Sweep
 	sub.Parallel = 0
 	body, err := json.Marshal(sub)
 	if err != nil {
-		return indices, err
+		return nil, err
 	}
 	start := time.Now() //lint:allow wallclock fan-out round-trip latency for /metrics
 	defer func() {
 		s.metrics.observeFanout(uint64(time.Since(start).Milliseconds()))
 	}()
-
-	if relay {
-		delivered := make([]bool, len(indices))
-		err := s.relayShard(ctx, peer, body, indices, delivered, record)
-		if err == nil {
-			return nil, nil
-		}
-		var rest []int
-		for k, i := range indices {
-			if !delivered[k] {
-				rest = append(rest, i)
-			}
-		}
-		return rest, err
-	}
-
-	b, err := peer.Sweep(ctx, body)
-	if err != nil {
-		return indices, err
-	}
-	var res fgnvm.SweepResult
-	if err := json.Unmarshal(b, &res); err != nil {
-		return indices, fmt.Errorf("peer sweep response: %w", err)
-	}
-	if len(res.Points) != len(indices) {
-		return indices, fmt.Errorf("peer returned %d points, want %d", len(res.Points), len(indices))
-	}
-	for k, i := range indices {
-		pt := res.Points[k]
-		record(i, pointEvent{
-			Event: "point", Index: i, Value: pt.Value, Remote: true, Point: pt,
-		})
-		s.metrics.shardRemotePoints.Add(1)
-	}
-	return nil, nil
-}
-
-// relayShard consumes a peer's NDJSON stream for one shard, recording
-// each point as it arrives and marking delivered[k] for shard-local
-// index k.
-func (s *Server) relayShard(ctx context.Context, peer shard.Peer, body []byte, indices []int, delivered []bool, record func(int, pointEvent)) error {
 	rc, err := peer.SweepStream(ctx, body)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer rc.Close()
 	sc := bufio.NewScanner(rc)
@@ -317,15 +247,15 @@ func (s *Server) relayShard(ctx context.Context, peer shard.Peer, body []byte, i
 	for sc.Scan() {
 		var ev pointEvent
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			return fmt.Errorf("peer stream: %w", err)
+			return nil, fmt.Errorf("peer stream: %w", err)
 		}
 		switch ev.Event {
 		case "point":
 			if ev.Index < 0 || ev.Index >= len(indices) {
-				return fmt.Errorf("peer stream: point index %d outside %d-point shard", ev.Index, len(indices))
+				return nil, fmt.Errorf("peer stream: point index %d outside %d-point shard", ev.Index, len(indices))
 			}
 			if delivered[ev.Index] {
-				return fmt.Errorf("peer stream: point index %d repeated", ev.Index)
+				return nil, fmt.Errorf("peer stream: point index %d repeated", ev.Index)
 			}
 			delivered[ev.Index] = true
 			i := indices[ev.Index]
@@ -334,64 +264,55 @@ func (s *Server) relayShard(ctx context.Context, peer shard.Peer, body []byte, i
 			got++
 			s.metrics.shardRemotePoints.Add(1)
 		case "error":
-			return fmt.Errorf("peer: %s", ev.Error)
+			return nil, fmt.Errorf("peer: %s", ev.Error)
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return fmt.Errorf("peer stream: %w", err)
+		return nil, fmt.Errorf("peer stream: %w", err)
 	}
 	if got != len(indices) {
-		return fmt.Errorf("peer stream ended after %d of %d points", got, len(indices))
+		return nil, fmt.Errorf("peer stream ended after %d of %d points", got, len(indices))
 	}
-	return nil
+	return nil, nil
 }
 
-// decodeSweep parses, validates, and plans a sweep request; a nil plan
-// means the response was already written.
-func (s *Server) decodeSweep(w http.ResponseWriter, r *http.Request) (SweepRequest, *fgnvm.SweepPlan, error) {
+// decodeSweep parses, validates, and plans a sweep request; ok false
+// means the 400 was already written.
+func (s *Server) decodeSweep(w http.ResponseWriter, r *http.Request) (SweepRequest, fgnvm.SweepPlan, bool) {
 	var req SweepRequest
 	if !decodeJSON(w, r, &req) {
-		return req, nil, errors.New("handled")
+		return req, fgnvm.SweepPlan{}, false
 	}
-	norm, params, err := req.normalize()
+	norm, plan, err := req.normalize()
+	return norm, plan, s.admit(w, norm.Instructions, err)
+}
+
+// sweepBytes assembles the points into the serialized SweepResult,
+// without the trailing newline /v1/sweep adds.
+func sweepBytes(plan fgnvm.SweepPlan, points []fgnvm.SweepPoint) ([]byte, error) {
+	res, err := plan.Assemble(points)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return req, nil, err
+		return nil, err
 	}
-	if s.cfg.MaxInstructions > 0 && norm.Instructions > s.cfg.MaxInstructions {
-		http.Error(w, fmt.Sprintf("instructions %d exceeds server limit %d",
-			norm.Instructions, s.cfg.MaxInstructions), http.StatusBadRequest)
-		return norm, nil, errors.New("handled")
-	}
-	plan, err := fgnvm.PlanSweep(params)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return norm, nil, err
-	}
-	return norm, &plan, nil
+	return json.Marshal(res)
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	norm, plan, err := s.decodeSweep(w, r)
-	if err != nil {
+	norm, plan, ok := s.decodeSweep(w, r)
+	if !ok {
 		return
 	}
 	s.metrics.requests.Add(1)
 	ctx, cancel := s.requestContext(r, norm.TimeoutMS)
 	defer cancel()
 
-	points, allCached, err := s.runSweepPoints(ctx, norm, *plan, !isShardRequest(r), nil)
+	points, allCached, err := s.runSweepPoints(ctx, norm, plan, !isShardRequest(r), nil)
 	if err != nil {
 		s.writeComputeError(w, err)
 		return
 	}
 	mergeStart := time.Now() //lint:allow wallclock merge latency for /metrics
-	res, err := plan.Assemble(points)
-	if err != nil {
-		s.writeComputeError(w, err)
-		return
-	}
-	b, err := json.Marshal(res)
+	b, err := sweepBytes(plan, points)
 	if err != nil {
 		s.writeComputeError(w, err)
 		return
@@ -406,8 +327,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
-	norm, plan, err := s.decodeSweep(w, r)
-	if err != nil {
+	norm, plan, ok := s.decodeSweep(w, r)
+	if !ok {
 		return
 	}
 	s.metrics.requests.Add(1)
@@ -445,7 +366,7 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 		Total     int    `json:"total"`
 	}{"start", plan.Axis, plan.Design, plan.Benchmark, len(plan.Jobs)})
 
-	points, _, err := s.runSweepPoints(ctx, norm, *plan, !isShardRequest(r), func(ev pointEvent) {
+	points, _, err := s.runSweepPoints(ctx, norm, plan, !isShardRequest(r), func(ev pointEvent) {
 		if ev.Cached {
 			s.metrics.streamCachedPoints.Add(1)
 		}
@@ -457,21 +378,11 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 		} else {
 			s.metrics.errored.Add(1)
 		}
-		writeEvent(struct {
-			Event string `json:"event"`
-			Error string `json:"error"`
-		}{"error", err.Error()})
-		return
 	}
-	res, err := plan.Assemble(points)
-	if err != nil {
-		writeEvent(struct {
-			Event string `json:"event"`
-			Error string `json:"error"`
-		}{"error", err.Error()})
-		return
+	var b []byte
+	if err == nil {
+		b, err = sweepBytes(plan, points)
 	}
-	b, err := json.Marshal(res)
 	if err != nil {
 		writeEvent(struct {
 			Event string `json:"event"`

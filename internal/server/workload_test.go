@@ -80,14 +80,14 @@ func TestSweepWorkloadValidation(t *testing.T) {
 			t.Errorf("%s: normalize accepted invalid request", tc.name)
 		}
 	}
-	norm, p, err := SweepRequest{Axis: "tiling", Workload: &fgnvm.WorkloadSpec{Preset: "gpt2s-attn-score"}}.normalize()
+	norm, plan, err := SweepRequest{Axis: "tiling", Workload: &fgnvm.WorkloadSpec{Preset: "gpt2s-attn-score"}}.normalize()
 	if err != nil {
 		t.Fatalf("normalize: %v", err)
 	}
 	if norm.Workload == nil || norm.Workload.Tiling != "sag" {
 		t.Errorf("canonical sweep workload missing defaults: %+v", norm.Workload)
 	}
-	if p.Workload == nil || p.Benchmark != "" {
+	if p := plan.Params; p.Workload == nil || p.Benchmark != "" {
 		t.Errorf("SweepParams not carrying workload: %+v", p)
 	}
 }

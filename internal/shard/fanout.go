@@ -1,12 +1,15 @@
 // HTTP fan-out: dispatching one shard of a sweep to a peer replica.
-// The transport deliberately reuses the public /v1 endpoints — a peer
-// is just another replica of the same server — so the fan-out path
-// inherits the whole serving stack on the far side: canonical-hash
-// caching (backed by the shared store), singleflight coalescing, pool
-// backpressure, and context cancellation. Cancelling the fan-out
-// context closes the HTTP request body, which the peer observes as a
-// client disconnect and propagates into its simulation contexts —
-// PR 1's refcounted cancellation, now working across processes.
+// There is one peer protocol, the public /v1/sweep/stream endpoint — a
+// peer is just another replica of the same server — so the fan-out
+// path inherits the whole serving stack on the far side:
+// canonical-hash caching (backed by the shared store), singleflight
+// coalescing, pool backpressure, and context cancellation. Its point
+// events arrive one by one, so a peer that dies mid-shard has still
+// delivered the points it finished. Cancelling the fan-out context
+// closes the HTTP request body, which the peer observes as a client
+// disconnect and propagates into its simulation contexts — the
+// refcounted cancellation of the flight group, working across
+// processes.
 
 package shard
 
@@ -39,9 +42,13 @@ func (p Peer) client() *http.Client {
 	return http.DefaultClient
 }
 
-// post issues the marked sub-request and returns the raw response.
-func (p Peer) post(ctx context.Context, path string, body []byte) (*http.Response, error) {
-	url := strings.TrimRight(p.BaseURL, "/") + path
+// SweepStream posts a shard's sub-request to the peer's
+// /v1/sweep/stream and returns the live NDJSON event stream. A non-200
+// answer is an error carrying the peer's status and message. The
+// caller owns the ReadCloser; closing it (or cancelling ctx) releases
+// the peer's workers.
+func (p Peer) SweepStream(ctx context.Context, body []byte) (io.ReadCloser, error) {
+	url := strings.TrimRight(p.BaseURL, "/") + "/v1/sweep/stream"
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
@@ -57,34 +64,6 @@ func (p Peer) post(ctx context.Context, path string, body []byte) (*http.Respons
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return nil, fmt.Errorf("shard: peer %s: %s: %s",
 			p.BaseURL, resp.Status, strings.TrimSpace(string(msg)))
-	}
-	return resp, nil
-}
-
-// Sweep posts a shard's sub-request to the peer's /v1/sweep and
-// returns the response body (a serialized SweepResult for the shard's
-// values).
-func (p Peer) Sweep(ctx context.Context, body []byte) ([]byte, error) {
-	resp, err := p.post(ctx, "/v1/sweep", body)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("shard: peer %s: reading response: %w", p.BaseURL, err)
-	}
-	return b, nil
-}
-
-// SweepStream posts a shard's sub-request to the peer's
-// /v1/sweep/stream and returns the live NDJSON event stream. The
-// caller owns the ReadCloser; closing it (or cancelling ctx) releases
-// the peer's workers.
-func (p Peer) SweepStream(ctx context.Context, body []byte) (io.ReadCloser, error) {
-	resp, err := p.post(ctx, "/v1/sweep/stream", body)
-	if err != nil {
-		return nil, err
 	}
 	return resp.Body, nil
 }

@@ -3,9 +3,11 @@ package shard
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -64,30 +66,36 @@ func TestPlanStability(t *testing.T) {
 	}
 }
 
-// TestPeerSweep exercises the HTTP client: shard header set, body
-// forwarded, non-200 mapped to an error, cancellation honored.
+// TestPeerSweep exercises the HTTP client of the one peer protocol,
+// Peer.SweepStream: the /v1/sweep/stream path, shard header set, body
+// forwarded, the event stream returned, non-200 mapped to an error,
+// cancellation honored.
 func TestPeerSweep(t *testing.T) {
 	var gotHeader, gotBody string
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		gotHeader = r.Header.Get(Header)
-		b := make([]byte, r.ContentLength)
-		r.Body.Read(b)
+		b, _ := io.ReadAll(r.Body)
 		gotBody = string(b)
-		if r.URL.Path != "/v1/sweep" {
+		if r.URL.Path != "/v1/sweep/stream" {
 			http.Error(w, "wrong path", http.StatusNotFound)
 			return
 		}
-		fmt.Fprint(w, `{"ok":true}`)
+		fmt.Fprint(w, `{"event":"done"}`+"\n")
 	}))
 	defer ts.Close()
 
-	p := Peer{BaseURL: ts.URL}
-	out, err := p.Sweep(context.Background(), []byte(`{"axis":"cds"}`))
+	p := Peer{BaseURL: ts.URL + "/"}
+	rc, err := p.SweepStream(context.Background(), []byte(`{"axis":"cds"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(out) != `{"ok":true}` {
-		t.Errorf("body = %q", out)
+	out, err := io.ReadAll(rc)
+	rc.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(out) != `{"event":"done"}`+"\n" {
+		t.Errorf("stream = %q", out)
 	}
 	if gotHeader != "1" {
 		t.Errorf("shard header = %q, want 1", gotHeader)
@@ -100,13 +108,14 @@ func TestPeerSweep(t *testing.T) {
 		http.Error(w, "boom", http.StatusInternalServerError)
 	}))
 	defer bad.Close()
-	if _, err := (Peer{BaseURL: bad.URL}).Sweep(context.Background(), nil); err == nil {
-		t.Error("500 from peer not surfaced as error")
+	if _, err := (Peer{BaseURL: bad.URL}).SweepStream(context.Background(), nil); err == nil ||
+		!strings.Contains(err.Error(), "boom") {
+		t.Errorf("500 from peer not surfaced as error: %v", err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := p.Sweep(ctx, nil); err == nil {
+	if _, err := p.SweepStream(ctx, nil); err == nil {
 		t.Error("cancelled context not surfaced as error")
 	}
 }

@@ -10,7 +10,6 @@ package fgnvm
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
 
 	"repro/internal/gemm"
@@ -73,13 +72,17 @@ func SweepAxisByName(name string) (SweepAxis, error) {
 }
 
 // SweepParams configures one sweep. Zero values take the axis defaults,
-// the fgnvm design, the mcf benchmark, 100 000 instructions, seed 1.
+// the mcf benchmark, 100 000 instructions and seed 1; PlanSweep makes
+// them explicit.
 type SweepParams struct {
 	// Axis names the swept parameter (see SweepAxes).
 	Axis string
 	// Values are the axis values to evaluate (default: axis-specific).
 	Values []int
-	// Design is the design under sweep (default DesignFgNVM).
+	// Design is the design under sweep. The zero value is
+	// DesignBaseline, which ignores SAGs and CDs: a zero-Design "cds" or
+	// "sags" sweep runs the baseline against itself at every point.
+	// Callers that sweep FgNVM must say so.
 	Design Design
 	// Benchmark is the workload profile (default "mcf"). Ignored when
 	// Workload is set.
@@ -98,30 +101,6 @@ type SweepParams struct {
 	// (default GOMAXPROCS, capped at the point count). Results are
 	// identical at any width.
 	Parallel int
-}
-
-func (p *SweepParams) applyDefaults(ax SweepAxis) {
-	if len(p.Values) == 0 {
-		p.Values = ax.Default
-	}
-	if p.Benchmark == "" && p.Workload == nil {
-		p.Benchmark = "mcf"
-	}
-	if p.Instructions == 0 {
-		p.Instructions = 100_000
-	}
-	if p.Seed == 0 {
-		p.Seed = 1
-	}
-	if p.Parallel == 0 {
-		p.Parallel = runtime.GOMAXPROCS(0)
-	}
-	if p.Parallel > len(p.Values) {
-		p.Parallel = len(p.Values)
-	}
-	if p.Parallel < 1 {
-		p.Parallel = 1
-	}
 }
 
 // SweepPoint is one row of a sweep: the design's result at one axis
@@ -175,22 +154,49 @@ type SweepPlan struct {
 	Design    string
 	Benchmark string
 	Jobs      []SweepJob
+	// Params is the canonical form of the planned SweepParams: every
+	// default explicit, a Workload canonicalized (see
+	// WorkloadSpec.Canonical) and Benchmark cleared beside it. Sweeps
+	// with equal Params (Parallel aside) plan equal jobs.
+	Params SweepParams
 }
 
-// PlanSweep validates p, applies its defaults, and expands it into one
-// job per axis value. SweepContext executes exactly this plan, so a
-// caller that runs the jobs itself (the serving layer's sharded and
-// streaming paths) reproduces Sweep's output exactly via Assemble.
+// PlanSweep validates p, makes its defaults explicit, and expands it
+// into one job per axis value. SweepContext executes exactly this plan,
+// so a caller that runs the jobs itself (the serving layer's sharded
+// and streaming paths) reproduces Sweep's output exactly via Assemble.
 func PlanSweep(p SweepParams) (SweepPlan, error) {
 	ax, err := SweepAxisByName(p.Axis)
 	if err != nil {
 		return SweepPlan{}, err
 	}
-	p.applyDefaults(ax)
-	if ax.Name == "tiling" {
-		if p.Workload == nil {
-			return SweepPlan{}, fmt.Errorf("fgnvm: the tiling axis requires SweepParams.Workload")
+	if len(p.Values) == 0 {
+		p.Values = ax.Default
+	}
+	if p.Instructions == 0 {
+		p.Instructions = 100_000
+	}
+	if p.Seed == 0 {
+		p.Seed = 1
+	}
+	switch {
+	case p.Workload != nil:
+		w, err := p.Workload.Canonical()
+		if err != nil {
+			return SweepPlan{}, err
 		}
+		p.Workload, p.Benchmark = &w, ""
+	case ax.Name == "tiling":
+		return SweepPlan{}, fmt.Errorf("fgnvm: the tiling axis requires SweepParams.Workload")
+	default:
+		if p.Benchmark == "" {
+			p.Benchmark = "mcf"
+		}
+		if err := checkBenchmark(p.Benchmark); err != nil {
+			return SweepPlan{}, err
+		}
+	}
+	if ax.Name == "tiling" {
 		for _, v := range p.Values {
 			if v < 0 || v >= len(WorkloadTilings()) {
 				return SweepPlan{}, fmt.Errorf("fgnvm: tiling axis value %d out of range [0, %d)",
@@ -198,16 +204,12 @@ func PlanSweep(p SweepParams) (SweepPlan, error) {
 			}
 		}
 	}
-	if p.Workload != nil {
-		if _, err := p.Workload.Canonical(); err != nil {
-			return SweepPlan{}, err
-		}
-	}
 	label := p.Benchmark
 	if p.Workload != nil {
 		label = p.Workload.label()
 	}
 	plan := SweepPlan{
+		Params:    p,
 		Axis:      ax.Name,
 		Design:    p.Design.String(),
 		Benchmark: label,
@@ -256,20 +258,6 @@ func NewSweepPoint(value int, r, base Result) SweepPoint {
 	}
 }
 
-// ComputeSweepPoint executes one planned job: baseline run, then the
-// design under test, reduced to a SweepPoint.
-func ComputeSweepPoint(ctx context.Context, job SweepJob) (SweepPoint, error) {
-	base, err := RunContext(ctx, job.Baseline)
-	if err != nil {
-		return SweepPoint{}, fmt.Errorf("sweep baseline at value %d: %w", job.Value, err)
-	}
-	r, err := RunContext(ctx, job.Options)
-	if err != nil {
-		return SweepPoint{}, fmt.Errorf("sweep at value %d: %w", job.Value, err)
-	}
-	return NewSweepPoint(job.Value, r, base), nil
-}
-
 // Assemble combines per-job points (points[i] must be job i's result,
 // regardless of where or in what order it was computed) into the final
 // SweepResult.
@@ -293,15 +281,18 @@ func SweepContext(ctx context.Context, p SweepParams) (SweepResult, error) {
 	if err != nil {
 		return SweepResult{}, err
 	}
-	ax, _ := SweepAxisByName(plan.Axis)
-	p.applyDefaults(ax) // for Parallel
 	points := make([]SweepPoint, len(plan.Jobs))
-	err = forEachN(ctx, len(plan.Jobs), p.Parallel, func(i int) error {
-		pt, err := ComputeSweepPoint(ctx, plan.Jobs[i])
+	err = forEachN(ctx, len(plan.Jobs), workers(p.Parallel, len(plan.Jobs)), func(i int) error {
+		job := plan.Jobs[i]
+		base, err := RunContext(ctx, job.Baseline)
 		if err != nil {
-			return fmt.Errorf("%s axis: %w", plan.Axis, err)
+			return fmt.Errorf("%s axis: sweep baseline at value %d: %w", plan.Axis, job.Value, err)
 		}
-		points[i] = pt
+		r, err := RunContext(ctx, job.Options)
+		if err != nil {
+			return fmt.Errorf("%s axis: sweep at value %d: %w", plan.Axis, job.Value, err)
+		}
+		points[i] = NewSweepPoint(job.Value, r, base)
 		return nil
 	})
 	if err != nil {

@@ -3,6 +3,7 @@ package fgnvm
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -67,5 +68,39 @@ func TestSweepContextCancel(t *testing.T) {
 	_, err := SweepContext(ctx, SweepParams{Axis: "cds", Values: []int{1, 2}, Benchmark: "mcf", Instructions: tinyInstr})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled SweepContext err = %v, want context.Canceled", err)
+	}
+}
+
+// TestPlanSweepCanonicalParams: the plan carries its parameters with
+// every default explicit, planning them again changes nothing, and an
+// unknown benchmark is refused before any simulation.
+func TestPlanSweepCanonicalParams(t *testing.T) {
+	plan, err := PlanSweep(SweepParams{Axis: "sags"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := plan.Params
+	if !reflect.DeepEqual(p.Values, []int{2, 4, 8, 16, 32}) || p.Benchmark != "mcf" ||
+		p.Instructions != 100_000 || p.Seed != 1 || p.Design != DesignBaseline {
+		t.Errorf("canonical params = %+v", p)
+	}
+	again, err := PlanSweep(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again.Params, p) || !reflect.DeepEqual(again.Jobs, plan.Jobs) {
+		t.Error("planning canonical params again changed them")
+	}
+
+	ws, err := PlanSweep(SweepParams{Axis: "tiling", Benchmark: "lbm", Workload: &WorkloadSpec{Preset: "gpt2s-attn-score"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := ws.Params.Workload; w == nil || w.Tiling != "sag" || ws.Params.Benchmark != "" {
+		t.Errorf("workload sweep params = %+v (workload %+v)", ws.Params, w)
+	}
+
+	if _, err := PlanSweep(SweepParams{Axis: "cds", Benchmark: "nope"}); err == nil {
+		t.Error("unknown benchmark planned")
 	}
 }
