@@ -80,7 +80,9 @@ func forEach(ctx context.Context, benchmarks []string, workers int, fn func(i in
 }
 
 // forEachN is the index-only core of forEach, shared with the sweep
-// harness: run fn(0..n-1) on a bounded pool and join all errors.
+// harness: run fn(0..n-1) on a bounded pool and join all errors. A
+// panicking job becomes an error naming its index; the other jobs
+// still run, so no library entry point can take its caller down.
 func forEachN(ctx context.Context, n, workers int, fn func(i int) error) error {
 	jobs := make(chan int)
 	errs := make([]error, n)
@@ -90,7 +92,7 @@ func forEachN(ctx context.Context, n, workers int, fn func(i int) error) error {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				errs[i] = fn(i)
+				errs[i] = runJob(i, fn)
 			}
 		}()
 	}
@@ -105,6 +107,17 @@ dispatch:
 	close(jobs)
 	wg.Wait()
 	return errors.Join(append(errs, ctx.Err())...)
+}
+
+// runJob runs job i of a forEachN pool, recovering a panic into an
+// error.
+func runJob(i int, fn func(i int) error) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("job %d panicked: %v", i, v)
+		}
+	}()
+	return fn(i)
 }
 
 // Figure4Row is one benchmark's bar group in Figure 4: IPC speedups

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -131,6 +132,27 @@ func TestForEachNJoinsWorkerErrors(t *testing.T) {
 	}
 	if err := forEachN(context.Background(), 3, 2, func(int) error { return nil }); err != nil {
 		t.Errorf("all-success forEachN returned %v", err)
+	}
+}
+
+// TestForEachNRecoversPanics: a panicking job becomes an error naming
+// its index, and every other job still runs to completion.
+func TestForEachNRecoversPanics(t *testing.T) {
+	var done [6]atomic.Bool
+	err := forEachN(context.Background(), len(done), 2, func(i int) error {
+		if i == 3 {
+			panic("boom")
+		}
+		done[i].Store(true)
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "job 3 panicked: boom") {
+		t.Fatalf("forEachN error = %v, want one naming job 3's panic", err)
+	}
+	for i := range done {
+		if i != 3 && !done[i].Load() {
+			t.Errorf("job %d did not run after job 3 panicked", i)
+		}
 	}
 }
 

@@ -164,6 +164,12 @@ type shard struct {
 	// banks holds the channel's bank models in rank-major order, so the
 	// hot path resolves a request's bank with one multiply.
 	banks []*core.Bank
+	// busy lists, by bankIndex, the banks a command has touched since
+	// their timers last all expired; listed[i] marks membership. Only
+	// these banks can hold a future timer flip, so channelNextWork
+	// probes them alone.
+	busy   []int
+	listed []bool
 
 	readQ   *mem.Queue
 	writeQ  *mem.Queue
@@ -245,6 +251,8 @@ func New(cfg Config, eng *sim.Engine) (*Controller, error) {
 		s.writeQ = mem.NewQueue(cfg.WriteQueueCap)
 		s.busUse = make([]sim.Tick, cfg.IssueLanes)
 		s.hitSeen = make(map[*mem.Request]bool)
+		s.busy = make([]int, 0, nb)
+		s.listed = make([]bool, nb)
 		s.hotCD = make([]int, nb)
 		for i := range s.hotCD {
 			s.hotCD[i] = -1
@@ -551,6 +559,16 @@ func (s *shard) bankOf(r *mem.Request) *core.Bank {
 	return s.banks[r.Loc.Rank*s.cfg.Geom.Banks+r.Loc.Bank]
 }
 
+// markBusy puts the bank at loc on the busy list. Every command issue
+// calls it, since a command is the only thing that sets a bank timer.
+func (s *shard) markBusy(loc addr.Location) {
+	i := s.bankIndex(loc)
+	if !s.listed[i] {
+		s.listed[i] = true
+		s.busy = append(s.busy, i)
+	}
+}
+
 // tryIssueRead issues at most one command (column read or, when
 // mayActivate, an activation) on behalf of the read queue. It returns
 // whether anything issued and whether that something was an activation.
@@ -608,6 +626,7 @@ func (s *shard) tryIssueRead(now sim.Tick, mayActivate bool) (bool, bool) {
 			}
 		}
 		b.Activate(r.Loc.Row, r.Loc.Col, now)
+		s.markBusy(r.Loc)
 		s.st.Activations.Inc()
 		return true, true
 	}
@@ -664,6 +683,7 @@ func (s *shard) issueColumnRead(r *mem.Request, b *core.Bank, lane, qi int, now 
 		s.st.BackgroundedRds.Inc()
 	}
 	done := b.Read(r.Loc.Row, r.Loc.Col, now)
+	s.markBusy(r.Loc)
 	s.busUse[lane] = done // bus busy until the burst ends
 	s.hotCD[s.bankIndex(r.Loc)] = b.CDOf(r.Loc.Col)
 	s.st.ColumnReads.Inc()
@@ -771,6 +791,7 @@ func (s *shard) tryIssueWrite(now sim.Tick) bool {
 	b := s.bankOf(w)
 	w.MarkIssued(now)
 	done := b.Write(w.Loc.Row, w.Loc.Col, now)
+	s.markBusy(w.Loc)
 	s.busUse[lane] = now + s.cfg.Tim.TCWD + s.cfg.Tim.TBURST
 	if s.tel != nil {
 		telRequest(s.tel, telemetry.ReqIssued, w, now)
@@ -822,12 +843,14 @@ func (s *shard) wouldAccept(r *mem.Request) bool {
 //
 // The result is the minimum over every "flip tick" of the predicates
 // consulted by schedule and the stall classifiers: bank timer
-// expiries (core.Bank.NextRelease), shared-bus lane releases offset by
-// the tCAS/tCWD admission lookahead, and the idle-write hysteresis
-// deadline. Every such predicate compares now against exactly one of
-// these values, so in the open window before the returned tick the
-// controller's admissible-command set, its stall classifications and
-// its per-cycle counter increments are all provably constant.
+// expiries (core.Bank.NextRelease, asked only of the banks a command
+// has touched since their timers last all expired), shared-bus lane
+// releases offset by the tCAS/tCWD admission lookahead, and the
+// idle-write hysteresis deadline. Every such predicate compares now
+// against exactly one of these values, so in the open window before
+// the returned tick the controller's admissible-command set, its stall
+// classifications and its per-cycle counter increments are all
+// provably constant.
 func (c *Controller) NextWork(now sim.Tick) sim.Tick {
 	next := sim.MaxTick
 	for ch := range c.shards {
@@ -840,23 +863,17 @@ func (c *Controller) NextWork(now sim.Tick) sim.Tick {
 
 // channelNextWork is NextWork restricted to this channel: the earliest
 // tick strictly after now at which any of the channel's scheduling
-// predicates can flip, or sim.MaxTick when both queues are empty.
+// predicates can flip, or sim.MaxTick when both queues are empty. Bank
+// timer flips come from nextBankFlip, which asks only the busy banks.
 func (s *shard) channelNextWork(now sim.Tick) sim.Tick {
 	if s.readQ.Empty() && s.writeQ.Empty() {
 		return sim.MaxTick
 	}
-	next := sim.MaxTick
+	next := s.nextBankFlip(now)
 	consider := func(t sim.Tick) {
 		if t > now && t < next {
 			next = t
 		}
-	}
-	// Every bank of the channel, not just the queued requests'
-	// targets: cheaper than scanning the (often longer) queues, and
-	// extra flip candidates can only shorten the jump, never break
-	// its exactness.
-	for _, b := range s.banks {
-		consider(b.NextRelease(now))
 	}
 	for _, busy := range s.busUse {
 		// Bus admission tests are busy <= t+tCAS (reads) and
@@ -874,6 +891,41 @@ func (s *shard) channelNextWork(now sim.Tick) sim.Tick {
 		// its deadline is a flip only while no reads keep pushing
 		// lastReadActive forward.
 		consider(s.lastReadActive + idleWriteDelay)
+	}
+	return next
+}
+
+// nextBankFlip returns the least NextRelease over the channel's banks,
+// asking only the busy list. A bank off the list has had every timer
+// expire and has issued no command since, so it holds no future flip;
+// a listed bank whose NextRelease is sim.MaxTick has just reached that
+// state and leaves the list until its next command. The minimum is
+// therefore the one over every bank, at a cost proportional to the
+// banks whose timers moved. Probes must come at non-decreasing ticks,
+// as the run loop's do: a dropped bank may still hold timers above an
+// earlier tick.
+func (s *shard) nextBankFlip(now sim.Tick) sim.Tick {
+	next := sim.MaxTick
+	kept := s.busy[:0]
+	for _, i := range s.busy {
+		t := s.banks[i].NextRelease(now)
+		if t == sim.MaxTick {
+			s.listed[i] = false
+			continue
+		}
+		kept = append(kept, i)
+		next = min(next, t)
+	}
+	s.busy = kept
+	if invariant.Enabled {
+		all := sim.MaxTick
+		for _, b := range s.banks {
+			all = min(all, b.NextRelease(now))
+		}
+		if next != all { // guarded so the passing probe stays allocation-free
+			invariant.Assertf(false, "busy-list bank flip %d at tick %d, but the minimum over all %d banks is %d",
+				next, now, len(s.banks), all)
+		}
 	}
 	return next
 }

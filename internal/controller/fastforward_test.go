@@ -8,11 +8,14 @@
 package controller
 
 import (
+	"math/rand"
 	"testing"
 
+	"repro/internal/addr"
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/sim"
+	"repro/internal/timing"
 )
 
 // loadMixed enqueues a read/write mix across banks and tiles.
@@ -64,6 +67,61 @@ func TestNextWorkNeverSkipsAnIssue(t *testing.T) {
 		}
 	}
 	t.Fatal("drain did not finish")
+}
+
+// TestBusyListMatchesAllBanks checks the busy-bank list against every
+// bank at every tick of bursty traffic on eight banks: the least
+// NextRelease over the list must equal the least over all banks, while
+// banks leave the list as they go quiet and rejoin on their next
+// command. Baseline, FgNVM and SALP modes.
+func TestBusyListMatchesAllBanks(t *testing.T) {
+	salp := core.AccessModes{MultiActivation: true, BackgroundedWrites: true, LocalSenseAmps: true}
+	for mi, modes := range []core.AccessModes{{}, core.AllModes(), salp} {
+		g := testGeom()
+		g.Banks = 8
+		eng := sim.NewEngine()
+		c, err := New(Config{Geom: g, Tim: timing.Paper(), Modes: modes, Interleave: addr.RowBankRankChanCol}, eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := addr.MustNewMapper(g, addr.RowBankRankChanCol)
+		rng := rand.New(rand.NewSource(int64(mi)))
+		s := &c.shards[0]
+		id, dropped := uint64(0), 0
+		for now := sim.Tick(0); now < 20_000; now++ {
+			eng.RunUntil(now)
+			if now%500 == 0 {
+				// A burst of reads and writes, then silence long
+				// enough for every bank to go quiet.
+				for k := 0; k < 12; k++ {
+					id++
+					op := mem.Read
+					if rng.Intn(3) == 0 {
+						op = mem.Write
+					}
+					c.Enqueue(&mem.Request{ID: id, Op: op, Addr: m.Encode(addr.Location{
+						Bank: rng.Intn(g.Banks), Row: rng.Intn(g.Rows), Col: rng.Intn(g.Cols),
+					})}, now)
+				}
+			}
+			c.Cycle(now)
+			listed := len(s.busy)
+			got := s.nextBankFlip(now)
+			if len(s.busy) < listed {
+				dropped++
+			}
+			want := sim.MaxTick
+			for _, b := range s.banks {
+				want = min(want, b.NextRelease(now))
+			}
+			if got != want {
+				t.Fatalf("modes %+v tick %d: busy-list flip %d, all-bank flip %d", modes, now, got, want)
+			}
+		}
+		if dropped == 0 {
+			t.Fatalf("modes %+v: no bank ever left the busy list", modes)
+		}
+	}
 }
 
 // TestSkipCyclesMatchesPerCycleCounters drives two identical

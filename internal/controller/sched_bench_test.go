@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/addr"
+	"repro/internal/bank"
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -110,5 +111,67 @@ func BenchmarkCycleSaturated(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		now++
 		h.step(now)
+	}
+}
+
+// BenchmarkNextWork measures one fast-forward probe (ns/op) on the
+// paper's 8×2 FgNVM channel and on its 128-bank many-banks counterpart.
+// The write queue is kept full of writes spread over every bank and the
+// controller cycles until one cycle issues nothing — the state in which
+// the run loop probes — and the timed loop then repeats that probe.
+func BenchmarkNextWork(b *testing.B) {
+	paper := addr.PaperGeometry()
+	paper.SAGs, paper.CDs = 8, 2
+	many, err := bank.ManyBanksGeometry(paper)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, d := range []struct {
+		name  string
+		geom  addr.Geometry
+		modes core.AccessModes
+	}{
+		{"fgnvm", paper, core.AllModes()},
+		{"manybanks", many, core.AccessModes{}},
+	} {
+		b.Run(d.name, func(b *testing.B) {
+			eng := sim.NewEngine()
+			c, err := New(Config{
+				Geom: d.geom, Tim: timing.Paper(), Modes: d.modes,
+				Interleave: addr.RowBankRankChanCol,
+			}, eng)
+			if err != nil {
+				b.Fatal(err)
+			}
+			m := addr.MustNewMapper(d.geom, addr.RowBankRankChanCol)
+			nb := d.geom.Ranks * d.geom.Banks
+			id := 0
+			fill := func(now sim.Tick) {
+				for {
+					id++
+					w := &mem.Request{ID: uint64(id), Op: mem.Write, Addr: m.Encode(addr.Location{
+						Bank: id % nb, Row: (id * 7) % d.geom.Rows, Col: (id * 3) % d.geom.Cols,
+					})}
+					if !c.Enqueue(w, now) {
+						return
+					}
+				}
+			}
+			now := sim.Tick(0)
+			fill(now)
+			for {
+				eng.RunUntil(now)
+				if c.Cycle(now) == 0 && now >= 1000 {
+					break
+				}
+				fill(now)
+				now++
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = c.NextWork(now)
+			}
+		})
 	}
 }

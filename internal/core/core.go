@@ -119,6 +119,8 @@ type Bank struct {
 
 	rowsPerSAG int
 	colsPerCD  int
+	sagMask    int // SAGs-1: SAGs is a power of two (addr.Geometry.Validate)
+	cdMask     int // CDs-1
 	segBits    int // bits sensed by a partial activation
 	rowBits    int // bits sensed by a full activation
 	lineBits   int
@@ -135,6 +137,16 @@ type Bank struct {
 	colReady []sim.Tick   // per CD: earliest next column command (tCCD spacing)
 	writeEnd sim.Tick     // completion tick of the latest-ending write
 	horizon  sim.Tick     // max over every timer ever set: all quiet at now >= horizon
+
+	// timers is the one array behind sagBusy, sagWrite, cdBusy, cdWrite,
+	// colReady and every segReady row, so NextRelease's scan is a single
+	// pass over contiguous memory.
+	timers []sim.Tick
+
+	// flip caches the last NextRelease answer: the least timer above
+	// the probe tick, or sim.MaxTick. It answers every later probe below
+	// it until stretch clears it (0: nothing cached).
+	flip sim.Tick
 
 	// inv independently re-checks the Section 4 conflict rules on every
 	// issued operation. Only non-nil under the fgnvm_invariants build
@@ -170,26 +182,35 @@ func NewBank(cfg Config) (*Bank, error) {
 		id:         cfg.ID,
 		rowsPerSAG: cfg.Geom.RowsPerSAG(),
 		colsPerCD:  cfg.Geom.ColsPerCD(),
+		sagMask:    cfg.Geom.SAGs - 1,
+		cdMask:     cfg.Geom.CDs - 1,
 		segBits:    cfg.Geom.SegmentBytes() * 8,
 		rowBits:    cfg.Geom.RowBytes() * 8,
 		lineBits:   lineBits,
 		pulses:     sim.Tick(pulses),
-		openRow:    make([]int, cfg.Geom.SAGs),
-		sagBusy:    make([]sim.Tick, cfg.Geom.SAGs),
-		sagWrite:   make([]sim.Tick, cfg.Geom.SAGs),
-		cdBusy:     make([]sim.Tick, cfg.Geom.CDs),
-		cdWrite:    make([]sim.Tick, cfg.Geom.CDs),
-		colReady:   make([]sim.Tick, cfg.Geom.CDs),
 	}
-	b.openSeg = make([][]int, cfg.Geom.SAGs)
-	b.segReady = make([][]sim.Tick, cfg.Geom.SAGs)
+	// One allocation each for the row latches and the timers; the
+	// per-SAG and per-CD views are carved out of them.
+	sags, cds := cfg.Geom.SAGs, cfg.Geom.CDs
+	rows := make([]int, sags+sags*cds)
+	for i := range rows {
+		rows[i] = -1 // nothing latched
+	}
+	b.timers = make([]sim.Tick, 2*sags+3*cds+sags*cds)
+	ticks := b.timers
+	carve := func(n int) []sim.Tick {
+		t := ticks[:n:n]
+		ticks = ticks[n:]
+		return t
+	}
+	b.openRow, rows = rows[:sags:sags], rows[sags:]
+	b.sagBusy, b.sagWrite = carve(sags), carve(sags)
+	b.cdBusy, b.cdWrite, b.colReady = carve(cds), carve(cds), carve(cds)
+	b.openSeg = make([][]int, sags)
+	b.segReady = make([][]sim.Tick, sags)
 	for s := range b.openSeg {
-		b.openRow[s] = -1
-		b.openSeg[s] = make([]int, cfg.Geom.CDs)
-		b.segReady[s] = make([]sim.Tick, cfg.Geom.CDs)
-		for c := range b.openSeg[s] {
-			b.openSeg[s][c] = -1
-		}
+		b.openSeg[s], rows = rows[:cds:cds], rows[cds:]
+		b.segReady[s] = carve(cds)
 	}
 	if invariant.Enabled {
 		b.inv = invariant.NewTileTracker(cfg.Geom.SAGs, cfg.Geom.CDs, cfg.Modes.LocalSenseAmps)
@@ -224,8 +245,9 @@ func (b *Bank) WriteOccupancy() sim.Tick {
 // sag and cd locate a (row, col) pair in the tile grid, matching
 // addr.Geometry.SAG and CD: low row bits pick the SAG (SALP-style
 // subarray interleaving), and cache lines round-robin across CDs.
-func (b *Bank) sag(row int) int { return row % b.geom.SAGs }
-func (b *Bank) cd(col int) int  { return col % b.geom.CDs }
+// Both counts are powers of two, so a mask replaces the modulo.
+func (b *Bank) sag(row int) int { return row & b.sagMask }
+func (b *Bank) cd(col int) int  { return col & b.cdMask }
 
 // NeedsActivate reports whether accessing (row, col) at time now requires
 // a (partial) activation first, i.e. the segment is not open and ready.
@@ -491,46 +513,57 @@ func (b *Bank) WriteInFlight(now sim.Tick) bool { return now < b.writeEnd }
 // has already expired. The run loop's fast-forward uses this to bound
 // how far time can jump while the controller is provably unable to
 // issue.
+//
+// The answer is cached, so probes between two commands must come at
+// non-decreasing ticks, as the run loop's do. Timers change only on
+// commands, and every command clears the cache through stretch; with
+// no command since a probe at p, the least timer above p is also the
+// least timer above any now in [p, that timer), so a repeated probe
+// costs one compare and only the first probe after a command pays for
+// the scan.
 func (b *Bank) NextRelease(now sim.Tick) sim.Tick {
+	if now < b.flip {
+		if invariant.Enabled {
+			if scan := b.scanRelease(now); scan != b.flip {
+				invariant.Assertf(false, "bank %v: cached next flip %d but a full scan at %d gives %d",
+					b.id, b.flip, now, scan)
+			}
+		}
+		return b.flip
+	}
+	b.flip = b.scanRelease(now)
+	return b.flip
+}
+
+// scanRelease is NextRelease's miss path: a min-scan over every timer.
+func (b *Bank) scanRelease(now sim.Tick) sim.Tick {
 	// horizon bounds every timer ever set, so a bank whose horizon has
 	// passed cannot hold a future flip — skip the tile scan entirely.
-	// This is what keeps the fast-forward probe affordable on the
-	// many-banks design, where most of its 128 banks are idle at any
-	// given tick.
 	if b.horizon <= now {
 		return sim.MaxTick
 	}
 	next := sim.MaxTick
-	consider := func(t sim.Tick) {
+	for _, t := range b.timers {
 		if t > now && t < next {
 			next = t
 		}
 	}
-	for i := range b.sagBusy {
-		consider(b.sagBusy[i])
-		consider(b.sagWrite[i])
-	}
-	for i := range b.cdBusy {
-		consider(b.cdBusy[i])
-		consider(b.cdWrite[i])
-		consider(b.colReady[i])
-	}
-	for s := range b.segReady {
-		for c := range b.segReady[s] {
-			consider(b.segReady[s][c])
+	for _, t := range [...]sim.Tick{b.bankBusy, b.writeEnd} {
+		if t > now && t < next {
+			next = t
 		}
 	}
-	consider(b.bankBusy)
-	consider(b.writeEnd)
 	return next
 }
 
-// stretch advances the bank's timer horizon. Called wherever a timer
-// is set, so horizon stays an upper bound on every scheduling flip.
+// stretch advances the bank's timer horizon and clears the cached
+// next flip. Called wherever a timer is set, so horizon stays an upper
+// bound on every scheduling flip and no stale flip survives a command.
 func (b *Bank) stretch(t sim.Tick) {
 	if t > b.horizon {
 		b.horizon = t
 	}
+	b.flip = 0
 }
 
 // busyAnywhere reports whether any SAG or CD is mid-operation at now.

@@ -330,6 +330,25 @@ func TestProjectionHelpers(t *testing.T) {
 	}
 }
 
+// TestProjectionMatchesGeometry pins the mask-based tile projection to
+// addr.Geometry's modulo definition on every geometry these tests use,
+// over a row and column range that wraps each subdivision many times.
+func TestProjectionMatchesGeometry(t *testing.T) {
+	for _, g := range flipGeometries() {
+		b := MustNewBank(Config{Geom: g.geom, Tim: timing.Paper(), WriteDrivers: 64})
+		for row := 0; row < 4*g.geom.Rows; row++ {
+			if got, want := b.SAGOf(row), g.geom.SAG(row); got != want {
+				t.Fatalf("%s: SAGOf(%d) = %d, want %d", g.name, row, got, want)
+			}
+		}
+		for col := 0; col < 4*g.geom.Cols; col++ {
+			if got, want := b.CDOf(col), g.geom.CD(col); got != want {
+				t.Fatalf("%s: CDOf(%d) = %d, want %d", g.name, col, got, want)
+			}
+		}
+	}
+}
+
 // refChecker is an independent oracle for the conflict rules: it records
 // every operation as an interval on its SAG/CD/bank resources and checks
 // that no two intervals overlap illegally. Within a SAG, two SENSES of

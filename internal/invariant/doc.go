@@ -17,7 +17,7 @@
 //
 //   - Event-queue monotonicity (internal/sim): the kernel never
 //     dispatches an event with a timestamp before the current clock.
-//   - SAG x CD exclusivity (internal/core, internal/bank): concurrent
+//   - SAG x CD exclusivity (internal/core, internal/bank's tests): concurrent
 //     device operations within one bank respect the paper's Section 4
 //     conflict rules, independently re-checked by TileTracker.
 //   - Stall-bucket conservation (internal/controller): the attribution
