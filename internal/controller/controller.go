@@ -187,6 +187,14 @@ type shard struct {
 	// so a one-cycle gap between read bursts doesn't invite a
 	// CD-blocking write.
 	lastReadActive sim.Tick
+
+	// causes memoizes attributeStalls' classification of every queued
+	// request (reads, then writes, in queue order). It holds until
+	// causesUntil, the channel's next flip tick when it was taken, or
+	// until a queue push, a command, a queue removal or a drain-mode
+	// transition zeroes causesUntil.
+	causes      []telemetry.StallCause
+	causesUntil sim.Tick
 }
 
 // idleWriteDelay is how many cycles the read queue must stay empty
@@ -330,6 +338,7 @@ func (s *shard) enqueue(r *mem.Request, now sim.Tick) bool {
 			}
 			return false
 		}
+		s.causesUntil = 0
 		if s.tel != nil {
 			telRequest(s.tel, telemetry.ReqEnqueued, r, now)
 		}
@@ -361,6 +370,7 @@ func (s *shard) enqueue(r *mem.Request, now sim.Tick) bool {
 		}
 		return false
 	}
+	s.causesUntil = 0
 	if s.tel != nil {
 		telRequest(s.tel, telemetry.ReqEnqueued, r, now)
 	}
@@ -425,19 +435,50 @@ func (s *shard) cycle(now sim.Tick) int {
 // of a window over which it has proved the classification constant. It
 // returns the number of calls made so the tagged build can assert
 // conservation.
+//
+// The classification is memoized in s.causes. By the flip-tick argument
+// behind NextWork and SkipCycles, every cause is constant until the
+// channel's next flip tick as long as the queues, the bank and bus
+// state and the drain mode stay put; every change to those zeroes
+// causesUntil (a successful Push, markBusy — which every command and
+// every queue Remove passes through — and both updateDrain
+// transitions). So the queues are rescanned only when now reaches
+// causesUntil, and the tagged build checks every reuse against a fresh
+// classification.
 func (s *shard) attributeStalls(now sim.Tick, n uint64) int {
-	emitted := 0
-	s.readQ.Scan(func(_ int, r *mem.Request) bool {
-		emitted++
-		s.tel.Stall(s.classifyReadStall(r, s.bankOf(r), now), n)
-		return true
-	})
-	s.writeQ.Scan(func(_ int, w *mem.Request) bool {
-		emitted++
-		s.tel.Stall(s.classifyWriteStall(w, s.bankOf(w), now), n)
-		return true
-	})
-	return emitted
+	if now >= s.causesUntil {
+		s.causes = s.causes[:0]
+		for i, q := 0, s.readQ.Len()+s.writeQ.Len(); i < q; i++ {
+			s.causes = append(s.causes, s.classifyQueued(i, now))
+		}
+		s.causesUntil = s.channelNextWork(now)
+	} else if invariant.Enabled {
+		invariant.Assertf(len(s.causes) == s.readQ.Len()+s.writeQ.Len(),
+			"stall memo holds %d causes for %d queued requests (tick %d)",
+			len(s.causes), s.readQ.Len()+s.writeQ.Len(), now)
+		for i, c := range s.causes {
+			if fresh := s.classifyQueued(i, now); c != fresh {
+				invariant.Assertf(false, "stall memo says %v for queued request %d at tick %d, a fresh classification says %v",
+					c, i, now, fresh)
+			}
+		}
+	}
+	for _, c := range s.causes {
+		s.tel.Stall(c, n)
+	}
+	return len(s.causes)
+}
+
+// classifyQueued classifies the i-th queued request, counting the read
+// queue first and then the write queue, each in queue order.
+func (s *shard) classifyQueued(i int, now sim.Tick) telemetry.StallCause {
+	nr := s.readQ.Len()
+	if i < nr {
+		r := s.readQ.At(i)
+		return s.classifyReadStall(r, s.bankOf(r), now)
+	}
+	w := s.writeQ.At(i - nr)
+	return s.classifyWriteStall(w, s.bankOf(w), now)
 }
 
 // classifyReadStall attributes one waiting cycle of a queued read. The
@@ -531,6 +572,7 @@ func (s *shard) updateDrain() {
 	if s.drain {
 		if s.writeQ.Len() <= s.cfg.WriteLowWM {
 			s.drain = false
+			s.causesUntil = 0
 		}
 		return
 	}
@@ -540,6 +582,7 @@ func (s *shard) updateDrain() {
 	}
 	if s.writeQ.Len() >= start {
 		s.drain = true
+		s.causesUntil = 0
 		s.st.WriteDrainEvents.Inc()
 	}
 }
@@ -559,9 +602,12 @@ func (s *shard) bankOf(r *mem.Request) *core.Bank {
 	return s.banks[r.Loc.Rank*s.cfg.Geom.Banks+r.Loc.Bank]
 }
 
-// markBusy puts the bank at loc on the busy list. Every command issue
-// calls it, since a command is the only thing that sets a bank timer.
+// markBusy puts the bank at loc on the busy list and drops the stall
+// memo. Every command issue calls it, since a command is the only thing
+// that sets a bank timer or a bus lane, and so does every queue Remove,
+// which only follows an issue.
 func (s *shard) markBusy(loc addr.Location) {
+	s.causesUntil = 0
 	i := s.bankIndex(loc)
 	if !s.listed[i] {
 		s.listed[i] = true

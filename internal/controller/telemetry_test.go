@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/addr"
@@ -190,5 +191,89 @@ func TestNoSinkBankOpsZeroAllocs(t *testing.T) {
 		now = end + 1000 // past recovery: next iteration starts idle
 	}); allocs != 0 {
 		t.Errorf("bank ops with nil sink: %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestStallMemoMatchesScan checks attributeStalls' memo against a fresh
+// classification of every queued request after every cycle, under
+// bursty mixed traffic whose write bursts cross the drain watermarks.
+// A missing memo invalidation at any of its sites (read or write Push,
+// markBusy, either updateDrain transition) leaves a stale cause that
+// this comparison sees.
+func TestStallMemoMatchesScan(t *testing.T) {
+	salp := core.AccessModes{MultiActivation: true, BackgroundedWrites: true, LocalSenseAmps: true}
+	noBG := core.AccessModes{PartialActivation: true, MultiActivation: true}
+	cases := []struct {
+		name      string
+		sags, cds int
+		modes     core.AccessModes
+		lanes     int
+		sched     SchedulerKind
+		wm        int // both drain watermarks when non-zero
+	}{
+		{"baseline 1x1", 1, 1, core.AccessModes{}, 1, FRFCFS, 0},
+		{"fgnvm 8x2", 8, 2, core.AllModes(), 1, FRFCFS, 0},
+		{"salp 8", 8, 1, salp, 1, FRFCFS, 0},
+		{"fgnvm multi-issue 8x2", 8, 2, core.AllModes(), 4, FRFCFS, 0},
+		// FCFS looks at the oldest request only, so a drain-mode
+		// change often issues nothing in its cycle: only the drain
+		// invalidation can refresh the memo there.
+		{"fgnvm 8x2 fcfs", 8, 2, core.AllModes(), 1, FCFS, 0},
+		// Equal watermarks toggle drain on and off in consecutive
+		// cycles, the one way drain starts without a push since the
+		// last classification.
+		{"no-bg 8x2 fcfs equal watermarks", 8, 2, noBG, 1, FCFS, 8},
+	}
+	for ci, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g := addr.Geometry{Channels: 1, Ranks: 1, Banks: 2, Rows: 64, Cols: 16, LineBytes: 64,
+				SAGs: tc.sags, CDs: tc.cds}
+			eng := sim.NewEngine()
+			c, err := New(Config{
+				Geom: g, Tim: timing.Paper(), Modes: tc.modes, IssueLanes: tc.lanes, Scheduler: tc.sched,
+				WriteLowWM: tc.wm, WriteHighWM: tc.wm,
+				Interleave: addr.RowBankRankChanCol, Telemetry: &recordingSink{},
+			}, eng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := addr.MustNewMapper(g, addr.RowBankRankChanCol)
+			rng := rand.New(rand.NewSource(int64(ci + 1)))
+			s := &c.shards[0]
+			reused := 0
+			for now := sim.Tick(0); now < 20_000; now++ {
+				eng.RunUntil(now)
+				// Phases of 2,000 cycles alternate read-heavy and
+				// write-heavy bursts.
+				writeHeavy := now/2000%2 == 1
+				for rng.Intn(5) == 0 {
+					op := mem.Read
+					if writeHeavy == (rng.Intn(4) != 0) {
+						op = mem.Write
+					}
+					loc := addr.Location{Bank: rng.Intn(g.Banks), Row: rng.Intn(g.Rows), Col: rng.Intn(g.Cols)}
+					c.Enqueue(&mem.Request{ID: uint64(now), Op: op, Addr: m.Encode(loc)}, now)
+				}
+				c.Cycle(now)
+				if q := s.readQ.Len() + s.writeQ.Len(); len(s.causes) != q {
+					t.Fatalf("tick %d: memo holds %d causes for %d queued requests", now, len(s.causes), q)
+				}
+				for i, cause := range s.causes {
+					if fresh := s.classifyQueued(i, now); cause != fresh {
+						t.Fatalf("tick %d: memo says %v for queued request %d, a fresh classification says %v",
+							now, cause, i, fresh)
+					}
+				}
+				if s.causesUntil > now+1 {
+					reused++
+				}
+			}
+			if c.Stats().WriteDrainEvents.Value() == 0 {
+				t.Error("traffic never crossed the drain watermark")
+			}
+			if reused == 0 {
+				t.Error("the memo never outlived a cycle")
+			}
+		})
 	}
 }

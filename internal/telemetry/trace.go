@@ -6,50 +6,27 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 
 	"repro/internal/addr"
 	"repro/internal/sim"
 )
 
-// traceEvent is one entry of the Chrome trace-event format's JSON
-// array form. Field order is fixed by the struct, and map-free, so the
-// encoding is byte-deterministic for a deterministic event sequence.
-type traceEvent struct {
-	Name string   `json:"name"`
-	Cat  string   `json:"cat,omitempty"`
-	Ph   string   `json:"ph"`
-	TS   uint64   `json:"ts"`
-	Dur  uint64   `json:"dur,omitempty"`
-	PID  int      `json:"pid"`
-	TID  int      `json:"tid"`
-	ID   string   `json:"id,omitempty"`
-	BP   string   `json:"bp,omitempty"`
-	Args *evtArgs `json:"args,omitempty"`
-}
+// chunkBytes is the size of one encoded-event chunk, and maxEventBytes
+// bounds one encoded event: every string field comes from a fixed set
+// of at most 16 bytes and every number is at most 20 digits and a sign,
+// so a command slice, the largest event, stays under 300 bytes. A new
+// chunk starts whenever fewer than maxEventBytes remain in the current
+// one, so no chunk is ever regrown or copied.
+const (
+	chunkBytes    = 64 << 10
+	maxEventBytes = 512
+)
 
-// evtArgs carries per-event details; a struct (not a map) keeps the
-// JSON key order deterministic.
-type evtArgs struct {
-	Name  string `json:"name,omitempty"` // metadata payload
-	Row   int    `json:"row,omitempty"`
-	Col   int    `json:"col,omitempty"`
-	Req   uint64 `json:"req,omitempty"`
-	Value int    `json:"value,omitempty"` // counter payload
-}
-
-// traceFile is the top-level trace object. Timestamps are in simulated
-// controller cycles, not microseconds; displayTimeUnit only affects the
-// viewer's axis labels.
-type traceFile struct {
-	DisplayTimeUnit string       `json:"displayTimeUnit"`
-	TraceEvents     []traceEvent `json:"traceEvents"`
-}
-
-// Trace buffers simulation events and serializes them as Chrome
+// Trace records simulation events and serializes them as Chrome
 // trace-event JSON. Tracks:
 //
 //   - pid 2·ch+1 ("ch<ch> tiles"): one thread per (rank, bank, SAG,
@@ -60,16 +37,23 @@ type traceFile struct {
 //     as separate rows) and s/t/f flow steps enqueue → issue →
 //     complete.
 //
-// Events are buffered in simulation order and written in one shot by
-// Export; identical runs produce byte-identical output (locked in by
-// the determinism regression test).
+// Each event is encoded to JSON when it arrives, preceded by a comma,
+// into the current chunk of a list of fixed-size byte chunks; Export
+// writes the sorted track metadata, then the chunks in order. The
+// encoding is byte-identical to encoding/json over a struct with the
+// fields name, cat, ph, ts, dur, pid, tid, id, bp and args (in that
+// order; cat, dur, id, bp and every zero args field omitted, args
+// itself always present where the event carries it), which is how the
+// tests check it. Identical runs produce byte-identical output (locked
+// in by the determinism regression test).
 //
 // The trace is a serialization point by design: events from every
-// channel interleave into one buffer in simulation order.
+// channel interleave into one stream in simulation order.
 type Trace struct {
 	geom   addr.Geometry
 	lanes  int
-	events []traceEvent
+	chunks [][]byte // encoded events, each with its leading comma
+	events int
 
 	// Track metadata is recorded on first use and emitted (sorted) at
 	// the head of the file.
@@ -152,16 +136,9 @@ func (t *Trace) Command(ev Command) {
 	} else {
 		pid, tid = t.touchTile(ev.Bank.Channel, ev.Bank.Rank, ev.Bank.Bank, ev.SAG, ev.CD)
 	}
-	t.events = append(t.events, traceEvent{
-		Name: ev.Kind.String(),
-		Cat:  "cmd",
-		Ph:   "X",
-		TS:   uint64(ev.Start),
-		Dur:  uint64(ev.End - ev.Start),
-		PID:  pid,
-		TID:  tid,
-		Args: &evtArgs{Row: ev.Row, Col: ev.Col, Req: ev.ReqID},
-	})
+	b := appendEvent(t.buf(), ev.Kind.String(), "cmd", "X", ev.Start, uint64(ev.End-ev.Start), pid, tid)
+	b = appendArgs(b, "", ev.Row, ev.Col, ev.ReqID, 0)
+	t.done(append(b, '}'))
 }
 
 // Request implements Sink: lifetimes become async begin/end spans plus
@@ -169,25 +146,34 @@ func (t *Trace) Command(ev Command) {
 // request is a connected arrow in the viewer.
 func (t *Trace) Request(ev RequestEvent) {
 	pid, tid := t.touchReq(ev.Loc.Channel, ev.Write)
-	id := fmt.Sprintf("0x%x", ev.ID)
 	op := "RD"
 	if ev.Write {
 		op = "WR"
 	}
 	switch ev.Phase {
 	case ReqEnqueued:
-		t.events = append(t.events,
-			traceEvent{Name: op, Cat: "req", Ph: "b", TS: uint64(ev.Now), PID: pid, TID: tid, ID: id,
-				Args: &evtArgs{Row: ev.Loc.Row, Col: ev.Loc.Col, Req: ev.ID}},
-			traceEvent{Name: "req", Cat: "flow", Ph: "s", TS: uint64(ev.Now), PID: pid, TID: tid, ID: id})
+		b := appendID(appendEvent(t.buf(), op, "req", "b", ev.Now, 0, pid, tid), ev.ID)
+		b = appendArgs(b, "", ev.Loc.Row, ev.Loc.Col, ev.ID, 0)
+		t.done(append(b, '}'))
+		t.flow("s", "", ev.Now, pid, tid, ev.ID)
 	case ReqIssued:
-		t.events = append(t.events,
-			traceEvent{Name: "req", Cat: "flow", Ph: "t", TS: uint64(ev.Now), PID: pid, TID: tid, ID: id})
+		t.flow("t", "", ev.Now, pid, tid, ev.ID)
 	case ReqCompleted:
-		t.events = append(t.events,
-			traceEvent{Name: "req", Cat: "flow", Ph: "f", BP: "e", TS: uint64(ev.Now), PID: pid, TID: tid, ID: id},
-			traceEvent{Name: op, Cat: "req", Ph: "e", TS: uint64(ev.Now), PID: pid, TID: tid, ID: id})
+		t.flow("f", "e", ev.Now, pid, tid, ev.ID)
+		b := appendID(appendEvent(t.buf(), op, "req", "e", ev.Now, 0, pid, tid), ev.ID)
+		t.done(append(b, '}'))
 	}
+}
+
+// flow records one step of a request's flow chain.
+func (t *Trace) flow(ph, bp string, now sim.Tick, pid, tid int, id uint64) {
+	b := appendID(appendEvent(t.buf(), "req", "flow", ph, now, 0, pid, tid), id)
+	if bp != "" {
+		b = append(b, `,"bp":"`...)
+		b = append(b, bp...)
+		b = append(b, '"')
+	}
+	t.done(append(b, '}'))
 }
 
 // Stall implements Sink (stall cycles are aggregated by Attribution;
@@ -201,30 +187,117 @@ func (t *Trace) EngineSample(now sim.Tick, pending int) {
 	if t.haveCounter && now == t.lastCounterTick {
 		return
 	}
+	if !t.haveCounter {
+		t.procs[0] = "sim kernel"
+	}
 	t.haveCounter, t.lastCounterTick = true, now
-	t.procs[0] = "sim kernel"
-	t.events = append(t.events, traceEvent{
-		Name: "pending events", Cat: "kernel", Ph: "C",
-		TS: uint64(now), PID: 0, TID: 0,
-		Args: &evtArgs{Value: pending},
-	})
+	b := appendEvent(t.buf(), "pending events", "kernel", "C", now, 0, 0, 0)
+	b = appendArgs(b, "", 0, 0, 0, pending)
+	t.done(append(b, '}'))
 }
 
-// Export serializes the trace. Metadata (process and thread names,
-// sorted by id) precedes the buffered events, which stay in simulation
-// order.
+// buf returns the current chunk, starting a new one when fewer than
+// maxEventBytes remain, so the event about to be appended fits.
+func (t *Trace) buf() []byte {
+	if n := len(t.chunks); n > 0 {
+		if c := t.chunks[n-1]; cap(c)-len(c) >= maxEventBytes {
+			return c
+		}
+	}
+	t.chunks = append(t.chunks, make([]byte, 0, chunkBytes))
+	return t.chunks[len(t.chunks)-1]
+}
+
+// done stores the current chunk back after one event was appended.
+func (t *Trace) done(b []byte) {
+	t.chunks[len(t.chunks)-1] = b
+	t.events++
+}
+
+// appendEvent appends a comma and an event object's fields from name
+// through tid, leaving the object open for id, bp and args. Strings are
+// written raw: every one is built in this file from characters JSON
+// does not escape.
+func appendEvent(b []byte, name, cat, ph string, ts sim.Tick, dur uint64, pid, tid int) []byte {
+	b = append(b, `,{"name":"`...)
+	b = append(b, name...)
+	if cat != "" {
+		b = append(b, `","cat":"`...)
+		b = append(b, cat...)
+	}
+	b = append(b, `","ph":"`...)
+	b = append(b, ph...)
+	b = append(b, `","ts":`...)
+	b = strconv.AppendUint(b, uint64(ts), 10)
+	if dur != 0 {
+		b = append(b, `,"dur":`...)
+		b = strconv.AppendUint(b, dur, 10)
+	}
+	b = append(b, `,"pid":`...)
+	b = strconv.AppendInt(b, int64(pid), 10)
+	b = append(b, `,"tid":`...)
+	return strconv.AppendInt(b, int64(tid), 10)
+}
+
+// appendID appends a request id as the hex string the viewer pairs
+// async and flow events by.
+func appendID(b []byte, id uint64) []byte {
+	b = append(b, `,"id":"0x`...)
+	b = strconv.AppendUint(b, id, 16)
+	return append(b, '"')
+}
+
+// appendArgs appends an args object holding the non-zero fields among
+// name, row, col, req and value, in that order ("args":{} when all are
+// zero).
+func appendArgs(b []byte, name string, row, col int, req uint64, value int) []byte {
+	b = append(b, `,"args":{`...)
+	open := len(b)
+	if name != "" {
+		b = argKey(b, open, `"name":"`)
+		b = append(b, name...)
+		b = append(b, '"')
+	}
+	if row != 0 {
+		b = strconv.AppendInt(argKey(b, open, `"row":`), int64(row), 10)
+	}
+	if col != 0 {
+		b = strconv.AppendInt(argKey(b, open, `"col":`), int64(col), 10)
+	}
+	if req != 0 {
+		b = strconv.AppendUint(argKey(b, open, `"req":`), req, 10)
+	}
+	if value != 0 {
+		b = strconv.AppendInt(argKey(b, open, `"value":`), int64(value), 10)
+	}
+	return append(b, '}')
+}
+
+// argKey appends an args key, after a comma unless it is the first
+// field of the object that opened at open.
+func argKey(b []byte, open int, key string) []byte {
+	if len(b) > open {
+		b = append(b, ',')
+	}
+	return append(b, key...)
+}
+
+// Export serializes the trace: track metadata (process and thread
+// names, sorted by id) first, then the recorded events in simulation
+// order. It may be called more than once.
 func (t *Trace) Export(w io.Writer) error {
-	head := make([]traceEvent, 0, len(t.procs)+len(t.names))
+	// Timestamps are in simulated controller cycles, not microseconds;
+	// displayTimeUnit only affects the viewer's axis labels.
+	head := []byte(`{"displayTimeUnit":"ns","traceEvents":[`)
+	open := len(head)
 	pids := make([]int, 0, len(t.procs))
 	for pid := range t.procs {
 		pids = append(pids, pid)
 	}
 	sort.Ints(pids)
 	for _, pid := range pids {
-		head = append(head, traceEvent{
-			Name: "process_name", Ph: "M", PID: pid,
-			Args: &evtArgs{Name: t.procs[pid]},
-		})
+		head = appendEvent(head, "process_name", "", "M", 0, 0, pid, 0)
+		head = append(appendArgs(head, t.procs[pid], 0, 0, 0, 0), '}')
 	}
 	keys := make([][2]int, 0, len(t.names))
 	for k := range t.names {
@@ -237,18 +310,29 @@ func (t *Trace) Export(w io.Writer) error {
 		return keys[i][1] < keys[j][1]
 	})
 	for _, k := range keys {
-		head = append(head, traceEvent{
-			Name: "thread_name", Ph: "M", PID: k[0], TID: k[1],
-			Args: &evtArgs{Name: t.names[k]},
-		})
+		head = appendEvent(head, "thread_name", "", "M", 0, 0, k[0], k[1])
+		head = append(appendArgs(head, t.names[k], 0, 0, 0, 0), '}')
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(traceFile{
-		DisplayTimeUnit: "ns",
-		TraceEvents:     append(head, t.events...),
-	})
+	// Every event carries a leading comma; the array's first one drops
+	// it.
+	skip := 1
+	if len(head) > open {
+		head = append(head[:open], head[open+1:]...)
+		skip = 0
+	}
+	if _, err := w.Write(head); err != nil {
+		return err
+	}
+	for _, c := range t.chunks {
+		if _, err := w.Write(c[skip:]); err != nil {
+			return err
+		}
+		skip = 0
+	}
+	_, err := io.WriteString(w, "]}\n")
+	return err
 }
 
-// Events returns the number of buffered trace events (excluding
+// Events returns the number of recorded trace events (excluding
 // metadata).
-func (t *Trace) Events() int { return len(t.events) }
+func (t *Trace) Events() int { return t.events }
