@@ -385,7 +385,7 @@ func StallStoryContext(ctx context.Context, p ExperimentParams) (StallStoryResul
 		{"fgnvm-multiissue", DesignFgNVMMultiIssue, nil},
 	}
 	out.Rows = make([]StallStoryRow, len(points))
-	err = forEachN(ctx, len(points), min(workers(p.Parallel, len(p.Benchmarks)), len(points)), func(i int) error {
+	err = forEachN(ctx, len(points), workers(p.Parallel, len(points)), func(i int) error {
 		pt := points[i]
 		r, err := RunContext(ctx, Options{
 			Design: pt.design, SAGs: 8, CDs: 2, Modes: pt.modes,

@@ -89,6 +89,29 @@ func TestFigure4ParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestStallStoryParallelMatchesSerial pins that the stall story's
+// four points give the same rows on one worker and on four.
+func TestStallStoryParallelMatchesSerial(t *testing.T) {
+	p := ExperimentParams{Instructions: 15_000, Benchmarks: []string{"lbm"}, Parallel: 1}
+	serial, err := StallStory(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Parallel = 4
+	parallel, err := StallStory(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(serial.Rows) != 4 || len(parallel.Rows) != len(serial.Rows) {
+		t.Fatalf("row counts %d and %d, want 4", len(serial.Rows), len(parallel.Rows))
+	}
+	for i := range serial.Rows {
+		if serial.Rows[i] != parallel.Rows[i] {
+			t.Fatalf("row %d differs: %+v vs %+v", i, serial.Rows[i], parallel.Rows[i])
+		}
+	}
+}
+
 func TestFigure4UnknownBenchmarkFails(t *testing.T) {
 	p := tinyParams()
 	p.Benchmarks = []string{"nope"}

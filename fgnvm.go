@@ -211,7 +211,8 @@ type Options struct {
 
 	// Technology selects the NVM cell technology: PCM (Table 2, the
 	// default) or RRAM (faster switching, lower write energy). Ignored
-	// when Timings or Device is set.
+	// when Device is set. With Timings set, Timings replaces its
+	// latencies but Technology still selects the write energy.
 	Technology Technology
 
 	// Modes, when non-nil, overrides the access-mode set implied by
@@ -547,6 +548,9 @@ func (o Options) Canonical() (Options, error) {
 	case o.WarmupAccesses < 0:
 		o.WarmupAccesses = -1
 	}
+	if o.Device != nil {
+		o.Technology = TechPCM // the device model sets timings and energies
+	}
 	switch o.Design {
 	case DesignBaseline:
 		o.SAGs, o.CDs, o.Modes = 1, 1, nil
@@ -637,7 +641,7 @@ func RunContext(ctx context.Context, o Options) (Result, error) {
 	switch {
 	case o.Timings != nil:
 		tim = *o.Timings
-	case o.Device == nil && o.Technology == TechRRAM:
+	case o.Technology == TechRRAM:
 		var err error
 		tim, err = timing.New(timing.RRAM(), timing.DefaultClockMHz)
 		if err != nil {
@@ -968,18 +972,11 @@ type coreSlot struct {
 // stall-attribution events, rejected-retry telemetry), which keeps
 // fast-forwarded runs byte-identical to cycle-by-cycle runs — the
 // property the differential tests pin. The paper's long PCM write
-// windows (Section 4.3) are precisely where this pays off.
-// Probe throttle: quiescence probes (Blocked + NextWork) are not
-// free, and on read-bound phases they mostly fail — a core is still
-// making progress, or the next bank-timer flip is a cycle away. After
-// a failed probe the loop backs off exponentially (capped) before
-// probing again; any successful jump resets the backoff, so chains of
-// short skips inside a write drain stay cheap. Purely a heuristic
-// gate — skipped probes execute cycles normally, so exactness and
-// determinism are unaffected.
+// windows (Section 4.3) are precisely where this pays off. The loop
+// probes whenever a jump is possible; a probe only decides whether to
+// jump, and its cost is bounded by the banks' cached flip ticks and
+// the controller's busy-bank lists.
 func runSerial(ctx context.Context, o Options, eng *sim.Engine, memsys memDevice, slots []*coreSlot) (sim.Tick, error) {
-	var probeRetry sim.Tick
-	var probeBackoff sim.Tick
 	var now sim.Tick
 	for ; now < o.MaxCycles; now++ {
 		if now&ctxCheckMask == 0 {
@@ -1012,7 +1009,7 @@ func runSerial(ctx context.Context, o Options, eng *sim.Engine, memsys memDevice
 		// common case while requests are in service) no jump is
 		// possible, and the costlier quiescence probes are skipped.
 		target := eng.NextEventTick()
-		if target <= now+1 || now < probeRetry {
+		if target <= now+1 {
 			continue
 		}
 		quiescent := true
@@ -1023,8 +1020,6 @@ func runSerial(ctx context.Context, o Options, eng *sim.Engine, memsys memDevice
 			}
 		}
 		if !quiescent {
-			probeBackoff = min(probeBackoff*2+1, 64)
-			probeRetry = now + probeBackoff
 			continue
 		}
 		if w := memsys.NextWork(now); w < target {
@@ -1037,12 +1032,9 @@ func runSerial(ctx context.Context, o Options, eng *sim.Engine, memsys memDevice
 			target = o.MaxCycles
 		}
 		if target <= now+1 {
-			probeBackoff = min(probeBackoff*2+1, 64)
-			probeRetry = now + probeBackoff
 			continue // nothing to skip
 		}
 		skip := uint64(target - now - 1)
-		probeBackoff = 0
 		for _, s := range slots {
 			if s.done {
 				continue

@@ -145,6 +145,9 @@ func TestCanonicalResetsIgnoredFields(t *testing.T) {
 		{"mix overrides benchmark and cores",
 			Options{Mix: []string{"mcf", "lbm"}},
 			Options{Mix: []string{"mcf", "lbm"}, Benchmark: "mcf", Cores: 3}},
+		{"technology ignored under device",
+			Options{Benchmark: "mcf", Device: &DeviceParams{FeatureNm: 22}},
+			Options{Benchmark: "mcf", Device: &DeviceParams{FeatureNm: 22}, Technology: TechRRAM}},
 		{"warm-up ignored without LLC",
 			Options{Benchmark: "mcf", SkipLLC: true},
 			Options{Benchmark: "mcf", SkipLLC: true, WarmupAccesses: -7}},

@@ -171,11 +171,10 @@ type shard struct {
 	busy   []int
 	listed []bool
 
-	readQ   *mem.Queue
-	writeQ  *mem.Queue
-	busUse  []sim.Tick // per lane: busy until
-	drain   bool       // write drain active (non-backgrounded mode)
-	hitSeen map[*mem.Request]bool
+	readQ  *mem.Queue
+	writeQ *mem.Queue
+	busUse []sim.Tick // per lane: busy until
+	drain  bool       // write drain active (non-backgrounded mode)
 
 	// hotCD[rank*banks+bank] is the CD of the bank's most recent column
 	// read: streaming reads will keep hitting it, so opportunistic
@@ -258,7 +257,6 @@ func New(cfg Config, eng *sim.Engine) (*Controller, error) {
 		s.readQ = mem.NewQueue(cfg.ReadQueueCap)
 		s.writeQ = mem.NewQueue(cfg.WriteQueueCap)
 		s.busUse = make([]sim.Tick, cfg.IssueLanes)
-		s.hitSeen = make(map[*mem.Request]bool)
 		s.busy = make([]int, 0, nb)
 		s.listed = make([]bool, nb)
 		s.hotCD = make([]int, nb)
@@ -311,18 +309,8 @@ func (c *Controller) Enqueue(r *mem.Request, now sim.Tick) bool {
 // enqueue is the per-channel half of Enqueue: forwarding, coalescing,
 // queue admission and telemetry.
 func (s *shard) enqueue(r *mem.Request, now sim.Tick) bool {
-	line := r.Addr / uint64(s.cfg.Geom.LineBytes)
-
 	if r.Op == mem.Read {
-		hit := false
-		s.writeQ.Scan(func(_ int, w *mem.Request) bool {
-			if w.Addr/uint64(s.cfg.Geom.LineBytes) == line {
-				hit = true
-				return false
-			}
-			return true
-		})
-		if hit {
+		if s.queuedWrite(r.Addr) {
 			r.MarkIssued(now)
 			s.st.ForwardedReads.Inc()
 			if s.tel != nil {
@@ -346,15 +334,7 @@ func (s *shard) enqueue(r *mem.Request, now sim.Tick) bool {
 	}
 
 	// Write path: coalesce into an existing write to the same line.
-	merged := false
-	s.writeQ.Scan(func(_ int, w *mem.Request) bool {
-		if w.Addr/uint64(s.cfg.Geom.LineBytes) == line {
-			merged = true
-			return false
-		}
-		return true
-	})
-	if merged {
+	if s.queuedWrite(r.Addr) {
 		r.MarkIssued(now)
 		s.st.CoalescedWrites.Inc()
 		if s.tel != nil {
@@ -664,9 +644,7 @@ func (s *shard) tryIssueRead(now sim.Tick, mayActivate bool) (bool, bool) {
 		}
 		if !r.Issued() {
 			r.MarkIssued(now)
-			if b.SegmentOpen(r.Loc.Row, r.Loc.Col) {
-				s.hitSeen[r] = true
-			}
+			r.Opened = !b.SegmentOpen(r.Loc.Row, r.Loc.Col)
 			if s.tel != nil {
 				telRequest(s.tel, telemetry.ReqIssued, r, now)
 			}
@@ -715,16 +693,14 @@ func (s *shard) activationClobbers(q *mem.Queue, self int, r *mem.Request, b *co
 
 func (s *shard) issueColumnRead(r *mem.Request, b *core.Bank, lane, qi int, now sim.Tick) {
 	if !r.Issued() {
-		r.MarkIssued(now)
-		s.hitSeen[r] = true // ready without us ever activating for it
+		r.MarkIssued(now) // ready without us ever activating for it
 		if s.tel != nil {
 			telRequest(s.tel, telemetry.ReqIssued, r, now)
 		}
 	}
-	if s.hitSeen[r] {
+	if !r.Opened {
 		s.st.SegmentHits.Inc()
 	}
-	delete(s.hitSeen, r)
 	if b.WriteInFlight(now) {
 		s.st.BackgroundedRds.Inc()
 	}
@@ -861,18 +837,23 @@ func (c *Controller) WouldAccept(r *mem.Request) bool {
 	return c.shards[loc.Channel].wouldAccept(r)
 }
 
+// queuedWrite reports whether the write queue holds a write to the
+// line of addr: a read of that line is forwarded from it, and a write
+// to it coalesces into it.
+func (s *shard) queuedWrite(addr uint64) bool {
+	lb := uint64(s.cfg.Geom.LineBytes)
+	line := addr / lb
+	for i := 0; i < s.writeQ.Len(); i++ {
+		if s.writeQ.At(i).Addr/lb == line {
+			return true
+		}
+	}
+	return false
+}
+
 // wouldAccept is the per-channel admission test behind WouldAccept.
 func (s *shard) wouldAccept(r *mem.Request) bool {
-	line := r.Addr / uint64(s.cfg.Geom.LineBytes)
-	hit := false
-	s.writeQ.Scan(func(_ int, w *mem.Request) bool {
-		if w.Addr/uint64(s.cfg.Geom.LineBytes) == line {
-			hit = true
-			return false
-		}
-		return true
-	})
-	if hit {
+	if s.queuedWrite(r.Addr) {
 		return true // forwarding (read) or coalescing (write) always admits
 	}
 	if r.Op == mem.Read {

@@ -136,7 +136,6 @@ type Bank struct {
 	bankBusy sim.Tick     // whole-bank serialization when modes disable parallelism
 	colReady []sim.Tick   // per CD: earliest next column command (tCCD spacing)
 	writeEnd sim.Tick     // completion tick of the latest-ending write
-	horizon  sim.Tick     // max over every timer ever set: all quiet at now >= horizon
 
 	// timers is the one array behind sagBusy, sagWrite, cdBusy, cdWrite,
 	// colReady and every segReady row, so NextRelease's scan is a single
@@ -145,7 +144,7 @@ type Bank struct {
 
 	// flip caches the last NextRelease answer: the least timer above
 	// the probe tick, or sim.MaxTick. It answers every later probe below
-	// it until stretch clears it (0: nothing cached).
+	// it until forgetFlip clears it (0: nothing cached).
 	flip sim.Tick
 
 	// inv independently re-checks the Section 4 conflict rules on every
@@ -297,8 +296,7 @@ func (b *Bank) Activate(row, col int, now sim.Tick) sim.Tick {
 	s := b.sag(row)
 	ready := now + b.tim.TRCD
 	senseEnd := now + b.SenseOccupancy()
-	b.stretch(ready)
-	b.stretch(senseEnd)
+	b.forgetFlip()
 	if b.busyAnywhere(now) {
 		b.overlapped++
 	}
@@ -415,7 +413,7 @@ func (b *Bank) Read(row, col int, now sim.Tick) sim.Tick {
 		panic(fmt.Sprintf("core: Read(row=%d,col=%d) at %d not permitted", row, col, now))
 	}
 	b.colReady[b.cd(col)] = now + b.tim.TCCD
-	b.stretch(now + b.tim.TCCD)
+	b.forgetFlip()
 	done := now + b.tim.ReadLatency
 	if b.sink != nil {
 		b.emitCommand(telemetry.CmdRead, b.sag(row), b.cd(col), row, col, now, done)
@@ -443,8 +441,7 @@ func (b *Bank) Write(row, col int, now sim.Tick) sim.Tick {
 	}
 	s, c := b.sag(row), b.cd(col)
 	done := now + b.WriteOccupancy()
-	b.stretch(done)
-	b.stretch(now + b.tim.TCCD)
+	b.forgetFlip()
 	if b.inv != nil {
 		b.inv.Write(s, c, uint64(now), uint64(done))
 	}
@@ -516,7 +513,7 @@ func (b *Bank) WriteInFlight(now sim.Tick) bool { return now < b.writeEnd }
 //
 // The answer is cached, so probes between two commands must come at
 // non-decreasing ticks, as the run loop's do. Timers change only on
-// commands, and every command clears the cache through stretch; with
+// commands, and every command clears the cache through forgetFlip; with
 // no command since a probe at p, the least timer above p is also the
 // least timer above any now in [p, that timer), so a repeated probe
 // costs one compare and only the first probe after a command pays for
@@ -536,12 +533,8 @@ func (b *Bank) NextRelease(now sim.Tick) sim.Tick {
 }
 
 // scanRelease is NextRelease's miss path: a min-scan over every timer.
+// It returns sim.MaxTick when every timer is at or below now.
 func (b *Bank) scanRelease(now sim.Tick) sim.Tick {
-	// horizon bounds every timer ever set, so a bank whose horizon has
-	// passed cannot hold a future flip — skip the tile scan entirely.
-	if b.horizon <= now {
-		return sim.MaxTick
-	}
 	next := sim.MaxTick
 	for _, t := range b.timers {
 		if t > now && t < next {
@@ -556,15 +549,9 @@ func (b *Bank) scanRelease(now sim.Tick) sim.Tick {
 	return next
 }
 
-// stretch advances the bank's timer horizon and clears the cached
-// next flip. Called wherever a timer is set, so horizon stays an upper
-// bound on every scheduling flip and no stale flip survives a command.
-func (b *Bank) stretch(t sim.Tick) {
-	if t > b.horizon {
-		b.horizon = t
-	}
-	b.flip = 0
-}
+// forgetFlip clears the cached next flip. Every command that sets a
+// timer calls it, so no stale flip survives a command.
+func (b *Bank) forgetFlip() { b.flip = 0 }
 
 // busyAnywhere reports whether any SAG or CD is mid-operation at now.
 func (b *Bank) busyAnywhere(now sim.Tick) bool {

@@ -125,7 +125,6 @@ type System struct {
 
 	inflight int
 	st       Stats
-	missFor  map[*mem.Request]bool // request needed a PRE/ACT of its own
 
 	// Cached completion callbacks: one method value each instead of a
 	// closure allocation per request.
@@ -146,7 +145,7 @@ func New(cfg Config, eng *sim.Engine) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &System{cfg: cfg, mapper: mapper, eng: eng, missFor: make(map[*mem.Request]bool)}
+	s := &System{cfg: cfg, mapper: mapper, eng: eng}
 	s.finishReadFn = s.finishReadEv
 	s.finishWriteFn = s.finishWriteEv
 	g := cfg.Geom
@@ -337,10 +336,9 @@ func (s *System) tryRead(ch int, now sim.Tick) bool {
 		b.colReady = now + s.cfg.Tim.TCCD
 		done := now + s.cfg.Tim.TCAS + s.cfg.Tim.TBURST
 		s.busUse[ch] = done
-		if !s.missFor[r] {
+		if !r.Opened {
 			s.st.RowHits.Inc()
 		}
-		delete(s.missFor, r)
 		q.Remove(i)
 		s.finishRead(r, done)
 		return true
@@ -375,10 +373,10 @@ func (s *System) openFor(r *mem.Request, now sim.Tick) bool {
 		b.openRow = -1
 		b.busyUntil = now + s.cfg.Tim.TRP
 		s.st.Precharges.Inc()
-		s.missFor[r] = true
+		r.Opened = true
 		return true
 	}
-	s.missFor[r] = true
+	r.Opened = true
 	b.openRow = r.Loc.Row
 	b.readyAt = now + s.cfg.Tim.TRCD
 	b.busyUntil = b.readyAt
@@ -425,7 +423,6 @@ func (s *System) tryWrite(ch int, now sim.Tick) bool {
 			continue
 		}
 		b.colReady = now + s.cfg.Tim.TCCD
-		delete(s.missFor, w)
 		dataEnd := now + s.cfg.Tim.TCWD + s.cfg.Tim.TBURST
 		s.busUse[ch] = dataEnd
 		done := dataEnd + s.cfg.Tim.TWR

@@ -3,9 +3,9 @@ package mem
 import "testing"
 
 // queueModel is the obvious reference implementation: a plain slice
-// with copy-shift removal. The ring-head Queue must agree with it on
-// every operation, because FR-FCFS arbitration order IS queue age
-// order — any divergence changes simulation results.
+// with copy-shift removal. Queue must agree with it on every operation,
+// because FR-FCFS arbitration order IS queue age order — any divergence
+// changes simulation results.
 type queueModel struct {
 	entries []*Request
 	cap     int
@@ -46,12 +46,16 @@ func checkAgainstModel(t *testing.T, q *Queue, m *queueModel) {
 	if i != len(m.entries) {
 		t.Fatalf("Scan visited %d entries, model %d", i, len(m.entries))
 	}
+	for j, r := range q.entries[len(q.entries):cap(q.entries)] {
+		if r != nil {
+			t.Fatalf("vacated slot %d still holds %v", len(q.entries)+j, r)
+		}
+	}
 }
 
 // TestQueueFCFSOrderPreserved pins that Push/Remove preserve age order
-// exactly, across head removals (the O(1) fast path), middle removals
-// from both sides, and wraparound compaction, by comparing against the
-// naive model under a deterministic splitmix64-driven op sequence.
+// exactly, across head, middle and tail removals, by comparing against
+// the naive model under a deterministic splitmix64-driven op sequence.
 func TestQueueFCFSOrderPreserved(t *testing.T) {
 	const capacity = 8
 	q := NewQueue(capacity)
@@ -91,9 +95,9 @@ func TestQueueFCFSOrderPreserved(t *testing.T) {
 	}
 }
 
-// TestQueueHeadRemovalNoCopy checks the FCFS fast path directly: a
-// drain-from-the-front pattern must keep every surviving entry in
-// place (head index slides instead of shifting the slice).
+// TestQueueHeadRemovalNoCopy checks the FCFS drain directly: removing
+// the oldest entry, again and again, must keep the survivors in age
+// order and leave the queue empty.
 func TestQueueHeadRemovalNoCopy(t *testing.T) {
 	q := NewQueue(4)
 	a, b, c := &Request{ID: 1}, &Request{ID: 2}, &Request{ID: 3}
@@ -117,9 +121,8 @@ func TestQueueHeadRemovalNoCopy(t *testing.T) {
 	}
 }
 
-// TestQueuePushNeverGrows pins that the head-compaction in Push reuses
-// the original backing array: a long churn of pushes and head removals
-// must not allocate.
+// TestQueuePushNeverGrows pins that Push and Remove reuse the original
+// backing array: a long churn of pushes and removals must not allocate.
 func TestQueuePushNeverGrows(t *testing.T) {
 	q := NewQueue(8)
 	var pool [16]Request

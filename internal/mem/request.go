@@ -5,6 +5,7 @@ package mem
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/addr"
 	"repro/internal/sim"
@@ -54,6 +55,11 @@ type Request struct {
 	// value instead of a per-request closure). The memory system never
 	// reads or writes it.
 	Entry any
+
+	// Opened records that the memory system issued an activation (or,
+	// on DRAM, a precharge) on the request's behalf: a read served
+	// without one is a row-buffer hit.
+	Opened bool
 
 	issued bool
 	done   bool
@@ -115,16 +121,10 @@ func (r *Request) String() string {
 // Age order is the iteration order, which is what FR-FCFS needs: the
 // scheduler breaks ties by position, so removal MUST NOT reorder the
 // survivors (a swap-with-last trick would change arbitration and thus
-// simulation results). Removal therefore shifts entries — but from
-// whichever side is shorter, and the head slides forward instead of
-// shifting when the oldest request is removed, which is the common case
-// under FCFS and the frequent case under FR-FCFS (oldest-first
-// preference). Queues are small (Table 2 uses 32 entries), so the
-// worst-case middle removal stays cheap.
+// simulation results). Removal therefore shifts the younger entries
+// down by one slot; queues are small (Table 2 uses 32 entries).
 type Queue struct {
-	entries []*Request
-	head    int // entries[head:] are live, oldest first
-	cap     int
+	entries []*Request // oldest first; cap(entries) is the queue capacity
 }
 
 // NewQueue returns a queue with the given capacity. Capacity must be
@@ -133,23 +133,23 @@ func NewQueue(capacity int) *Queue {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("mem: queue capacity %d", capacity))
 	}
-	// Entries are pre-sized to capacity: a bounded queue reaches its
-	// high-water mark quickly, and the up-front allocation keeps Push
-	// off the allocator for the rest of the run.
-	return &Queue{cap: capacity, entries: make([]*Request, 0, capacity)}
+	// Entries are pre-sized to capacity, and neither Push nor Remove
+	// ever grows the backing array, so the queue stays off the
+	// allocator for the rest of the run.
+	return &Queue{entries: make([]*Request, 0, capacity)}
 }
 
 // Cap returns the queue capacity.
-func (q *Queue) Cap() int { return q.cap }
+func (q *Queue) Cap() int { return cap(q.entries) }
 
 // Len returns the number of queued requests.
-func (q *Queue) Len() int { return len(q.entries) - q.head }
+func (q *Queue) Len() int { return len(q.entries) }
 
 // Full reports whether the queue is at capacity.
-func (q *Queue) Full() bool { return q.Len() >= q.cap }
+func (q *Queue) Full() bool { return len(q.entries) == cap(q.entries) }
 
 // Empty reports whether the queue has no requests.
-func (q *Queue) Empty() bool { return q.head == len(q.entries) }
+func (q *Queue) Empty() bool { return len(q.entries) == 0 }
 
 // Push appends r in arrival order. It reports false (and does not
 // enqueue) if the queue is full — the caller models backpressure.
@@ -157,55 +157,27 @@ func (q *Queue) Push(r *Request) bool {
 	if q.Full() {
 		return false
 	}
-	if len(q.entries) == cap(q.entries) && q.head > 0 {
-		// Reclaim the dead prefix left by head removals. The live
-		// entries fit by construction (Len < cap <= cap(entries)),
-		// so the backing array never grows after NewQueue.
-		n := copy(q.entries, q.entries[q.head:])
-		for i := n; i < len(q.entries); i++ {
-			q.entries[i] = nil
-		}
-		q.entries = q.entries[:n]
-		q.head = 0
-	}
 	q.entries = append(q.entries, r)
 	return true
 }
 
 // At returns the i-th oldest request.
-func (q *Queue) At(i int) *Request { return q.entries[q.head+i] }
+func (q *Queue) At(i int) *Request { return q.entries[i] }
 
 // Remove deletes the i-th oldest request, preserving the order of the
-// rest. Removing the oldest (i == 0) is O(1): the head index advances.
-// Otherwise the shorter of the two sides shifts by one slot.
+// rest. The vacated tail slot is cleared, so the queue holds no
+// reference to a request it no longer owns.
 func (q *Queue) Remove(i int) *Request {
-	i += q.head
 	r := q.entries[i]
-	switch {
-	case i == q.head:
-		q.entries[i] = nil
-		q.head++
-		if q.head == len(q.entries) {
-			q.head = 0
-			q.entries = q.entries[:0]
-		}
-	case i-q.head < len(q.entries)-1-i:
-		// Shift the (shorter) older side right into the gap.
-		copy(q.entries[q.head+1:i+1], q.entries[q.head:i])
-		q.entries[q.head] = nil
-		q.head++
-	default:
-		// Shift the (shorter) younger side left into the gap.
-		q.entries = append(q.entries[:i], q.entries[i+1:]...)
-	}
+	q.entries = slices.Delete(q.entries, i, i+1)
 	return r
 }
 
 // Scan calls fn on each request in age order (oldest first) until fn
 // returns false.
 func (q *Queue) Scan(fn func(i int, r *Request) bool) {
-	for i := q.head; i < len(q.entries); i++ {
-		if !fn(i-q.head, q.entries[i]) {
+	for i, r := range q.entries {
+		if !fn(i, r) {
 			return
 		}
 	}
