@@ -433,13 +433,52 @@ const maxIssueLanes = 64
 // per core on a 2-vCPU host.
 const maxWarmupAccesses = 1 << 24
 
+// maxBankState bounds the bank state of one run, in the units bankState
+// counts. The bank models allocate every SAG, CD and tile up front, so
+// without a bound a single small request could ask for gigabytes. At
+// this budget the largest accepted run of either extreme shape — one
+// wide grid, or many 1×1 banks — allocates under 64 MB at 1,000
+// instructions.
+const maxBankState = 1 << 22
+
+// bankFixedState and channelFixedState are the per-bank and
+// per-channel state that does not scale with the grid (the bank model
+// itself; a channel's queues, calendar and controller slots), in
+// bankState's units.
+const (
+	bankFixedState    = 64
+	channelFixedState = 96
+)
+
+// bankState counts the bank state a run on g allocates, in units of
+// about 16 bytes. Each bank holds one unit per tile (its latch and sense
+// timer), five per SAG (two timers, the row latch and two slice
+// headers, 72 bytes), three per CD and bankFixedState; each channel adds
+// channelFixedState, and the run two units per tile of one bank for the
+// occupancy matrix telemetry may keep. It saturates above maxBankState,
+// so the product of large dimensions cannot overflow.
+func bankState(g addr.Geometry) uint64 {
+	mul := func(a uint64, b int) uint64 {
+		if a > maxBankState/uint64(b) {
+			return maxBankState + 1
+		}
+		return a * uint64(b)
+	}
+	tiles := mul(uint64(g.SAGs), g.CDs)
+	bank := tiles + mul(5, g.SAGs) + mul(3, g.CDs) + bankFixedState
+	channel := mul(mul(bank, g.Ranks), g.Banks) + channelFixedState
+	return mul(channel, g.Channels) + 2*tiles
+}
+
 // Canonical validates o and returns the canonical form of the run it
 // describes: defaults filled in, and every field the chosen design or
 // workload ignores reset to one fixed value, so two Options that run the
 // same simulation canonicalize equal (RunContext runs this form, and the
 // HTTP server hashes it as its cache key). Canonical is idempotent.
 // WarmupAccesses stays 0 for the default length (and under SkipLLC, which
-// ignores it) and folds every negative value to -1.
+// ignores it) and folds every negative value to -1. The geometry the
+// design resolves to must be valid, and its bank state (bankState) at
+// most maxBankState.
 func (o Options) Canonical() (Options, error) {
 	// Validate everything first, so a field the design ignores is still
 	// rejected when it is invalid.
@@ -564,6 +603,14 @@ func (o Options) Canonical() (Options, error) {
 		o.SAGs, o.CDs, o.Modes = 1, 1, nil
 		o.Scheduler, o.IssueLanes, o.Technology, o.Telemetry = SchedFRFCFS, 1, TechPCM, nil
 	}
+	g, _, err := o.resolve()
+	if err != nil {
+		return Options{}, err
+	}
+	if n := bankState(g); n > maxBankState {
+		return Options{}, fmt.Errorf("fgnvm: %d channels × %d ranks × %d banks of %d×%d tiles exceed the bank-state budget (%d units, at most %d)",
+			g.Channels, g.Ranks, g.Banks, g.SAGs, g.CDs, n, maxBankState)
+	}
 	return o, nil
 }
 
@@ -589,6 +636,9 @@ func (o *Options) resolve() (addr.Geometry, core.AccessModes, error) {
 		g = *o.Geometry
 	}
 	g.SAGs, g.CDs = o.SAGs, o.CDs
+	if err := g.Validate(); err != nil {
+		return addr.Geometry{}, core.AccessModes{}, err
+	}
 	modes := designModes[o.Design]
 	if o.Modes != nil {
 		modes = core.AccessModes{
@@ -630,9 +680,6 @@ func RunContext(ctx context.Context, o Options) (Result, error) {
 	}
 	geom, modes, err := o.resolve()
 	if err != nil {
-		return Result{}, err
-	}
-	if err := geom.Validate(); err != nil {
 		return Result{}, err
 	}
 
@@ -885,7 +932,7 @@ func RunContext(ctx context.Context, o Options) (Result, error) {
 		res.Activations = st.Activations.Value()
 		res.SegmentHits = st.SegmentHits.Value()
 		res.BackgroundedRds = st.BackgroundedRds.Value()
-		res.AvgReadLatency = st.ReadLatency.Mean()
+		res.AvgReadLatency = st.ReadLatencyHist.Mean()
 		res.AvgWriteLatency = st.WriteLatency.Mean()
 		res.P50ReadLatency = st.ReadLatencyHist.Percentile(50)
 		res.P95ReadLatency = st.ReadLatencyHist.Percentile(95)
@@ -964,7 +1011,7 @@ type coreSlot struct {
 // Idle-cycle fast-forward: when a cycle issued no memory command and
 // every live core is provably Blocked, nothing can happen until the
 // earliest of the next scheduled event and the memory system's next
-// flip tick (NextWork) — every scheduling predicate is constant in
+// work tick (NextWork) — every scheduling predicate is constant in
 // between, so the intervening cycles would each repeat exactly the
 // same no-op with the same counter increments. The loop jumps
 // straight to that tick, batch-crediting the per-cycle accounting
@@ -974,8 +1021,9 @@ type coreSlot struct {
 // property the differential tests pin. The paper's long PCM write
 // windows (Section 4.3) are precisely where this pays off. The loop
 // probes whenever a jump is possible; a probe only decides whether to
-// jump, and its cost is bounded by the banks' cached flip ticks and
-// the controller's busy-bank lists.
+// jump. Each channel reads its bank timers from one release calendar
+// (core.Calendar), whose first tick is at or below the true next
+// release, so a jump may land early but never past a release.
 func runSerial(ctx context.Context, o Options, eng *sim.Engine, memsys memDevice, slots []*coreSlot) (sim.Tick, error) {
 	var now sim.Tick
 	for ; now < o.MaxCycles; now++ {

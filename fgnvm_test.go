@@ -97,6 +97,15 @@ func TestCanonicalRejects(t *testing.T) {
 		{"2^24 lanes on dram", Options{Design: DesignDRAM, Benchmark: "mcf", IssueLanes: 1 << 24}},
 		{"negative lanes", Options{Benchmark: "mcf", IssueLanes: -1}},
 		{"warm-up past the cap", Options{Benchmark: "mcf", WarmupAccesses: maxWarmupAccesses + 1}},
+		{"16384x64 grid on the paper geometry", Options{Design: DesignFgNVM, Benchmark: "mcf", SAGs: 16384, CDs: 64}},
+		{"65536x4 grid on the paper geometry", Options{Design: DesignFgNVM, Benchmark: "mcf", SAGs: 65536, CDs: 4}},
+		{"2^20 baseline banks", Options{Benchmark: "mcf", Geometry: &addr.Geometry{
+			Channels: 1, Ranks: 1, Banks: 1 << 20, Rows: 65536, Cols: 64, LineBytes: 64}}},
+		{"2^15 one-bank channels", Options{Benchmark: "mcf", Geometry: &addr.Geometry{
+			Channels: 1 << 15, Ranks: 1, Banks: 1, Rows: 65536, Cols: 64, LineBytes: 64}}},
+		{"many-banks flattens a 1024x64 grid into banks", Options{Design: DesignManyBanks, Benchmark: "mcf", SAGs: 1024, CDs: 64}},
+		{"dimensions whose product overflows", Options{Design: DesignFgNVM, Benchmark: "mcf", SAGs: 1 << 32, CDs: 1 << 32,
+			Geometry: &addr.Geometry{Channels: 1 << 40, Ranks: 1 << 40, Banks: 1 << 40, Rows: 1 << 32, Cols: 1 << 32, LineBytes: 64}}},
 	} {
 		if _, err := tc.o.Canonical(); err == nil {
 			t.Errorf("%s: Canonical accepted %+v", tc.name, tc.o)
@@ -110,6 +119,17 @@ func TestCanonicalRejects(t *testing.T) {
 	}
 	if _, err := (Options{Benchmark: "mcf", WarmupAccesses: maxWarmupAccesses}).Canonical(); err != nil {
 		t.Errorf("WarmupAccesses = maxWarmupAccesses rejected: %v", err)
+	}
+	// The largest grids of each shape under the bank-state budget.
+	for _, o := range []Options{
+		{Design: DesignFgNVM, Benchmark: "mcf", SAGs: 65536, CDs: 2},
+		{Design: DesignFgNVM, Benchmark: "mcf", SAGs: 4096, CDs: 64},
+		{Benchmark: "mcf", Geometry: &addr.Geometry{Channels: 1, Ranks: 1, Banks: 1 << 15, Rows: 65536, Cols: 64, LineBytes: 64}},
+		{Design: DesignManyBanks, Benchmark: "mcf", SAGs: 256, CDs: 16},
+	} {
+		if _, err := o.Canonical(); err != nil {
+			t.Errorf("%v %dx%d rejected: %v", o.Design, o.SAGs, o.CDs, err)
+		}
 	}
 }
 

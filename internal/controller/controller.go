@@ -126,7 +126,6 @@ type Stats struct {
 	// conserve (each such request-cycle gets exactly one attributed
 	// cause when telemetry is attached).
 	QueuedWaitCycles stats.Counter
-	ReadLatency      stats.Distribution
 	WriteLatency     stats.Distribution
 	ReadLatencyHist  stats.Histogram // log-bucketed, for percentile reporting
 }
@@ -164,12 +163,9 @@ type shard struct {
 	// banks holds the channel's bank models in rank-major order, so the
 	// hot path resolves a request's bank with one multiply.
 	banks []*core.Bank
-	// busy lists, by bankIndex, the banks a command has touched since
-	// their timers last all expired; listed[i] marks membership. Only
-	// these banks can hold a future timer flip, so channelNextWork
-	// probes them alone.
-	busy   []int
-	listed []bool
+	// cal is the release calendar every bank of the channel notes its
+	// timer ticks in; channelNextWork reads the next bank release there.
+	cal *core.Calendar
 
 	readQ  *mem.Queue
 	writeQ *mem.Queue
@@ -189,7 +185,7 @@ type shard struct {
 
 	// causes memoizes attributeStalls' classification of every queued
 	// request (reads, then writes, in queue order). It holds until
-	// causesUntil, the channel's next flip tick when it was taken, or
+	// causesUntil, the channel's next work tick when it was taken, or
 	// until a queue push, a command, a queue removal or a drain-mode
 	// transition zeroes causesUntil.
 	causes      []telemetry.StallCause
@@ -240,13 +236,15 @@ func New(cfg Config, eng *sim.Engine) (*Controller, error) {
 		s.finishReadFn = finishRead
 		s.finishWriteFn = finishWrite
 		s.banks = make([]*core.Bank, 0, nb)
+		s.cal = core.NewCalendar()
 		for rk := 0; rk < g.Ranks; rk++ {
 			for bk := 0; bk < g.Banks; bk++ {
 				b, err := core.NewBank(core.Config{
 					Geom: g, Tim: cfg.Tim, Modes: cfg.Modes,
 					Energy: cfg.Energy, WriteDrivers: cfg.WriteDrivers,
-					Sink: s.tel,
-					ID:   telemetry.BankID{Channel: ch, Rank: rk, Bank: bk},
+					Sink:     s.tel,
+					ID:       telemetry.BankID{Channel: ch, Rank: rk, Bank: bk},
+					Calendar: s.cal,
 				})
 				if err != nil {
 					return nil, err
@@ -257,8 +255,6 @@ func New(cfg Config, eng *sim.Engine) (*Controller, error) {
 		s.readQ = mem.NewQueue(cfg.ReadQueueCap)
 		s.writeQ = mem.NewQueue(cfg.WriteQueueCap)
 		s.busUse = make([]sim.Tick, cfg.IssueLanes)
-		s.busy = make([]int, 0, nb)
-		s.listed = make([]bool, nb)
 		s.hotCD = make([]int, nb)
 		for i := range s.hotCD {
 			s.hotCD[i] = -1
@@ -416,9 +412,9 @@ func (s *shard) cycle(now sim.Tick) int {
 // returns the number of calls made so the tagged build can assert
 // conservation.
 //
-// The classification is memoized in s.causes. By the flip-tick argument
-// behind NextWork and SkipCycles, every cause is constant until the
-// channel's next flip tick as long as the queues, the bank and bus
+// The classification is memoized in s.causes. By the argument behind
+// NextWork and SkipCycles, every cause is constant until the channel's
+// next work tick as long as the queues, the bank and bus
 // state and the drain mode stay put; every change to those zeroes
 // causesUntil (a successful Push, markBusy — which every command and
 // every queue Remove passes through — and both updateDrain
@@ -582,18 +578,10 @@ func (s *shard) bankOf(r *mem.Request) *core.Bank {
 	return s.banks[r.Loc.Rank*s.cfg.Geom.Banks+r.Loc.Bank]
 }
 
-// markBusy puts the bank at loc on the busy list and drops the stall
-// memo. Every command issue calls it, since a command is the only thing
-// that sets a bank timer or a bus lane, and so does every queue Remove,
-// which only follows an issue.
-func (s *shard) markBusy(loc addr.Location) {
-	s.causesUntil = 0
-	i := s.bankIndex(loc)
-	if !s.listed[i] {
-		s.listed[i] = true
-		s.busy = append(s.busy, i)
-	}
-}
+// markBusy drops the stall memo. Every command issue calls it, since a
+// command is the only thing that sets a bank timer or a bus lane, and
+// so does every queue Remove, which only follows an issue.
+func (s *shard) markBusy() { s.causesUntil = 0 }
 
 // tryIssueRead issues at most one command (column read or, when
 // mayActivate, an activation) on behalf of the read queue. It returns
@@ -650,7 +638,7 @@ func (s *shard) tryIssueRead(now sim.Tick, mayActivate bool) (bool, bool) {
 			}
 		}
 		b.Activate(r.Loc.Row, r.Loc.Col, now)
-		s.markBusy(r.Loc)
+		s.markBusy()
 		s.st.Activations.Inc()
 		return true, true
 	}
@@ -705,7 +693,7 @@ func (s *shard) issueColumnRead(r *mem.Request, b *core.Bank, lane, qi int, now 
 		s.st.BackgroundedRds.Inc()
 	}
 	done := b.Read(r.Loc.Row, r.Loc.Col, now)
-	s.markBusy(r.Loc)
+	s.markBusy()
 	s.busUse[lane] = done // bus busy until the burst ends
 	s.hotCD[s.bankIndex(r.Loc)] = b.CDOf(r.Loc.Col)
 	s.st.ColumnReads.Inc()
@@ -727,7 +715,6 @@ func (c *Controller) finishRead(t sim.Tick, arg any) {
 	r := arg.(*mem.Request)
 	r.Finish(t)
 	c.st.Reads.Inc()
-	c.st.ReadLatency.Observe(float64(r.Latency()))
 	c.st.ReadLatencyHist.Observe(uint64(r.Latency()))
 	c.inflight--
 	if c.tel != nil {
@@ -813,7 +800,7 @@ func (s *shard) tryIssueWrite(now sim.Tick) bool {
 	b := s.bankOf(w)
 	w.MarkIssued(now)
 	done := b.Write(w.Loc.Row, w.Loc.Col, now)
-	s.markBusy(w.Loc)
+	s.markBusy()
 	s.busUse[lane] = now + s.cfg.Tim.TCWD + s.cfg.Tim.TBURST
 	if s.tel != nil {
 		telRequest(s.tel, telemetry.ReqIssued, w, now)
@@ -868,16 +855,18 @@ func (s *shard) wouldAccept(r *mem.Request) bool {
 // then — the controller's contribution to the run loop's fast-forward
 // target. sim.MaxTick means "never" (all queues empty).
 //
-// The result is the minimum over every "flip tick" of the predicates
-// consulted by schedule and the stall classifiers: bank timer
-// expiries (core.Bank.NextRelease, asked only of the banks a command
-// has touched since their timers last all expired), shared-bus lane
+// The result is the minimum over every tick at which a predicate
+// consulted by schedule or the stall classifiers can change its answer:
+// bank timer expiries (read from the channel's core.Calendar, which is
+// at or below the least core.Bank.NextRelease), shared-bus lane
 // releases offset by the tCAS/tCWD admission lookahead, and the
 // idle-write hysteresis deadline. Every such predicate compares now
 // against exactly one of these values, so in the open window before
 // the returned tick the controller's admissible-command set, its stall
 // classifications and its per-cycle counter increments are all
-// provably constant.
+// provably constant. A calendar tick below the true next release only
+// shortens the window. Probes must come at non-decreasing ticks, as
+// the run loop's do.
 func (c *Controller) NextWork(now sim.Tick) sim.Tick {
 	next := sim.MaxTick
 	for ch := range c.shards {
@@ -890,8 +879,8 @@ func (c *Controller) NextWork(now sim.Tick) sim.Tick {
 
 // channelNextWork is NextWork restricted to this channel: the earliest
 // tick strictly after now at which any of the channel's scheduling
-// predicates can flip, or sim.MaxTick when both queues are empty. Bank
-// timer flips come from nextBankFlip, which asks only the busy banks.
+// predicates can change, or sim.MaxTick when both queues are empty.
+// Bank timer expiries come from nextBankFlip.
 func (s *shard) channelNextWork(now sim.Tick) sim.Tick {
 	if s.readQ.Empty() && s.writeQ.Empty() {
 		return sim.MaxTick
@@ -904,7 +893,7 @@ func (s *shard) channelNextWork(now sim.Tick) sim.Tick {
 	}
 	for _, busy := range s.busUse {
 		// Bus admission tests are busy <= t+tCAS (reads) and
-		// busy <= t+tCWD (writes): they flip at busy-tCAS and
+		// busy <= t+tCWD (writes): they change at busy-tCAS and
 		// busy-tCWD. Guarded subtractions avoid uint underflow.
 		if busy > now+s.cfg.Tim.TCAS {
 			consider(busy - s.cfg.Tim.TCAS)
@@ -915,43 +904,27 @@ func (s *shard) channelNextWork(now sim.Tick) sim.Tick {
 	}
 	if s.readQ.Empty() && !s.writeQ.Empty() {
 		// Non-forced writes wait out the idle hysteresis window;
-		// its deadline is a flip only while no reads keep pushing
+		// its deadline counts only while no reads keep pushing
 		// lastReadActive forward.
 		consider(s.lastReadActive + idleWriteDelay)
 	}
 	return next
 }
 
-// nextBankFlip returns the least NextRelease over the channel's banks,
-// asking only the busy list. A bank off the list has had every timer
-// expire and has issued no command since, so it holds no future flip;
-// a listed bank whose NextRelease is sim.MaxTick has just reached that
-// state and leaves the list until its next command. The minimum is
-// therefore the one over every bank, at a cost proportional to the
-// banks whose timers moved. Probes must come at non-decreasing ticks,
-// as the run loop's do: a dropped bank may still hold timers above an
-// earlier tick.
+// nextBankFlip returns the channel calendar's next tick: at or below
+// the least NextRelease over the channel's banks (see core.Calendar).
+// The fgnvm_invariants build checks that bound against a full scan of
+// every bank at every probe.
 func (s *shard) nextBankFlip(now sim.Tick) sim.Tick {
-	next := sim.MaxTick
-	kept := s.busy[:0]
-	for _, i := range s.busy {
-		t := s.banks[i].NextRelease(now)
-		if t == sim.MaxTick {
-			s.listed[i] = false
-			continue
-		}
-		kept = append(kept, i)
-		next = min(next, t)
-	}
-	s.busy = kept
+	next := s.cal.Next(now)
 	if invariant.Enabled {
 		all := sim.MaxTick
 		for _, b := range s.banks {
 			all = min(all, b.NextRelease(now))
 		}
-		if next != all { // guarded so the passing probe stays allocation-free
-			invariant.Assertf(false, "busy-list bank flip %d at tick %d, but the minimum over all %d banks is %d",
-				next, now, len(s.banks), all)
+		if next > all { // guarded so the passing probe stays allocation-free
+			invariant.Assertf(false, "calendar says the next bank release after tick %d is %d, but a full scan of all %d banks gives %d",
+				now, next, len(s.banks), all)
 		}
 	}
 	return next
@@ -961,7 +934,7 @@ func (s *shard) nextBankFlip(now sim.Tick) sim.Tick {
 // through now+n) during a fast-forward window. The caller guarantees
 // the window is quiescent: Cycle(now) issued nothing, no event fires
 // before now+n+1, and no enqueue succeeds in the window — under which
-// NextWork's flip-tick analysis proves every scheduling predicate and
+// NextWork's analysis proves every scheduling predicate and
 // stall classification equal to its value at now throughout. The
 // per-cycle work therefore reduces to multiplication: the queued-wait
 // counter advances by n times its per-cycle increment, and stall

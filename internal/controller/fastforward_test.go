@@ -69,12 +69,12 @@ func TestNextWorkNeverSkipsAnIssue(t *testing.T) {
 	t.Fatal("drain did not finish")
 }
 
-// TestBusyListMatchesAllBanks checks the busy-bank list against every
-// bank at every tick of bursty traffic on eight banks: the least
-// NextRelease over the list must equal the least over all banks, while
-// banks leave the list as they go quiet and rejoin on their next
-// command. Baseline, FgNVM and SALP modes.
-func TestBusyListMatchesAllBanks(t *testing.T) {
+// TestCalendarMatchesAllBanks checks the channel's release calendar
+// against every bank at every tick of bursty traffic on eight banks:
+// its next tick must equal the least NextRelease over all banks, both
+// while banks are busy and after every timer has expired. Baseline,
+// FgNVM and SALP modes.
+func TestCalendarMatchesAllBanks(t *testing.T) {
 	salp := core.AccessModes{MultiActivation: true, BackgroundedWrites: true, LocalSenseAmps: true}
 	for mi, modes := range []core.AccessModes{{}, core.AllModes(), salp} {
 		g := testGeom()
@@ -87,7 +87,7 @@ func TestBusyListMatchesAllBanks(t *testing.T) {
 		m := addr.MustNewMapper(g, addr.RowBankRankChanCol)
 		rng := rand.New(rand.NewSource(int64(mi)))
 		s := &c.shards[0]
-		id, dropped := uint64(0), 0
+		id, live, quiet := uint64(0), 0, 0
 		for now := sim.Tick(0); now < 20_000; now++ {
 			eng.RunUntil(now)
 			if now%500 == 0 {
@@ -105,21 +105,22 @@ func TestBusyListMatchesAllBanks(t *testing.T) {
 				}
 			}
 			c.Cycle(now)
-			listed := len(s.busy)
 			got := s.nextBankFlip(now)
-			if len(s.busy) < listed {
-				dropped++
-			}
 			want := sim.MaxTick
 			for _, b := range s.banks {
 				want = min(want, b.NextRelease(now))
 			}
 			if got != want {
-				t.Fatalf("modes %+v tick %d: busy-list flip %d, all-bank flip %d", modes, now, got, want)
+				t.Fatalf("modes %+v tick %d: calendar says %d, all-bank minimum %d", modes, now, got, want)
+			}
+			if want == sim.MaxTick {
+				quiet++
+			} else {
+				live++
 			}
 		}
-		if dropped == 0 {
-			t.Fatalf("modes %+v: no bank ever left the busy list", modes)
+		if live == 0 || quiet == 0 {
+			t.Fatalf("modes %+v: %d ticks with a live timer, %d with none", modes, live, quiet)
 		}
 	}
 }

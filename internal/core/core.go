@@ -101,6 +101,11 @@ type Config struct {
 	Sink telemetry.Sink
 	// ID names this bank on telemetry events.
 	ID telemetry.BankID
+
+	// Calendar receives every timer tick the bank's commands set. The
+	// controller hands one calendar to all banks of a channel; nil gives
+	// the bank a calendar of its own.
+	Calendar *Calendar
 }
 
 // Bank is the FgNVM bank state machine. It tracks only timing and
@@ -142,10 +147,9 @@ type Bank struct {
 	// pass over contiguous memory.
 	timers []sim.Tick
 
-	// flip caches the last NextRelease answer: the least timer above
-	// the probe tick, or sim.MaxTick. It answers every later probe below
-	// it until forgetFlip clears it (0: nothing cached).
-	flip sim.Tick
+	// cal is the channel's release calendar: every command notes the
+	// timer ticks it sets there.
+	cal *Calendar
 
 	// inv independently re-checks the Section 4 conflict rules on every
 	// issued operation. Only non-nil under the fgnvm_invariants build
@@ -156,7 +160,6 @@ type Bank struct {
 	acts        uint64 // activations issued (full or partial)
 	partialActs uint64
 	writesBusy  uint64 // writes issued
-	overlapped  uint64 // activations issued while another op was in flight
 }
 
 // NewBank validates cfg and returns a bank with all rows closed.
@@ -187,6 +190,10 @@ func NewBank(cfg Config) (*Bank, error) {
 		rowBits:    cfg.Geom.RowBytes() * 8,
 		lineBits:   lineBits,
 		pulses:     sim.Tick(pulses),
+		cal:        cfg.Calendar,
+	}
+	if b.cal == nil {
+		b.cal = NewCalendar()
 	}
 	// One allocation each for the row latches and the timers; the
 	// per-SAG and per-CD views are carved out of them.
@@ -296,10 +303,8 @@ func (b *Bank) Activate(row, col int, now sim.Tick) sim.Tick {
 	s := b.sag(row)
 	ready := now + b.tim.TRCD
 	senseEnd := now + b.SenseOccupancy()
-	b.forgetFlip()
-	if b.busyAnywhere(now) {
-		b.overlapped++
-	}
+	b.cal.note(ready)
+	b.cal.note(senseEnd)
 
 	// Selecting a new wordline in this SAG invalidates previously sensed
 	// segments of other rows (the row latch is per SAG).
@@ -413,7 +418,7 @@ func (b *Bank) Read(row, col int, now sim.Tick) sim.Tick {
 		panic(fmt.Sprintf("core: Read(row=%d,col=%d) at %d not permitted", row, col, now))
 	}
 	b.colReady[b.cd(col)] = now + b.tim.TCCD
-	b.forgetFlip()
+	b.cal.note(now + b.tim.TCCD)
 	done := now + b.tim.ReadLatency
 	if b.sink != nil {
 		b.emitCommand(telemetry.CmdRead, b.sag(row), b.cd(col), row, col, now, done)
@@ -441,12 +446,10 @@ func (b *Bank) Write(row, col int, now sim.Tick) sim.Tick {
 	}
 	s, c := b.sag(row), b.cd(col)
 	done := now + b.WriteOccupancy()
-	b.forgetFlip()
+	b.cal.note(done)
+	b.cal.note(now + b.tim.TCCD)
 	if b.inv != nil {
 		b.inv.Write(s, c, uint64(now), uint64(done))
-	}
-	if b.busyAnywhere(now) {
-		b.overlapped++
 	}
 
 	// The write drives a wordline in this SAG: previously sensed
@@ -507,34 +510,12 @@ func (b *Bank) WriteInFlight(now sim.Tick) bool { return now < b.writeEnd }
 // against one of the timers scanned here, so between now+1 and
 // NextRelease(now)-1 the bank's admissible-command set and stall
 // classifications are constant. Returns sim.MaxTick when every timer
-// has already expired. The run loop's fast-forward uses this to bound
-// how far time can jump while the controller is provably unable to
-// issue.
+// has already expired.
 //
-// The answer is cached, so probes between two commands must come at
-// non-decreasing ticks, as the run loop's do. Timers change only on
-// commands, and every command clears the cache through forgetFlip; with
-// no command since a probe at p, the least timer above p is also the
-// least timer above any now in [p, that timer), so a repeated probe
-// costs one compare and only the first probe after a command pays for
-// the scan.
+// It is a full scan over every timer. The run loop asks the channel's
+// Calendar instead; this scan is what the fgnvm_invariants build and
+// the tests check the calendar against.
 func (b *Bank) NextRelease(now sim.Tick) sim.Tick {
-	if now < b.flip {
-		if invariant.Enabled {
-			if scan := b.scanRelease(now); scan != b.flip {
-				invariant.Assertf(false, "bank %v: cached next flip %d but a full scan at %d gives %d",
-					b.id, b.flip, now, scan)
-			}
-		}
-		return b.flip
-	}
-	b.flip = b.scanRelease(now)
-	return b.flip
-}
-
-// scanRelease is NextRelease's miss path: a min-scan over every timer.
-// It returns sim.MaxTick when every timer is at or below now.
-func (b *Bank) scanRelease(now sim.Tick) sim.Tick {
 	next := sim.MaxTick
 	for _, t := range b.timers {
 		if t > now && t < next {
@@ -549,25 +530,6 @@ func (b *Bank) scanRelease(now sim.Tick) sim.Tick {
 	return next
 }
 
-// forgetFlip clears the cached next flip. Every command that sets a
-// timer calls it, so no stale flip survives a command.
-func (b *Bank) forgetFlip() { b.flip = 0 }
-
-// busyAnywhere reports whether any SAG or CD is mid-operation at now.
-func (b *Bank) busyAnywhere(now sim.Tick) bool {
-	for _, t := range b.sagBusy {
-		if now < t {
-			return true
-		}
-	}
-	for _, t := range b.cdBusy {
-		if now < t {
-			return true
-		}
-	}
-	return false
-}
-
 // Activations returns the number of activation commands issued.
 func (b *Bank) Activations() uint64 { return b.acts }
 
@@ -576,11 +538,6 @@ func (b *Bank) PartialActivations() uint64 { return b.partialActs }
 
 // WritesIssued returns the number of line writes issued.
 func (b *Bank) WritesIssued() uint64 { return b.writesBusy }
-
-// OverlappedOps returns the number of operations issued while another
-// operation was still in flight in the same bank — the direct measure of
-// exploited tile-level parallelism.
-func (b *Bank) OverlappedOps() uint64 { return b.overlapped }
 
 // SAGOf and CDOf expose the tile-grid projection for the controller.
 func (b *Bank) SAGOf(row int) int { return b.sag(row) }

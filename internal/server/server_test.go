@@ -338,6 +338,7 @@ func TestBadRequests(t *testing.T) {
 		{"too many issue lanes", "/v1/run", `{"benchmark":"mcf","issue_lanes":16777216}`},
 		{"negative cores", "/v1/run", `{"benchmark":"mcf","cores":-3}`},
 		{"warm-up past the cap", "/v1/run", `{"benchmark":"mcf","warmup_accesses":4611686018427387904}`},
+		{"grid over the bank-state budget", "/v1/run", `{"design":"fgnvm","benchmark":"mcf","sags":16384,"cds":64}`},
 		{"unknown axis", "/v1/sweep", `{"axis":"voltage"}`},
 		{"figure4 bad bench", "/v1/figure4", `{"benchmarks":["nope"]}`},
 		{"figure4 duplicate bench", "/v1/figure4", `{"benchmarks":["mcf","lbm","mcf"],"instructions":1000}`},

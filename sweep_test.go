@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -68,6 +70,24 @@ func TestSweepContextCancel(t *testing.T) {
 	_, err := SweepContext(ctx, SweepParams{Axis: "cds", Values: []int{1, 2}, Benchmark: "mcf", Instructions: tinyInstr})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled SweepContext err = %v, want context.Canceled", err)
+	}
+}
+
+// TestSweepPointOverBankBudget: a many-banks sweep point whose grid
+// flattens into a million banks fails with the bank-state budget error
+// instead of allocating them (about 760 MB).
+func TestSweepPointOverBankBudget(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := SweepContext(context.Background(), SweepParams{
+		Axis: "sags", Values: []int{65536}, Design: DesignManyBanks, Benchmark: "mcf", Instructions: tinyInstr,
+	})
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "bank-state budget") {
+		t.Fatalf("err = %v, want the bank-state budget error", err)
+	}
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6; mb > 64 {
+		t.Errorf("the rejected sweep allocated %.1f MB", mb)
 	}
 }
 
