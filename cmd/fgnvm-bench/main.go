@@ -49,40 +49,40 @@ func run() error {
 		p.Benchmarks = strings.Split(*benches, ",")
 	}
 
+	// Every figure and the headline table come from one Summary when
+	// more than one of them is asked for, so each distinct run is
+	// simulated once.
+	var s fgnvm.SummaryResult
+	var err error
+	switch {
+	case *all || *summary:
+		s, err = fgnvm.Summary(p)
+	case *fig == 4:
+		s.Fig4, err = fgnvm.Figure4(p)
+	case *fig == 5:
+		s.Fig5, err = fgnvm.Figure5(p)
+	}
+	if err != nil {
+		return err
+	}
 	ran := false
-	if *all || *fig == 4 {
-		if err := printFigure4(p, *csv); err != nil {
-			return err
+	for _, step := range []struct {
+		on    bool
+		print func() error
+	}{
+		{*all || *fig == 4, func() error { return printFigure4(s.Fig4, *csv) }},
+		{*all || *fig == 5, func() error { return printFigure5(s.Fig5, *csv) }},
+		{*all || *table == 1, func() error { printTable1(*csv); return nil }},
+		{*all || *summary, func() error { return printSummary(s) }},
+		{*all || *reli, func() error { return printReliability(*csv) }},
+		{*all || *stalls, func() error { return printStallStory(p, *csv) }},
+	} {
+		if step.on {
+			if err := step.print(); err != nil {
+				return err
+			}
+			ran = true
 		}
-		ran = true
-	}
-	if *all || *fig == 5 {
-		if err := printFigure5(p, *csv); err != nil {
-			return err
-		}
-		ran = true
-	}
-	if *all || *table == 1 {
-		printTable1(*csv)
-		ran = true
-	}
-	if *all || *summary {
-		if err := printSummary(p); err != nil {
-			return err
-		}
-		ran = true
-	}
-	if *all || *reli {
-		if err := printReliability(*csv); err != nil {
-			return err
-		}
-		ran = true
-	}
-	if *all || *stalls {
-		if err := printStallStory(p, *csv); err != nil {
-			return err
-		}
-		ran = true
 	}
 	if !ran {
 		flag.Usage()
@@ -91,11 +91,7 @@ func run() error {
 	return nil
 }
 
-func printFigure4(p fgnvm.ExperimentParams, csv bool) error {
-	res, err := fgnvm.Figure4(p)
-	if err != nil {
-		return err
-	}
+func printFigure4(res fgnvm.Figure4Result, csv bool) error {
 	t := report.NewTable("benchmark", "FGNVM", "128 Banks", "FGNVM+Multi-Issue")
 	for _, r := range res.Rows {
 		t.AddRowValues(r.Benchmark, r.FgNVM, r.ManyBanks, r.FgNVMMultiIssue)
@@ -117,11 +113,7 @@ func printFigure4(p fgnvm.ExperimentParams, csv bool) error {
 	return chart.Render(os.Stdout)
 }
 
-func printFigure5(p fgnvm.ExperimentParams, csv bool) error {
-	res, err := fgnvm.Figure5(p)
-	if err != nil {
-		return err
-	}
+func printFigure5(res fgnvm.Figure5Result, csv bool) error {
 	t := report.NewTable("benchmark", "8x2", "8x8", "8x32", "8x32 Perfect")
 	for _, r := range res.Rows {
 		t.AddRowValues(r.Benchmark, r.E8x2, r.E8x8, r.E8x32, r.E8x32Perf)
@@ -208,11 +200,7 @@ func printStallStory(p fgnvm.ExperimentParams, csv bool) error {
 	return nil
 }
 
-func printSummary(p fgnvm.ExperimentParams) error {
-	s, err := fgnvm.Summary(p)
-	if err != nil {
-		return err
-	}
+func printSummary(s fgnvm.SummaryResult) error {
 	fmt.Println("Headline claims vs reproduction")
 	fmt.Println()
 	t := report.NewTable("claim", "paper", "this reproduction")

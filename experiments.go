@@ -25,10 +25,10 @@ type ExperimentParams struct {
 	Seed uint64
 	// Benchmarks to evaluate; empty means the full Figure 4 set.
 	Benchmarks []string
-	// Parallel is the number of benchmarks simulated concurrently
-	// (default: GOMAXPROCS, capped at the benchmark count). Each
-	// simulation is single-threaded and deterministic; parallelism is
-	// across independent runs, so results are identical at any width.
+	// Parallel bounds the runs simulated concurrently (default:
+	// GOMAXPROCS). Each simulation is single-threaded and
+	// deterministic; parallelism is across independent runs, so
+	// results are identical at any width.
 	Parallel int
 }
 
@@ -66,23 +66,14 @@ func workers(parallel, n int) int {
 	return max(1, min(parallel, n))
 }
 
-// forEach runs fn for every benchmark index on a bounded worker pool.
-// Workers write into caller-preallocated slots, so output order is
-// deterministic regardless of scheduling. All worker errors are
-// aggregated (in index order) with errors.Join, so a multi-benchmark
-// failure reports every failing run rather than only the first by
-// index. Cancelling ctx stops dispatching further work; its error is
-// included in the aggregate.
-func forEach(ctx context.Context, benchmarks []string, workers int, fn func(i int, bench string) error) error {
-	return forEachN(ctx, len(benchmarks), workers, func(i int) error {
-		return fn(i, benchmarks[i])
-	})
-}
-
-// forEachN is the index-only core of forEach, shared with the sweep
-// harness: run fn(0..n-1) on a bounded pool and join all errors. A
-// panicking job becomes an error naming its index; the other jobs
-// still run, so no library entry point can take its caller down.
+// forEachN runs fn(0..n-1) on a bounded pool of workers. Workers
+// write into caller-preallocated slots, so output order is
+// deterministic regardless of scheduling. All job errors are joined in
+// index order, so a multi-job failure reports every failing job rather
+// than only the first. A panicking job becomes an error naming its
+// index; the other jobs still run, so no library entry point can take
+// its caller down. Cancelling ctx stops dispatching further work; its
+// error is included in the aggregate.
 func forEachN(ctx context.Context, n, workers int, fn func(i int) error) error {
 	jobs := make(chan int)
 	errs := make([]error, n)
@@ -120,6 +111,84 @@ func runJob(i int, fn func(i int) error) (err error) {
 	return fn(i)
 }
 
+// runAll is the one run path of the figures, Summary, the stall story
+// and sweeps: it simulates the runs on a pool of width workers, one run
+// per job, and returns their Results in order and every failure,
+// labelled by label(i) ("figure4 mcf baseline: ..."), in one joined
+// error. Labels are only formatted for failed runs.
+func runAll(ctx context.Context, width int, runs []Options, label func(i int) string) ([]Result, error) {
+	res := make([]Result, len(runs))
+	err := forEachN(ctx, len(runs), width, func(i int) (err error) {
+		if res[i], err = RunContext(ctx, runs[i]); err != nil {
+			return fmt.Errorf("%s: %w", label(i), err)
+		}
+		return nil
+	})
+	return res, err
+}
+
+// The design points of Figures 4 and 5, indexing a benchmark's row of a
+// paperTable. Both figures normalize to the baseline and both show 8×2
+// FgNVM, so together they simulate six points per benchmark, not eight.
+const (
+	pointBaseline = iota
+	pointFgNVM    // 8×2
+	pointManyBanks
+	pointMultiIssue
+	pointFgNVM8x8
+	pointFgNVM8x32
+)
+
+// paperPoints labels and configures each design point; all have 8 SAGs.
+var paperPoints = [...]struct {
+	label  string
+	design Design
+	cds    int
+}{
+	{"baseline", DesignBaseline, 2},
+	{"fgnvm", DesignFgNVM, 2},
+	{"manybanks", DesignManyBanks, 2},
+	{"multiissue", DesignFgNVMMultiIssue, 2},
+	{"8x8", DesignFgNVM, 8},
+	{"8x32", DesignFgNVM, 32},
+}
+
+// paperTable runs the given points of every benchmark of p and returns
+// one row of Results per benchmark, indexed by point.
+func paperTable(ctx context.Context, kind string, p ExperimentParams, points ...int) ([][len(paperPoints)]Result, error) {
+	p, err := p.Canonical()
+	if err != nil {
+		return nil, err
+	}
+	var runs []Options
+	for _, pt := range points {
+		for _, bench := range p.Benchmarks {
+			runs = append(runs, Options{
+				Design: paperPoints[pt].design, SAGs: 8, CDs: paperPoints[pt].cds,
+				Benchmark: bench, Instructions: p.Instructions, Seed: p.Seed,
+			})
+		}
+	}
+	n := len(p.Benchmarks)
+	label := func(i int) string {
+		return fmt.Sprintf("%s %s %s", kind, p.Benchmarks[i%n], paperPoints[points[i/n]].label)
+	}
+	// The first point of each benchmark warms its LLC. The warm-up memo
+	// does not coalesce concurrent misses, so those runs finish before
+	// the rest, which restore the warmed caches, start.
+	res, err := runAll(ctx, workers(p.Parallel, n), runs[:n], label)
+	if err == nil {
+		var rest []Result
+		rest, err = runAll(ctx, workers(p.Parallel, len(runs)-n), runs[n:], func(i int) string { return label(n + i) })
+		res = append(res, rest...)
+	}
+	table := make([][len(paperPoints)]Result, n)
+	for i, r := range res {
+		table[i%n][points[i/n]] = r
+	}
+	return table, err
+}
+
 // Figure4Row is one benchmark's bar group in Figure 4: IPC speedups
 // over the baseline NVM for the three evaluated systems (8×2 FgNVM,
 // the idealized 128-banks memory, and FgNVM with multi-issue).
@@ -149,55 +218,34 @@ func Figure4(p ExperimentParams) (Figure4Result, error) {
 }
 
 // Figure4Context is Figure4 with cancellation: ctx aborts in-flight
-// simulations and stops dispatching further benchmarks.
+// simulations and stops dispatching further runs.
 func Figure4Context(ctx context.Context, p ExperimentParams) (Figure4Result, error) {
-	var out Figure4Result
-	p, err := p.Canonical()
+	table, err := paperTable(ctx, "figure4", p, pointBaseline, pointFgNVM, pointManyBanks, pointMultiIssue)
 	if err != nil {
-		return out, err
+		return Figure4Result{}, err
 	}
-	out.Rows = make([]Figure4Row, len(p.Benchmarks))
-	err = forEach(ctx, p.Benchmarks, workers(p.Parallel, len(p.Benchmarks)), func(i int, bench string) error {
-		runOne := func(d Design) (Result, error) {
-			return RunContext(ctx, Options{
-				Design: d, SAGs: 8, CDs: 2,
-				Benchmark: bench, Instructions: p.Instructions, Seed: p.Seed,
-			})
-		}
-		base, err := runOne(DesignBaseline)
-		if err != nil {
-			return fmt.Errorf("figure4 %s baseline: %w", bench, err)
-		}
-		rFg, err := runOne(DesignFgNVM)
-		if err != nil {
-			return fmt.Errorf("figure4 %s fgnvm: %w", bench, err)
-		}
-		rMb, err := runOne(DesignManyBanks)
-		if err != nil {
-			return fmt.Errorf("figure4 %s manybanks: %w", bench, err)
-		}
-		rMi, err := runOne(DesignFgNVMMultiIssue)
-		if err != nil {
-			return fmt.Errorf("figure4 %s multiissue: %w", bench, err)
-		}
-		out.Rows[i] = Figure4Row{
-			Benchmark:       bench,
-			BaselineIPC:     base.IPC,
-			FgNVM:           rFg.SpeedupOver(base),
-			ManyBanks:       rMb.SpeedupOver(base),
-			FgNVMMultiIssue: rMi.SpeedupOver(base),
-		}
-		return nil
-	})
-	if err != nil {
-		return out, err
-	}
+	return figure4From(table)
+}
+
+// figure4From builds Figure 4 from a paperTable holding its points.
+func figure4From(table [][len(paperPoints)]Result) (Figure4Result, error) {
+	out := Figure4Result{Rows: make([]Figure4Row, len(table))}
 	var fg, mb, mi []float64
-	for _, row := range out.Rows {
+	for i, r := range table {
+		base := r[pointBaseline]
+		row := Figure4Row{
+			Benchmark:       base.Benchmark,
+			BaselineIPC:     base.IPC,
+			FgNVM:           r[pointFgNVM].SpeedupOver(base),
+			ManyBanks:       r[pointManyBanks].SpeedupOver(base),
+			FgNVMMultiIssue: r[pointMultiIssue].SpeedupOver(base),
+		}
+		out.Rows[i] = row
 		fg = append(fg, row.FgNVM)
 		mb = append(mb, row.ManyBanks)
 		mi = append(mi, row.FgNVMMultiIssue)
 	}
+	var err error
 	if out.GeoMeanFgNVM, err = stats.GeoMean(fg); err != nil {
 		return out, err
 	}
@@ -237,35 +285,26 @@ func Figure5(p ExperimentParams) (Figure5Result, error) {
 }
 
 // Figure5Context is Figure5 with cancellation: ctx aborts in-flight
-// simulations and stops dispatching further benchmarks.
+// simulations and stops dispatching further runs.
 func Figure5Context(ctx context.Context, p ExperimentParams) (Figure5Result, error) {
-	var out Figure5Result
-	p, err := p.Canonical()
+	table, err := paperTable(ctx, "figure5", p, pointBaseline, pointFgNVM, pointFgNVM8x8, pointFgNVM8x32)
 	if err != nil {
-		return out, err
+		return Figure5Result{}, err
 	}
-	out.Rows = make([]Figure5Row, len(p.Benchmarks))
-	err = forEach(ctx, p.Benchmarks, workers(p.Parallel, len(p.Benchmarks)), func(i int, bench string) error {
-		base, err := RunContext(ctx, Options{
-			Design: DesignBaseline, Benchmark: bench,
-			Instructions: p.Instructions, Seed: p.Seed,
-		})
-		if err != nil {
-			return fmt.Errorf("figure5 %s baseline: %w", bench, err)
-		}
-		row := Figure5Row{Benchmark: bench}
-		for _, cfg := range []struct {
-			cds  int
-			dest *float64
-		}{{2, &row.E8x2}, {8, &row.E8x8}, {32, &row.E8x32}} {
-			r, err := RunContext(ctx, Options{
-				Design: DesignFgNVM, SAGs: 8, CDs: cfg.cds,
-				Benchmark: bench, Instructions: p.Instructions, Seed: p.Seed,
-			})
-			if err != nil {
-				return fmt.Errorf("figure5 %s 8x%d: %w", bench, cfg.cds, err)
-			}
-			*cfg.dest = r.RelativeEnergy(base)
+	return figure5From(table), nil
+}
+
+// figure5From builds Figure 5 from a paperTable holding its points.
+func figure5From(table [][len(paperPoints)]Result) Figure5Result {
+	out := Figure5Result{Rows: make([]Figure5Row, len(table))}
+	var e2, e8, e32 []float64
+	for i, r := range table {
+		base := r[pointBaseline]
+		row := Figure5Row{
+			Benchmark: base.Benchmark,
+			E8x2:      r[pointFgNVM].RelativeEnergy(base),
+			E8x8:      r[pointFgNVM8x8].RelativeEnergy(base),
+			E8x32:     r[pointFgNVM8x32].RelativeEnergy(base),
 		}
 		// "8x32 Perfect": the ideal factor-of-two-per-doubling scaling
 		// the paper describes — sensing energy divided by the CD count,
@@ -274,13 +313,6 @@ func Figure5Context(ctx context.Context, p ExperimentParams) (Figure5Result, err
 			row.E8x32Perf = base.Energy.ReadPJ / 32 / base.Energy.TotalPJ
 		}
 		out.Rows[i] = row
-		return nil
-	})
-	if err != nil {
-		return out, err
-	}
-	var e2, e8, e32 []float64
-	for _, row := range out.Rows {
 		e2 = append(e2, row.E8x2)
 		e8 = append(e8, row.E8x8)
 		e32 = append(e32, row.E8x32)
@@ -288,7 +320,7 @@ func Figure5Context(ctx context.Context, p ExperimentParams) (Figure5Result, err
 	out.Mean8x2 = stats.Mean(e2)
 	out.Mean8x8 = stats.Mean(e8)
 	out.Mean8x32 = stats.Mean(e32)
-	return out, nil
+	return out
 }
 
 // Table1Row is one component row of the area-overhead table.
@@ -333,6 +365,26 @@ func Summary(p ExperimentParams) (SummaryResult, error) {
 	return SummaryContext(context.Background(), p)
 }
 
+// SummaryContext is Summary with cancellation. It simulates the runs
+// the two figures share once: six per benchmark, where Figure 4 and
+// Figure 5 run four each.
+func SummaryContext(ctx context.Context, p ExperimentParams) (SummaryResult, error) {
+	var s SummaryResult
+	table, err := paperTable(ctx, "summary", p, pointBaseline, pointFgNVM, pointManyBanks, pointMultiIssue, pointFgNVM8x8, pointFgNVM8x32)
+	if err != nil {
+		return s, err
+	}
+	if s.Fig4, err = figure4From(table); err != nil {
+		return s, err
+	}
+	s.Fig5 = figure5From(table)
+	s.PerfImprovementPct = (s.Fig4.GeoMeanMultiIssue - 1) * 100
+	s.Energy8x2Pct = (1 - s.Fig5.Mean8x2) * 100
+	s.Energy8x8Pct = (1 - s.Fig5.Mean8x8) * 100
+	s.Energy8x32Pct = (1 - s.Fig5.Mean8x32) * 100
+	return s, nil
+}
+
 // StallStoryRow is one design point of the stall-attribution
 // experiment: where queued requests spent their waiting cycles under
 // that design, plus its IPC for context.
@@ -374,7 +426,8 @@ func StallStoryContext(ctx context.Context, p ExperimentParams) (StallStoryResul
 	}
 	out := StallStoryResult{Benchmark: p.Benchmarks[0]}
 	noMA := &AccessModeSet{PartialActivation: true, BackgroundedWrites: true}
-	points := []struct {
+	var runs []Options
+	for _, pt := range []struct {
 		label  string
 		design Design
 		modes  *AccessModeSet
@@ -383,41 +436,22 @@ func StallStoryContext(ctx context.Context, p ExperimentParams) (StallStoryResul
 		{"fgnvm-noMA", DesignFgNVM, noMA},
 		{"fgnvm", DesignFgNVM, nil},
 		{"fgnvm-multiissue", DesignFgNVMMultiIssue, nil},
-	}
-	out.Rows = make([]StallStoryRow, len(points))
-	err = forEachN(ctx, len(points), workers(p.Parallel, len(points)), func(i int) error {
-		pt := points[i]
-		r, err := RunContext(ctx, Options{
+	} {
+		out.Rows = append(out.Rows, StallStoryRow{Label: pt.label, Design: pt.design})
+		runs = append(runs, Options{
 			Design: pt.design, SAGs: 8, CDs: 2, Modes: pt.modes,
 			Benchmark: out.Benchmark, Instructions: p.Instructions, Seed: p.Seed,
 			Telemetry: &TelemetryOptions{Attribution: true},
 		})
-		if err != nil {
-			return fmt.Errorf("stallstory %s: %w", pt.label, err)
-		}
-		row := StallStoryRow{Label: pt.label, Design: pt.design, IPC: r.IPC}
-		if r.Stalls != nil {
-			row.Stalls = *r.Stalls
-		}
-		out.Rows[i] = row
-		return nil
+	}
+	res, err := runAll(ctx, workers(p.Parallel, len(runs)), runs, func(i int) string {
+		return "stallstory " + out.Rows[i].Label
 	})
+	for i, r := range res {
+		out.Rows[i].IPC = r.IPC
+		if r.Stalls != nil {
+			out.Rows[i].Stalls = *r.Stalls
+		}
+	}
 	return out, err
-}
-
-// SummaryContext is Summary with cancellation.
-func SummaryContext(ctx context.Context, p ExperimentParams) (SummaryResult, error) {
-	var s SummaryResult
-	var err error
-	if s.Fig4, err = Figure4Context(ctx, p); err != nil {
-		return s, err
-	}
-	if s.Fig5, err = Figure5Context(ctx, p); err != nil {
-		return s, err
-	}
-	s.PerfImprovementPct = (s.Fig4.GeoMeanMultiIssue - 1) * 100
-	s.Energy8x2Pct = (1 - s.Fig5.Mean8x2) * 100
-	s.Energy8x8Pct = (1 - s.Fig5.Mean8x8) * 100
-	s.Energy8x32Pct = (1 - s.Fig5.Mean8x32) * 100
-	return s, nil
 }

@@ -1,6 +1,7 @@
 package fgnvm
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strings"
@@ -223,6 +224,37 @@ func TestSummary(t *testing.T) {
 	if s.Energy8x2Pct <= 0 || s.Energy8x8Pct <= s.Energy8x2Pct || s.Energy8x32Pct <= s.Energy8x8Pct {
 		t.Errorf("energy reductions not increasing: %.1f %.1f %.1f",
 			s.Energy8x2Pct, s.Energy8x8Pct, s.Energy8x32Pct)
+	}
+}
+
+// TestSummaryMatchesFigures pins that Summary, which simulates the runs
+// the two figures share once, reports exactly the figures Figure4 and
+// Figure5 compute on their own, at one worker and at four.
+func TestSummaryMatchesFigures(t *testing.T) {
+	for _, parallel := range []int{1, 4} {
+		p := tinyParams()
+		p.Parallel = parallel
+		s, err := Summary(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f4, err := Figure4(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f5, err := Figure5(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name      string
+			got, want any
+		}{{"Figure 4", s.Fig4, f4}, {"Figure 5", s.Fig5, f5}} {
+			got, want := mustJSON(t, c.got), mustJSON(t, c.want)
+			if !bytes.Equal(got, want) {
+				t.Errorf("Parallel=%d: Summary's %s differs from its own run:\n  summary: %s\n  figure : %s", parallel, c.name, got, want)
+			}
+		}
 	}
 }
 

@@ -162,7 +162,8 @@ func TestDegenerateFgNVMMatchesBaseline(t *testing.T) {
 // stream shape the profile generators never produce — independently
 // seeded addresses, write mix, and gaps from a raw SplitMix64 walk —
 // so exactness does not silently depend on the benchmark profiles'
-// locality structure.
+// locality structure. The stream outlasts the default LLC warm-up by
+// 4,096 accesses, so every design simulates its full budget.
 func TestFastForwardRandomStream(t *testing.T) {
 	mk := func() trace.Stream {
 		state := uint64(0x5eed)
@@ -173,7 +174,7 @@ func TestFastForwardRandomStream(t *testing.T) {
 			z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 			return z ^ (z >> 31)
 		}
-		accs := make([]trace.Access, 4096)
+		accs := make([]trace.Access, DefaultWarmupAccesses+4096)
 		for i := range accs {
 			accs[i] = trace.Access{
 				Gap:   uint32(next() % 200),
@@ -195,6 +196,9 @@ func TestFastForwardRandomStream(t *testing.T) {
 			return r
 		}
 		ff, ref := run(false), run(true)
+		if ff.Instructions == 0 {
+			t.Fatalf("%v: the random stream simulated no instructions", d)
+		}
 		ffJSON, _ := json.Marshal(ff)
 		refJSON, _ := json.Marshal(ref)
 		if !bytes.Equal(ffJSON, refJSON) {

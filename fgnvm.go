@@ -478,7 +478,8 @@ func bankState(g addr.Geometry) uint64 {
 // WarmupAccesses stays 0 for the default length (and under SkipLLC, which
 // ignores it) and folds every negative value to -1. The geometry the
 // design resolves to must be valid, and its bank state (bankState) at
-// most maxBankState.
+// most maxBankState; a Device must derive, and a multi-core Workload
+// must split into a tile range per core.
 func (o Options) Canonical() (Options, error) {
 	// Validate everything first, so a field the design ignores is still
 	// rejected when it is invalid.
@@ -588,6 +589,9 @@ func (o Options) Canonical() (Options, error) {
 		o.WarmupAccesses = -1
 	}
 	if o.Device != nil {
+		if _, _, err := o.Device.derive(); err != nil {
+			return Options{}, err
+		}
 		o.Technology = TechPCM // the device model sets timings and energies
 	}
 	switch o.Design {
@@ -611,7 +615,30 @@ func (o Options) Canonical() (Options, error) {
 		return Options{}, fmt.Errorf("fgnvm: %d channels × %d ranks × %d banks of %d×%d tiles exceed the bank-state budget (%d units, at most %d)",
 			g.Channels, g.Ranks, g.Banks, g.SAGs, g.CDs, n, maxBankState)
 	}
+	if o.Workload != nil && o.Cores > 1 {
+		// The lowering refuses more cores than the shape has row tiles
+		// and column tiles.
+		spec, _ := o.Workload.resolve() // canonical above, so it resolves
+		if _, err := gemm.Partition(spec, g, addr.RowBankRankChanCol, o.Cores); err != nil {
+			return Options{}, err
+		}
+	}
 	return o, nil
+}
+
+// derive runs the device model on p, defaults filled in, and returns
+// its derivation with the timings it implies.
+func (p DeviceParams) derive() (device.Derived, timing.Timings, error) {
+	dp := p.applyDefaults()
+	d, err := device.Derive(device.Params{
+		FeatureNm: dp.FeatureNm, TileRows: dp.TileRows, TileCols: dp.TileCols,
+		MuxDegree: dp.MuxDegree, CellAreaF2: dp.CellAreaF2,
+	})
+	if err != nil {
+		return d, timing.Timings{}, err
+	}
+	tim, err := timing.New(d.Timings, timing.DefaultClockMHz)
+	return d, tim, err
 }
 
 // designModes is the access-mode set each design implies; Options.Modes
@@ -695,19 +722,11 @@ func RunContext(ctx context.Context, o Options) (Result, error) {
 			return Result{}, err
 		}
 	case o.Device != nil:
-		dp := o.Device.applyDefaults()
-		d, err := device.Derive(device.Params{
-			FeatureNm: dp.FeatureNm, TileRows: dp.TileRows, TileCols: dp.TileCols,
-			MuxDegree: dp.MuxDegree, CellAreaF2: dp.CellAreaF2,
-		})
+		d, dt, err := o.Device.derive()
 		if err != nil {
 			return Result{}, err
 		}
-		derived = &d
-		tim, err = timing.New(d.Timings, timing.DefaultClockMHz)
-		if err != nil {
-			return Result{}, err
-		}
+		derived, tim = &d, dt
 	}
 
 	// Workload: one access stream per core. Multi-programmed cores get
@@ -890,6 +909,18 @@ func RunContext(ctx context.Context, o Options) (Result, error) {
 	if now >= o.MaxCycles {
 		return Result{}, fmt.Errorf("fgnvm: run exceeded MaxCycles=%d (core 0 retired %d of %d)",
 			o.MaxCycles, slots[0].core.Retired(), o.Instructions)
+	}
+	// A core retires nothing only when its stream had no access left
+	// for the timed run: a custom stream no longer than the warm-up, or
+	// an empty one (benchmark and GEMM streams never end).
+	for i, s := range slots {
+		if s.core.Retired() > 0 {
+			continue
+		}
+		if !o.SkipLLC && warm > 0 {
+			return Result{}, fmt.Errorf("fgnvm: core %d has nothing to simulate: its access stream ended within the %d-access LLC warm-up", i, warm)
+		}
+		return Result{}, fmt.Errorf("fgnvm: core %d has nothing to simulate: its access stream is empty", i)
 	}
 	emod.AdvanceBackground(now)
 

@@ -104,6 +104,8 @@ func TestCanonicalRejects(t *testing.T) {
 		{"2^15 one-bank channels", Options{Benchmark: "mcf", Geometry: &addr.Geometry{
 			Channels: 1 << 15, Ranks: 1, Banks: 1, Rows: 65536, Cols: 64, LineBytes: 64}}},
 		{"many-banks flattens a 1024x64 grid into banks", Options{Design: DesignManyBanks, Benchmark: "mcf", SAGs: 1024, CDs: 64}},
+		{"a device of negative feature size", Options{Design: DesignFgNVM, Benchmark: "mcf", Device: &DeviceParams{FeatureNm: -1}}},
+		{"a GEMM with more cores than tiles", Options{Design: DesignFgNVM, Cores: 4, Workload: &WorkloadSpec{M: 8, K: 8, N: 8}}},
 		{"dimensions whose product overflows", Options{Design: DesignFgNVM, Benchmark: "mcf", SAGs: 1 << 32, CDs: 1 << 32,
 			Geometry: &addr.Geometry{Channels: 1 << 40, Ranks: 1 << 40, Banks: 1 << 40, Rows: 1 << 32, Cols: 1 << 32, LineBytes: 64}}},
 	} {
@@ -365,6 +367,44 @@ func TestCustomStream(t *testing.T) {
 	}
 	if r.Reads != 200 {
 		t.Errorf("Reads = %d, want 200", r.Reads)
+	}
+}
+
+// TestStreamUsedUpByWarmupFails: a core whose stream has no access
+// left for the timed run is a clean error naming that core, not a
+// "successful" run of zero instructions.
+func TestStreamUsedUpByWarmupFails(t *testing.T) {
+	stream := func(n int) trace.Stream {
+		accs := make([]trace.Access, n)
+		for i := range accs {
+			accs[i] = trace.Access{Gap: 3, Addr: uint64(i) * 64}
+		}
+		return trace.NewSliceStream(accs)
+	}
+	for _, c := range []struct {
+		name string
+		o    Options
+		want string
+	}{
+		{"two short streams", Options{Streams: []trace.Stream{stream(1024), stream(1024)}},
+			"core 0 has nothing to simulate: its access stream ended within the 65536-access LLC warm-up"},
+		{"second stream short", Options{Streams: []trace.Stream{stream(DefaultWarmupAccesses + 1024), stream(1024)}},
+			"core 1 has nothing to simulate"},
+		{"short stream", Options{Stream: stream(1024)}, "core 0 has nothing to simulate"},
+		{"stream as long as the warm-up", Options{Stream: stream(DefaultWarmupAccesses)}, "core 0 has nothing to simulate"},
+		{"empty stream without an LLC", Options{Stream: stream(0), SkipLLC: true},
+			"core 0 has nothing to simulate: its access stream is empty"},
+	} {
+		c.o.Design, c.o.Instructions = DesignFgNVM, 2_000
+		r, err := Run(c.o)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v (Instructions %d), want one containing %q", c.name, err, r.Instructions, c.want)
+		}
+	}
+	// One access past the warm-up is something to simulate.
+	r, err := Run(Options{Design: DesignFgNVM, Stream: stream(DefaultWarmupAccesses + 1), Instructions: 2_000})
+	if err != nil || r.Instructions != 4 {
+		t.Errorf("stream one access past the warm-up: Instructions %d, err %v; want 4 and no error", r.Instructions, err)
 	}
 }
 

@@ -157,6 +157,8 @@ func (s fuzzSpec) options() Options {
 
 // fuzzStream is a custom access stream: a SplitMix64 walk over addresses,
 // write mix and gaps, with shape picking the footprint and write share.
+// It outlasts the longest decoded warm-up (the default) by 1,024
+// accesses, so every warm-up length leaves a timed run to simulate.
 func fuzzStream(seed uint64, shape int) trace.Stream {
 	state := seed
 	next := func() uint64 {
@@ -167,7 +169,7 @@ func fuzzStream(seed uint64, shape int) trace.Stream {
 		return z ^ (z >> 31)
 	}
 	footprint := uint64(1) << (16 + shape%12)
-	accs := make([]trace.Access, 1024)
+	accs := make([]trace.Access, DefaultWarmupAccesses+1024)
 	for i := range accs {
 		accs[i] = trace.Access{
 			Gap:   uint32(next() % 16),
@@ -202,8 +204,10 @@ func FuzzRunDifferential(f *testing.F) {
 	// A GEMM preset on SALP, two cores, RRAM, custom core and device.
 	f.Add(uint8(DesignSALP), uint8(4), uint8(3|2<<2|1<<4), uint8(0x11), uint8(0), uint8(0), uint8(2), uint8(0x1b), uint8(0x15), uint16(0), uint16(800), uint64(0))
 	// Custom streams on FgNVM with 2-lane issue and fast timings, no
-	// warm-up (it would consume the streams).
+	// warm-up.
 	f.Add(uint8(DesignFgNVM), uint8(2|2<<3), uint8(2|1<<5), uint8(0x80|9), uint8(0x80|1|2<<3), uint8(0), uint8(2<<2|1<<5), uint8(0), uint8(0), uint16(0), uint16(600), uint64(5))
+	// A custom stream behind the default LLC warm-up.
+	f.Add(uint8(DesignFgNVM), uint8(0), uint8(2), uint8(4), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint16(0), uint16(1500), uint64(11))
 	// A MaxCycles far too small to finish: both runs must fail alike.
 	f.Add(uint8(DesignFgNVM), uint8(0), uint8(0), uint8(3), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint16(2*200+1), uint16(1000), uint64(1))
 	f.Fuzz(func(t *testing.T, design, grid, source, pick, geom, modes, ctrl, cpu, device uint8,

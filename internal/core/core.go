@@ -233,12 +233,6 @@ func MustNewBank(cfg Config) *Bank {
 	return b
 }
 
-// Geometry returns the bank's geometry.
-func (b *Bank) Geometry() addr.Geometry { return b.geom }
-
-// Modes returns the enabled access modes.
-func (b *Bank) Modes() AccessModes { return b.modes }
-
 // WritePulses returns the number of serialized write pulses per line.
 func (b *Bank) WritePulses() sim.Tick { return b.pulses }
 

@@ -41,11 +41,13 @@ type LLCResult struct {
 	HasWriteback bool
 }
 
+// llcLine is one cache line in 16 bytes. The clock advances before
+// every access, so a line is valid exactly when it has been used; the
+// dirty bit is the low bit of tagDirty, above it the tag (at most 63
+// bits, which NewLLC ensures).
 type llcLine struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	used  uint64 // LRU timestamp
+	tagDirty uint64
+	used     uint64 // LRU timestamp; 0 for an invalid line
 }
 
 // LLC is a set-associative writeback, write-allocate cache with LRU
@@ -72,6 +74,10 @@ func NewLLC(cfg LLCConfig) (*LLC, error) {
 	setsN := lines / cfg.Ways
 	if setsN == 0 || setsN&(setsN-1) != 0 {
 		return nil, fmt.Errorf("cpu: set count %d not a power of two", setsN)
+	}
+	if setsN == 1 && cfg.LineBytes == 1 {
+		// Tags would need all 64 bits, leaving none for the dirty bit.
+		return nil, fmt.Errorf("cpu: a one-set LLC needs lines of at least 2 bytes")
 	}
 	return &LLC{cfg: cfg, lines: make([]llcLine, lines), setsN: uint64(setsN)}, nil
 }
@@ -106,10 +112,10 @@ func (l *LLC) Access(addr uint64, write bool) LLCResult {
 	ways := l.lines[set*w : set*w+w]
 
 	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
+		if ways[i].used != 0 && ways[i].tagDirty>>1 == tag {
 			ways[i].used = l.clock
 			if write {
-				ways[i].dirty = true
+				ways[i].tagDirty |= 1
 			}
 			l.hits++
 			return LLCResult{}
@@ -120,7 +126,7 @@ func (l *LLC) Access(addr uint64, write bool) LLCResult {
 	// Choose victim: first invalid way, else LRU.
 	victim := 0
 	for i := range ways {
-		if !ways[i].valid {
+		if ways[i].used == 0 {
 			victim = i
 			break
 		}
@@ -130,13 +136,17 @@ func (l *LLC) Access(addr uint64, write bool) LLCResult {
 	}
 	var res LLCResult
 	res.Miss = true
-	if ways[victim].valid && ways[victim].dirty {
-		evLine := ways[victim].tag*l.setsN + set
+	if ways[victim].tagDirty&1 != 0 {
+		evLine := ways[victim].tagDirty>>1*l.setsN + set
 		res.Writeback = evLine * uint64(l.cfg.LineBytes)
 		res.HasWriteback = true
 		l.writebacks++
 	}
-	ways[victim] = llcLine{tag: tag, valid: true, dirty: write, used: l.clock}
+	dirty := uint64(0)
+	if write {
+		dirty = 1
+	}
+	ways[victim] = llcLine{tagDirty: tag<<1 | dirty, used: l.clock}
 	return res
 }
 

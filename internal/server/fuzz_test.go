@@ -1,8 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"testing"
+	"time"
 )
 
 // FuzzRunRequestNormalize decodes arbitrary bytes as a POST /v1/run
@@ -29,6 +33,47 @@ func FuzzRunRequestNormalize(f *testing.F) {
 		}
 		if k1, k2 := once.cacheKey(), twice.cacheKey(); k1 != k2 {
 			t.Fatalf("normalize is not idempotent on the key:\n once  %+v\n twice %+v", once, twice)
+		}
+	})
+}
+
+// FuzzServeRun posts arbitrary bytes to /v1/run on a one-worker Server
+// that caps runs at 2,000 instructions and gives each a short default
+// deadline. Every answer must be a 200, a client error (4xx) or the
+// deadline's 504: never a 500, and no run may panic. A 200 body must
+// equal, byte for byte, a fresh Server's answer to the same request.
+func FuzzServeRun(f *testing.F) {
+	f.Add([]byte(`{"design":"fgnvm","benchmark":"mcf","instructions":20000}`))
+	f.Add([]byte(`{"design":"fgnvm","workload":{"preset":"gpt2s-attn-qkv","tiling":"cd"}}`))
+	f.Add([]byte(`{"design":"salp","mix":["mcf","lbm"],"cores":4,"warmup_accesses":-3}`))
+	f.Add([]byte(`{"design":"fgnvm","benchmark":"lbm","instructions":1500,"stall_report":true}`))
+	// Inputs the run itself used to refuse, answered 500: a device the
+	// model cannot derive and a GEMM with more cores than tiles.
+	f.Add([]byte(`{"design":"fgnvm","benchmark":"mcf","instructions":100,"device":{"feature_nm":-1}}`))
+	f.Add([]byte(`{"workload":{"m":8,"k":8,"n":8},"instructions":100,"cores":4}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		serve := func() (int, []byte) {
+			s, err := New(Config{Workers: 1, MaxInstructions: 2_000, DefaultTimeout: 5 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(body)))
+			if n := s.metrics.panics.Load(); n != 0 {
+				t.Fatalf("%s: %d runs panicked: %s", body, n, rec.Body.Bytes())
+			}
+			return rec.Code, rec.Body.Bytes()
+		}
+		code, first := serve()
+		switch {
+		case code == http.StatusGatewayTimeout, code >= 400 && code < 500:
+			return
+		case code != http.StatusOK:
+			t.Fatalf("%s: status %d: %s", body, code, first)
+		}
+		if code, again := serve(); code != http.StatusOK || !bytes.Equal(again, first) {
+			t.Fatalf("%s: rerun on a fresh server answered %d:\n  first: %s\n  again: %s", body, code, first, again)
 		}
 	})
 }

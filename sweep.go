@@ -1,9 +1,9 @@
 // Design-space sweep harness: one-dimensional parameter sweeps with
 // baseline-normalized outputs, used by cmd/fgnvm-sweep and by the
-// serving layer's /v1/sweep endpoint. Points run concurrently on the
-// same bounded pool as the figure harnesses; results land in
-// caller-visible order regardless of scheduling, and each simulation is
-// deterministic, so output is identical at any parallelism.
+// serving layer's /v1/sweep endpoint. Runs go through the same runner
+// as the figure harnesses; results land in caller-visible order
+// regardless of scheduling, and each simulation is deterministic, so
+// output is identical at any parallelism.
 
 package fgnvm
 
@@ -281,22 +281,23 @@ func SweepContext(ctx context.Context, p SweepParams) (SweepResult, error) {
 	if err != nil {
 		return SweepResult{}, err
 	}
-	points := make([]SweepPoint, len(plan.Jobs))
-	err = forEachN(ctx, len(plan.Jobs), workers(p.Parallel, len(plan.Jobs)), func(i int) error {
-		job := plan.Jobs[i]
-		base, err := RunContext(ctx, job.Baseline)
-		if err != nil {
-			return fmt.Errorf("%s axis: sweep baseline at value %d: %w", plan.Axis, job.Value, err)
+	runs := make([]Options, 0, 2*len(plan.Jobs))
+	for _, job := range plan.Jobs {
+		runs = append(runs, job.Baseline, job.Options)
+	}
+	res, err := runAll(ctx, workers(p.Parallel, len(plan.Jobs)), runs, func(i int) string {
+		run := "sweep"
+		if i%2 == 0 {
+			run = "sweep baseline"
 		}
-		r, err := RunContext(ctx, job.Options)
-		if err != nil {
-			return fmt.Errorf("%s axis: sweep at value %d: %w", plan.Axis, job.Value, err)
-		}
-		points[i] = NewSweepPoint(job.Value, r, base)
-		return nil
+		return fmt.Sprintf("%s axis: %s at value %d", plan.Axis, run, plan.Jobs[i/2].Value)
 	})
 	if err != nil {
 		return SweepResult{}, err
+	}
+	points := make([]SweepPoint, len(plan.Jobs))
+	for i, job := range plan.Jobs {
+		points[i] = NewSweepPoint(job.Value, res[2*i+1], res[2*i])
 	}
 	return plan.Assemble(points)
 }
