@@ -173,15 +173,7 @@ func paperTable(ctx context.Context, kind string, p ExperimentParams, points ...
 	label := func(i int) string {
 		return fmt.Sprintf("%s %s %s", kind, p.Benchmarks[i%n], paperPoints[points[i/n]].label)
 	}
-	// The first point of each benchmark warms its LLC. The warm-up memo
-	// does not coalesce concurrent misses, so those runs finish before
-	// the rest, which restore the warmed caches, start.
-	res, err := runAll(ctx, workers(p.Parallel, n), runs[:n], label)
-	if err == nil {
-		var rest []Result
-		rest, err = runAll(ctx, workers(p.Parallel, len(runs)-n), runs[n:], func(i int) string { return label(n + i) })
-		res = append(res, rest...)
-	}
+	res, err := runAll(ctx, workers(p.Parallel, len(runs)), runs, label)
 	table := make([][len(paperPoints)]Result, n)
 	for i, r := range res {
 		table[i%n][points[i/n]] = r

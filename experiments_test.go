@@ -124,7 +124,7 @@ func TestFigure4UnknownBenchmarkFails(t *testing.T) {
 	}
 }
 
-func TestForEachAggregatesAllErrors(t *testing.T) {
+func TestFigure4AggregatesAllErrors(t *testing.T) {
 	// Two broken benchmarks: the error must name both, not just the
 	// first by index (multi-benchmark failures used to be masked).
 	p := tinyParams()

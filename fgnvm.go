@@ -823,35 +823,41 @@ func RunContext(ctx context.Context, o Options) (Result, error) {
 		memsys = dsys
 	} else {
 		// Telemetry consumers attach before the controller is built so
-		// every bank is born with its sink. DesignDRAM skips this branch
-		// entirely, so Telemetry is a documented no-op there.
-		var sink telemetry.Sink
-		if o.Telemetry != nil {
-			var fan telemetry.Fanout
-			if o.Telemetry.Attribution {
+		// every bank is born with its sink. Command and request events
+		// fan out to Occupancy, the trace and the user Sink; stalls go
+		// to Attribution and the user Sink, and are not classified when
+		// neither is set. DesignDRAM skips this branch entirely, so
+		// Telemetry is a documented no-op there.
+		var events telemetry.Sink
+		var stalls telemetry.Stalls
+		if t := o.Telemetry; t != nil {
+			fan := make(telemetry.Fanout, 0, 3)
+			if t.Attribution {
 				telAtt = telemetry.NewAttribution(geom)
-				fan = append(fan, telAtt)
+				stalls.Attribution = telAtt
 			}
-			if o.Telemetry.Occupancy {
+			if t.Occupancy {
 				telOcc = telemetry.NewOccupancy(geom)
 				fan = append(fan, telOcc)
 			}
-			if o.Telemetry.TraceWriter != nil {
+			if t.TraceWriter != nil {
 				telTrc = telemetry.NewTrace(geom, o.IssueLanes)
 				fan = append(fan, telTrc)
 				eng.SetHook(telTrc.EngineSample)
 			}
-			if o.Telemetry.Sink != nil {
-				fan = append(fan, o.Telemetry.Sink)
+			if t.Sink != nil {
+				fan = append(fan, t.Sink)
+				stalls.Sink = t.Sink
 			}
-			sink = fan.Compact()
+			events = fan.Compact()
 		}
 		ccfg := controller.Config{
 			Geom: geom, Tim: tim, Modes: modes,
 			Scheduler: schedulerKinds[o.Scheduler], IssueLanes: o.IssueLanes,
 			Interleave: addr.RowBankRankChanCol,
 			Energy:     emod,
-			Telemetry:  sink,
+			Telemetry:  events,
+			Stalls:     stalls,
 		}
 		ctrl, err = controller.New(ccfg, eng)
 		if err != nil {

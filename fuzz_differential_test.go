@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/timing"
 	"repro/internal/trace"
 )
@@ -53,6 +54,9 @@ type fuzzSpec struct {
 	// maxCycles: odd values set MaxCycles to maxCycles>>1.
 	maxCycles uint16
 	instr     uint16
+	// tel picks the telemetry of the observed runs: bit 0 Attribution,
+	// bit 1 Occupancy, bit 2 a TraceWriter, bit 3 a counting Sink.
+	tel uint8
 	// seed is Options.Seed; an odd seed also gives a Workload an
 	// explicit shape, drawn from its other bits, in place of a preset.
 	seed uint64
@@ -180,49 +184,109 @@ func fuzzStream(seed uint64, shape int) trace.Stream {
 	return trace.NewSliceStream(accs)
 }
 
+// countingSink totals the weights of the Stall calls a user Sink gets,
+// per cause.
+type countingSink struct {
+	stalls [telemetry.NumStallCauses]uint64
+}
+
+func (c *countingSink) Command(telemetry.Command)      {}
+func (c *countingSink) Request(telemetry.RequestEvent) {}
+func (c *countingSink) Stall(cause telemetry.StallCause, n uint64) {
+	c.stalls[cause] += n
+}
+
+// attachTelemetry attaches the consumers tel picks to o, the trace writing
+// to buf, and returns the counting Sink when one is attached.
+func (s fuzzSpec) attachTelemetry(o *Options, buf *bytes.Buffer) *countingSink {
+	if s.tel&15 == 0 {
+		return nil
+	}
+	o.Telemetry = &TelemetryOptions{Attribution: s.tel&1 != 0, Occupancy: s.tel&2 != 0}
+	if s.tel&4 != 0 {
+		o.Telemetry.TraceWriter = buf
+	}
+	if s.tel&8 == 0 {
+		return nil
+	}
+	sink := &countingSink{}
+	o.Telemetry.Sink = sink
+	return sink
+}
+
+// checkSink holds a user Sink to its contract: its in-queue Stall
+// weights sum to the controller's queued-wait cycles, and per cause
+// they equal the built-in attribution. Both need Result.Stalls, so
+// both run only when Attribution was attached too.
+func checkSink(t *testing.T, spec fuzzSpec, sink *countingSink, st *StallBreakdown) {
+	t.Helper()
+	if st == nil {
+		return
+	}
+	var queued uint64
+	for c, n := range sink.stalls {
+		if telemetry.StallCause(c) != telemetry.StallQueueFull {
+			queued += n
+		}
+	}
+	if queued != st.QueuedWaitCycles {
+		t.Fatalf("%+v: the Sink's in-queue stalls sum to %d, QueuedWaitCycles is %d", spec, queued, st.QueuedWaitCycles)
+	}
+	if got := stallBreakdownFrom(sink.stalls, st.QueuedWaitCycles); *got != *st {
+		t.Fatalf("%+v: the Sink's per-cause totals %+v differ from Result.Stalls %+v", spec, *got, *st)
+	}
+}
+
 // FuzzRunDifferential runs a decoded point of the whole Options space
-// three times: with fast-forward and full telemetry, without
-// fast-forward and with full telemetry, and with fast-forward and no
-// telemetry. Each run must return a clean error or finish within
-// fuzzRunBudget, and the three together must stay within
+// three times: with fast-forward and the decoded telemetry, without
+// fast-forward and with the decoded telemetry, and with fast-forward
+// and no telemetry. Each run must return a clean error or finish
+// within fuzzRunBudget, and the three together must stay within
 // fuzzDiffAllocBudget. The first two must fail alike or succeed with
-// the same Result JSON and the same Perfetto bytes, and the third must
-// agree with them on every machine field.
+// the same Result JSON, the same Perfetto bytes and the same Stall
+// totals at a user Sink, and the third must agree with them on every
+// machine field. A user Sink must also agree with Result.Stalls (see
+// checkSink).
 func FuzzRunDifferential(f *testing.F) {
 	// One entry per design, on the paper grid and a small benchmark run.
 	for _, d := range Designs() {
-		f.Add(uint8(d), uint8(0), uint8(0), uint8(d), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint16(0), uint16(1500), uint64(1))
+		f.Add(uint8(d), uint8(0), uint8(0), uint8(d), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint16(0), uint16(1500), uint8(7), uint64(1))
 	}
 	// An ablation: FgNVM with Partial-Activation and Backgrounded Writes
 	// only, FCFS, a 4×4 grid.
-	f.Add(uint8(DesignFgNVM), uint8(3|3<<3), uint8(0), uint8(2), uint8(0), uint8(8|1|4), uint8(1), uint8(0), uint8(0), uint16(0), uint16(1999), uint64(3))
+	f.Add(uint8(DesignFgNVM), uint8(3|3<<3), uint8(0), uint8(2), uint8(0), uint8(8|1|4), uint8(1), uint8(0), uint8(0), uint16(0), uint16(1999), uint8(7), uint64(3))
 	// A 4-channel, 2-rank, 4-bank Mix of four benchmarks on Multi-Issue.
-	f.Add(uint8(DesignFgNVMMultiIssue), uint8(0), uint8(1), uint8(0x80|5), uint8(0x80|2|1<<2|1<<3), uint8(0), uint8(0), uint8(0), uint8(0), uint16(0), uint16(1200), uint64(9))
+	f.Add(uint8(DesignFgNVMMultiIssue), uint8(0), uint8(1), uint8(0x80|5), uint8(0x80|2|1<<2|1<<3), uint8(0), uint8(0), uint8(0), uint8(0), uint16(0), uint16(1200), uint8(7), uint64(9))
 	// An explicit GEMV shape, accumulating, on FgNVM.
 	f.Add(uint8(DesignFgNVM), uint8(0), uint8(3|1<<5), uint8(0x20), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint16(0), uint16(1500),
-		uint64(1|6<<1|7<<4|0<<7|2<<10|1<<12|1<<13|2<<15|3<<19))
+		uint8(7), uint64(1|6<<1|7<<4|0<<7|2<<10|1<<12|1<<13|2<<15|3<<19))
 	// A GEMM preset on SALP, two cores, RRAM, custom core and device.
-	f.Add(uint8(DesignSALP), uint8(4), uint8(3|2<<2|1<<4), uint8(0x11), uint8(0), uint8(0), uint8(2), uint8(0x1b), uint8(0x15), uint16(0), uint16(800), uint64(0))
+	f.Add(uint8(DesignSALP), uint8(4), uint8(3|2<<2|1<<4), uint8(0x11), uint8(0), uint8(0), uint8(2), uint8(0x1b), uint8(0x15), uint16(0), uint16(800), uint8(7), uint64(0))
 	// Custom streams on FgNVM with 2-lane issue and fast timings, no
 	// warm-up.
-	f.Add(uint8(DesignFgNVM), uint8(2|2<<3), uint8(2|1<<5), uint8(0x80|9), uint8(0x80|1|2<<3), uint8(0), uint8(2<<2|1<<5), uint8(0), uint8(0), uint16(0), uint16(600), uint64(5))
+	f.Add(uint8(DesignFgNVM), uint8(2|2<<3), uint8(2|1<<5), uint8(0x80|9), uint8(0x80|1|2<<3), uint8(0), uint8(2<<2|1<<5), uint8(0), uint8(0), uint16(0), uint16(600), uint8(7), uint64(5))
 	// A custom stream behind the default LLC warm-up.
-	f.Add(uint8(DesignFgNVM), uint8(0), uint8(2), uint8(4), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint16(0), uint16(1500), uint64(11))
+	f.Add(uint8(DesignFgNVM), uint8(0), uint8(2), uint8(4), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint16(0), uint16(1500), uint8(7), uint64(11))
+	// FgNVM 8x2 with all four consumers: Attribution, Occupancy, a
+	// trace and a user Sink.
+	f.Add(uint8(DesignFgNVM), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint16(0), uint16(1500), uint8(15), uint64(7))
 	// A MaxCycles far too small to finish: both runs must fail alike.
-	f.Add(uint8(DesignFgNVM), uint8(0), uint8(0), uint8(3), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint16(2*200+1), uint16(1000), uint64(1))
+	f.Add(uint8(DesignFgNVM), uint8(0), uint8(0), uint8(3), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint16(2*200+1), uint16(1000), uint8(7), uint64(1))
 	f.Fuzz(func(t *testing.T, design, grid, source, pick, geom, modes, ctrl, cpu, device uint8,
-		maxCycles, instr uint16, seed uint64) {
-		spec := fuzzSpec{design, grid, source, pick, geom, modes, ctrl, cpu, device, maxCycles, instr, seed}
+		maxCycles, instr uint16, tel uint8, seed uint64) {
+		spec := fuzzSpec{design, grid, source, pick, geom, modes, ctrl, cpu, device, maxCycles, instr, tel, seed}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		// run returns the Result JSON, the same without its telemetry
-		// fields (the machine), and the Perfetto bytes.
-		run := func(ff, traced bool) (full, machine, perfetto []byte, err error) {
+		// fields (the machine), the Perfetto bytes and the user Sink's
+		// Stall totals.
+		run := func(ff, traced bool) (full, machine, perfetto []byte, sunk [telemetry.NumStallCauses]uint64, err error) {
 			o := spec.options()
 			o.DisableFastForward = !ff
 			var buf bytes.Buffer
+			var sink *countingSink
 			if traced {
-				o.Telemetry = &TelemetryOptions{Attribution: true, Occupancy: true, TraceWriter: &buf}
+				sink = spec.attachTelemetry(&o, &buf)
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), fuzzRunBudget)
 			defer cancel()
@@ -231,14 +295,18 @@ func FuzzRunDifferential(f *testing.F) {
 				t.Fatalf("%+v (ff=%v) did not finish within %v", spec, ff, fuzzRunBudget)
 			}
 			if err != nil {
-				return nil, nil, nil, err
+				return nil, nil, nil, sunk, err
+			}
+			if sink != nil {
+				checkSink(t, spec, sink, r.Stalls)
+				sunk = sink.stalls
 			}
 			full = mustJSON(t, r)
 			r.Stalls, r.TileOccupancy, r.TraceEvents = nil, nil, 0
-			return full, mustJSON(t, r), buf.Bytes(), nil
+			return full, mustJSON(t, r), buf.Bytes(), sunk, nil
 		}
-		ffRes, ffMachine, ffTrace, ffErr := run(true, true)
-		refRes, _, refTrace, refErr := run(false, true)
+		ffRes, ffMachine, ffTrace, ffSunk, ffErr := run(true, true)
+		refRes, _, refTrace, refSunk, refErr := run(false, true)
 		if (ffErr == nil) != (refErr == nil) || ffErr != nil && ffErr.Error() != refErr.Error() {
 			t.Fatalf("%+v: fast-forward err %v, reference err %v", spec, ffErr, refErr)
 		}
@@ -251,7 +319,10 @@ func FuzzRunDifferential(f *testing.F) {
 		if !bytes.Equal(ffTrace, refTrace) {
 			t.Fatalf("%+v: Perfetto trace diverged from the cycle-by-cycle reference (%d vs %d bytes)", spec, len(ffTrace), len(refTrace))
 		}
-		_, bare, _, err := run(true, false)
+		if ffSunk != refSunk {
+			t.Fatalf("%+v: the Sink's Stall totals diverged from the cycle-by-cycle reference:\n  ff : %v\n  ref: %v", spec, ffSunk, refSunk)
+		}
+		_, bare, _, _, err := run(true, false)
 		if err != nil {
 			t.Fatalf("%+v: telemetry-off run failed: %v", spec, err)
 		}

@@ -76,12 +76,18 @@ type Config struct {
 	Interleave addr.Interleave
 	Energy     *energy.Model // optional
 
-	// Telemetry, when non-nil, receives command spans from every bank,
-	// request lifecycle events, and one Stall(cause, n) call per queued
-	// request per cycle (see internal/telemetry). Nil disables
-	// all hooks; the disabled path adds no allocations (guarded by a
-	// testing.AllocsPerRun regression test).
+	// Telemetry, when non-nil, receives command spans from every bank
+	// and request lifecycle events. It gets no Stall calls: those go to
+	// Stalls. Nil disables the event hooks; the disabled path adds no
+	// allocations (guarded by a testing.AllocsPerRun regression test).
 	Telemetry telemetry.Sink
+
+	// Stalls names the stall consumers (see telemetry.Stalls). Stalls
+	// are classified only when one of them is set: Attribution gets one
+	// weighted Stall per cause per cycle, Sink one Stall(cause, n) per
+	// queued request per cycle. Both get every rejected enqueue attempt
+	// as Stall(StallQueueFull, n).
+	Stalls telemetry.Stalls
 
 	// EngineHook has no effect.
 	EngineHook sim.Hook
@@ -139,7 +145,8 @@ type Controller struct {
 	cfg    Config
 	mapper *addr.Mapper
 	eng    *sim.Engine
-	tel    telemetry.Sink // nil when telemetry is off
+	tel    telemetry.Sink    // event sink; nil when no one reads events
+	stalls *telemetry.Stalls // stall consumers; nil when no one reads stalls
 
 	shards []shard // one per channel, stepped in channel order
 
@@ -153,7 +160,10 @@ type shard struct {
 	cfg *Config // the effective (defaulted) configuration, frozen at New
 	st  *Stats  // the Controller's statistics, shared by every shard
 	eng *sim.Engine
-	tel telemetry.Sink
+	// tel and stalls are the Controller's event sink and stall
+	// consumers.
+	tel    telemetry.Sink
+	stalls *telemetry.Stalls
 	// finishReadFn/finishWriteFn are the completion callbacks, cached
 	// once as sim.ArgEvent method values so the per-request completion
 	// schedule does not allocate a closure.
@@ -184,11 +194,13 @@ type shard struct {
 	lastReadActive sim.Tick
 
 	// causes memoizes attributeStalls' classification of every queued
-	// request (reads, then writes, in queue order). It holds until
-	// causesUntil, the channel's next work tick when it was taken, or
-	// until a queue push, a command, a queue removal or a drain-mode
-	// transition zeroes causesUntil.
+	// request (reads, then writes, in queue order), and causeCount its
+	// per-cause histogram. They hold until causesUntil, the channel's
+	// next work tick when they were taken, or until a queue push, a
+	// command, a queue removal or a drain-mode transition zeroes
+	// causesUntil.
 	causes      []telemetry.StallCause
+	causeCount  [telemetry.NumStallCauses]int
 	causesUntil sim.Tick
 }
 
@@ -222,6 +234,9 @@ func New(cfg Config, eng *sim.Engine) (*Controller, error) {
 		eng:    eng,
 		tel:    cfg.Telemetry,
 	}
+	if cfg.Stalls.Attribution != nil || cfg.Stalls.Sink != nil {
+		c.stalls = &c.cfg.Stalls
+	}
 	finishRead := sim.ArgEvent(c.finishRead)
 	finishWrite := sim.ArgEvent(c.finishWrite)
 	g := cfg.Geom
@@ -233,6 +248,7 @@ func New(cfg Config, eng *sim.Engine) (*Controller, error) {
 		s.st = &c.st
 		s.eng = eng
 		s.tel = cfg.Telemetry
+		s.stalls = c.stalls
 		s.finishReadFn = finishRead
 		s.finishWriteFn = finishWrite
 		s.banks = make([]*core.Bank, 0, nb)
@@ -317,8 +333,8 @@ func (s *shard) enqueue(r *mem.Request, now sim.Tick) bool {
 			return true
 		}
 		if !s.readQ.Push(r) {
-			if s.tel != nil {
-				s.tel.Stall(telemetry.StallQueueFull, 1)
+			if s.stalls != nil {
+				s.stalls.Stall(telemetry.StallQueueFull, 1)
 			}
 			return false
 		}
@@ -341,8 +357,8 @@ func (s *shard) enqueue(r *mem.Request, now sim.Tick) bool {
 		return true
 	}
 	if !s.writeQ.Push(r) {
-		if s.tel != nil {
-			s.tel.Stall(telemetry.StallQueueFull, 1)
+		if s.stalls != nil {
+			s.stalls.Stall(telemetry.StallQueueFull, 1)
 		}
 		return false
 	}
@@ -384,18 +400,19 @@ func (c *Controller) Cycle(now sim.Tick) int {
 }
 
 // cycle runs one controller clock for this channel: scheduling, then
-// queued-wait accounting and stall attribution. Accounting happens after
-// scheduling, so a request that issued this cycle does not count this
-// cycle — matching the attribution pass, which classifies exactly the
-// requests still queued at this point.
+// queued-wait accounting and, when a consumer reads stalls, stall
+// attribution. Accounting happens after scheduling, so a request that
+// issued this cycle does not count this cycle — matching the
+// attribution pass, which classifies exactly the requests still queued
+// at this point.
 func (s *shard) cycle(now sim.Tick) int {
 	issued := s.schedule(now)
 	queued := s.readQ.Len() + s.writeQ.Len()
 	s.st.QueuedWaitCycles.Add(uint64(queued))
-	if s.tel != nil {
+	if s.stalls != nil {
 		emitted := s.attributeStalls(now, 1)
-		if invariant.Enabled {
-			invariant.Assertf(emitted == queued,
+		if invariant.Enabled && emitted != queued { // guarded so a passing cycle stays allocation-free
+			invariant.Assertf(false,
 				"stall attribution emitted %d events for %d queued requests (tick %d): "+
 					"per-cause buckets no longer sum to QueuedWaitCycles", emitted, queued, now)
 		}
@@ -404,13 +421,15 @@ func (s *shard) cycle(now sim.Tick) int {
 }
 
 // attributeStalls classifies every request still queued after this
-// cycle's scheduling, making exactly one Stall call per request — the
+// cycle's scheduling and credits each one's cause with weight n — the
 // conservation invariant the stall-attribution engine relies on (sum of
-// attributed causes == QueuedWaitCycles). Each call carries weight n:
-// the per-cycle path passes 1, the fast-forward path passes the width
-// of a window over which it has proved the classification constant. It
-// returns the number of calls made so the tagged build can assert
-// conservation.
+// attributed causes == QueuedWaitCycles). The per-cycle path passes
+// n = 1, the fast-forward path the width of a window over which it has
+// proved the classification constant. The built-in Attribution gets
+// one Stall(cause, k·n) per cause that k requests share, so a busy
+// cycle costs it O(causes); a user Sink gets one Stall(cause, n) per
+// request, in queue order. It returns the number of requests credited
+// so the tagged build can assert conservation.
 //
 // The classification is memoized in s.causes. By the argument behind
 // NextWork and SkipCycles, every cause is constant until the channel's
@@ -424,14 +443,18 @@ func (s *shard) cycle(now sim.Tick) int {
 func (s *shard) attributeStalls(now sim.Tick, n uint64) int {
 	if now >= s.causesUntil {
 		s.causes = s.causes[:0]
+		s.causeCount = [telemetry.NumStallCauses]int{}
 		for i, q := 0, s.readQ.Len()+s.writeQ.Len(); i < q; i++ {
-			s.causes = append(s.causes, s.classifyQueued(i, now))
+			c := s.classifyQueued(i, now)
+			s.causes = append(s.causes, c)
+			s.causeCount[c]++
 		}
 		s.causesUntil = s.channelNextWork(now)
 	} else if invariant.Enabled {
-		invariant.Assertf(len(s.causes) == s.readQ.Len()+s.writeQ.Len(),
-			"stall memo holds %d causes for %d queued requests (tick %d)",
-			len(s.causes), s.readQ.Len()+s.writeQ.Len(), now)
+		if q := s.readQ.Len() + s.writeQ.Len(); len(s.causes) != q {
+			invariant.Assertf(false, "stall memo holds %d causes for %d queued requests (tick %d)",
+				len(s.causes), q, now)
+		}
 		for i, c := range s.causes {
 			if fresh := s.classifyQueued(i, now); c != fresh {
 				invariant.Assertf(false, "stall memo says %v for queued request %d at tick %d, a fresh classification says %v",
@@ -439,8 +462,27 @@ func (s *shard) attributeStalls(now sim.Tick, n uint64) int {
 			}
 		}
 	}
-	for _, c := range s.causes {
-		s.tel.Stall(c, n)
+	if invariant.Enabled {
+		sum := 0
+		for _, k := range s.causeCount {
+			sum += k
+		}
+		if sum != len(s.causes) {
+			invariant.Assertf(false, "stall histogram sums to %d for %d memoized causes (tick %d)",
+				sum, len(s.causes), now)
+		}
+	}
+	if a := s.stalls.Attribution; a != nil {
+		for c, k := range s.causeCount {
+			if k != 0 {
+				a.Stall(telemetry.StallCause(c), uint64(k)*n)
+			}
+		}
+	}
+	if sink := s.stalls.Sink; sink != nil {
+		for _, c := range s.causes {
+			sink.Stall(c, n)
+		}
 	}
 	return len(s.causes)
 }
@@ -938,7 +980,7 @@ func (s *shard) nextBankFlip(now sim.Tick) sim.Tick {
 // stall classification equal to its value at now throughout. The
 // per-cycle work therefore reduces to multiplication: the queued-wait
 // counter advances by n times its per-cycle increment, and stall
-// attribution makes one weighted Stall call per queued request.
+// attribution credits each queued request's cause with weight n.
 // Background energy needs no crediting here — the energy model
 // integrates elapsed ticks exactly on the next Cycle.
 func (c *Controller) SkipCycles(now sim.Tick, n uint64) {
@@ -957,10 +999,10 @@ func (s *shard) skipCycles(now sim.Tick, n uint64) {
 		return
 	}
 	s.st.QueuedWaitCycles.Add(uint64(queued) * n)
-	if s.tel != nil {
+	if s.stalls != nil {
 		emitted := s.attributeStalls(now, n)
-		if invariant.Enabled {
-			invariant.Assertf(emitted == queued,
+		if invariant.Enabled && emitted != queued {
+			invariant.Assertf(false,
 				"fast-forward stall attribution emitted %d weighted events for %d queued requests (tick %d)",
 				emitted, queued, now)
 		}
@@ -971,12 +1013,13 @@ func (s *shard) skipCycles(now sim.Tick, n uint64) {
 // skipped tick): the reference loop would have re-attempted Enqueue
 // each cycle and attributed one StallQueueFull cycle per rejection.
 // The caller guarantees WouldAccept(r) is false for the whole window.
-// Only telemetry observes rejections, so with no sink this is a no-op.
+// Only the stall consumers observe rejections, so with none this is a
+// no-op.
 func (c *Controller) SkipRejects(r *mem.Request, now sim.Tick, n uint64) {
-	if n == 0 || c.tel == nil {
+	if n == 0 || c.stalls == nil {
 		return
 	}
-	c.tel.Stall(telemetry.StallQueueFull, n)
+	c.stalls.Stall(telemetry.StallQueueFull, n)
 }
 
 // writeClobbersPendingRead reports whether issuing w would invalidate a

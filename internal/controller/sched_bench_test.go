@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/timing"
 )
 
@@ -27,10 +28,17 @@ type saturatedHarness struct {
 
 func newSaturatedHarness(tb testing.TB) *saturatedHarness {
 	tb.Helper()
+	return newStalledHarness(tb, telemetry.Stalls{})
+}
+
+// newStalledHarness is newSaturatedHarness with stall consumers
+// attached.
+func newStalledHarness(tb testing.TB, stalls telemetry.Stalls) *saturatedHarness {
+	tb.Helper()
 	eng := sim.NewEngine()
 	c, err := New(Config{
 		Geom: testGeom(), Tim: timing.Paper(), Modes: core.AllModes(),
-		IssueLanes: 1, Interleave: addr.RowBankRankChanCol,
+		IssueLanes: 1, Interleave: addr.RowBankRankChanCol, Stalls: stalls,
 	}, eng)
 	if err != nil {
 		tb.Fatal(err)

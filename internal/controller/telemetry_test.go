@@ -38,7 +38,7 @@ func newCtrlSink(t *testing.T, sink telemetry.Sink) (*Controller, *sim.Engine) {
 	c, err := New(Config{
 		Geom: testGeom(), Tim: timing.Paper(), Modes: core.AllModes(),
 		IssueLanes: 1, Interleave: addr.RowBankRankChanCol,
-		Telemetry: sink,
+		Telemetry: sink, Stalls: telemetry.Stalls{Sink: sink},
 	}, eng)
 	if err != nil {
 		t.Fatal(err)
@@ -149,6 +149,78 @@ func TestNoSinkCycleZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestAttributionOnlyBusyCycleZeroAllocs guards the bulk credit path:
+// with the built-in Attribution as the only stall consumer, a busy
+// cycle (arbitration, classification of a full queue, per-cause credit,
+// completions and refills) allocates nothing once warm.
+func TestAttributionOnlyBusyCycleZeroAllocs(t *testing.T) {
+	att := telemetry.NewAttribution(testGeom())
+	h := newStalledHarness(t, telemetry.Stalls{Attribution: att})
+	now := sim.Tick(0)
+	h.fill(0)
+	for ; now < 4096; now++ {
+		h.step(now)
+	}
+	if allocs := testing.AllocsPerRun(2000, func() {
+		now++
+		h.step(now)
+	}); allocs != 0 {
+		t.Errorf("busy Cycle with Attribution only: %.2f allocs/op, want 0", allocs)
+	}
+	var sum uint64
+	for c, v := range att.Causes() {
+		if telemetry.StallCause(c) != telemetry.StallQueueFull {
+			sum += v
+		}
+	}
+	if want := h.c.Stats().QueuedWaitCycles.Value(); sum != want || sum == 0 {
+		t.Errorf("attributed %d queued-wait cycles, the controller counted %d", sum, want)
+	}
+}
+
+// TestEventSinkClassifiesNoStalls checks that a run whose only consumer
+// reads events, not stalls (Occupancy or a trace), classifies no stall:
+// over bursty traffic that keeps the queues busy, the stall memo is
+// never filled and the sink never gets a Stall call.
+func TestEventSinkClassifiesNoStalls(t *testing.T) {
+	sink := &recordingSink{}
+	g := testGeom()
+	eng := sim.NewEngine()
+	c, err := New(Config{
+		Geom: g, Tim: timing.Paper(), Modes: core.AllModes(),
+		IssueLanes: 1, Interleave: addr.RowBankRankChanCol, Telemetry: sink,
+	}, eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := addr.MustNewMapper(g, addr.RowBankRankChanCol)
+	rng := rand.New(rand.NewSource(1))
+	s := &c.shards[0]
+	for now := sim.Tick(0); now < 20_000; now++ {
+		eng.RunUntil(now)
+		writeHeavy := now/2000%2 == 1
+		for rng.Intn(3) == 0 {
+			op := mem.Read
+			if writeHeavy == (rng.Intn(4) != 0) {
+				op = mem.Write
+			}
+			loc := addr.Location{Bank: rng.Intn(g.Banks), Row: rng.Intn(g.Rows), Col: rng.Intn(g.Cols)}
+			c.Enqueue(&mem.Request{ID: uint64(now), Op: op, Addr: m.Encode(loc)}, now)
+		}
+		c.Cycle(now)
+		if s.causes != nil || s.causeCount != [telemetry.NumStallCauses]int{} || s.causesUntil != 0 {
+			t.Fatalf("tick %d: the stall memo was filled (%d causes, histogram %v, valid until %d)",
+				now, len(s.causes), s.causeCount, s.causesUntil)
+		}
+	}
+	if sink.stalls != 0 || sink.queueFull != 0 {
+		t.Errorf("event sink got %d stall and %d queue-full calls, want none", sink.stalls, sink.queueFull)
+	}
+	if c.Stats().QueuedWaitCycles.Value() == 0 || len(sink.commands) == 0 {
+		t.Error("the traffic never queued a request or issued a command")
+	}
+}
+
 // BenchmarkCycleNoSink tracks the cost of an idle scheduling cycle with
 // telemetry detached — the hot path every simulated cycle pays. The CI
 // bench-smoke step runs this once to keep it compiling.
@@ -233,6 +305,7 @@ func TestStallMemoMatchesScan(t *testing.T) {
 				Geom: g, Tim: timing.Paper(), Modes: tc.modes, IssueLanes: tc.lanes, Scheduler: tc.sched,
 				WriteLowWM: tc.wm, WriteHighWM: tc.wm,
 				Interleave: addr.RowBankRankChanCol, Telemetry: &recordingSink{},
+				Stalls: telemetry.Stalls{Sink: &recordingSink{}},
 			}, eng)
 			if err != nil {
 				t.Fatal(err)

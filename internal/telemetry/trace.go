@@ -59,6 +59,13 @@ type Trace struct {
 	// the head of the file.
 	names map[[2]int]string // (pid, tid) → thread name
 	procs map[int]string    // pid → process name
+	// seen marks the tracks of the geometry already named, so an
+	// event on a known track skips the map: per channel, the tile
+	// tids, the bus-lane tids, then the reads and writes tracks, at
+	// seenStride slots each. Coordinates outside the geometry always
+	// take the map.
+	seen       []bool
+	seenStride int
 
 	lastCounterTick sim.Tick
 	haveCounter     bool
@@ -69,11 +76,14 @@ func NewTrace(g addr.Geometry, lanes int) *Trace {
 	if lanes < 1 {
 		lanes = 1
 	}
+	stride := g.Ranks*g.Banks*g.SAGs*g.CDs + lanes + 2
 	return &Trace{
-		geom:  g,
-		lanes: lanes,
-		names: make(map[[2]int]string),
-		procs: make(map[int]string),
+		geom:       g,
+		lanes:      lanes,
+		names:      make(map[[2]int]string),
+		procs:      make(map[int]string),
+		seen:       make([]bool, g.Channels*stride),
+		seenStride: stride,
 	}
 }
 
@@ -92,22 +102,50 @@ func (t *Trace) busTID(lane int) int {
 	return 1 + g.Ranks*g.Banks*g.SAGs*g.CDs + lane
 }
 
+// firstSight reports whether the track in slot of channel ch has not
+// been seen yet, and marks it seen. A slot outside the geometry (a
+// negative one, or a channel past it) counts as unseen every time, so
+// its caller falls through to the name map, which knows.
+func (t *Trace) firstSight(ch, slot int) bool {
+	if ch < 0 || ch >= t.geom.Channels || slot < 0 {
+		return true
+	}
+	i := ch*t.seenStride + slot
+	if t.seen[i] {
+		return false
+	}
+	t.seen[i] = true
+	return true
+}
+
+// inGrid reports whether every coordinate of a tile lies inside the
+// geometry, so its tid names that tile and no other.
+func (t *Trace) inGrid(rank, bank, sag, cd int) bool {
+	g := t.geom
+	return uint(rank) < uint(g.Ranks) && uint(bank) < uint(g.Banks) &&
+		uint(sag) < uint(g.SAGs) && uint(cd) < uint(g.CDs)
+}
+
 func (t *Trace) touchTile(ch, rank, bank, sag, cd int) (pid, tid int) {
 	pid, tid = t.tilePID(ch), t.tileTID(rank, bank, sag, cd)
-	key := [2]int{pid, tid}
-	if _, ok := t.names[key]; !ok {
-		t.names[key] = fmt.Sprintf("rk%d bk%d sag%d cd%d", rank, bank, sag, cd)
-		t.procs[pid] = fmt.Sprintf("ch%d tiles", ch)
+	slot := -1
+	if t.inGrid(rank, bank, sag, cd) {
+		slot = tid - 1
+	}
+	if t.firstSight(ch, slot) {
+		t.name(pid, tid, fmt.Sprintf("rk%d bk%d sag%d cd%d", rank, bank, sag, cd), fmt.Sprintf("ch%d tiles", ch))
 	}
 	return pid, tid
 }
 
 func (t *Trace) touchBus(ch, lane int) (pid, tid int) {
 	pid, tid = t.tilePID(ch), t.busTID(lane)
-	key := [2]int{pid, tid}
-	if _, ok := t.names[key]; !ok {
-		t.names[key] = fmt.Sprintf("bus lane %d", lane)
-		t.procs[pid] = fmt.Sprintf("ch%d tiles", ch)
+	slot := -1
+	if uint(lane) < uint(t.lanes) {
+		slot = tid - 1
+	}
+	if t.firstSight(ch, slot) {
+		t.name(pid, tid, fmt.Sprintf("bus lane %d", lane), fmt.Sprintf("ch%d tiles", ch))
 	}
 	return pid, tid
 }
@@ -119,12 +157,20 @@ func (t *Trace) touchReq(ch int, write bool) (pid, tid int) {
 	if write {
 		tid, name = 2, "writes"
 	}
-	key := [2]int{pid, tid}
-	if _, ok := t.names[key]; !ok {
-		t.names[key] = name
-		t.procs[pid] = fmt.Sprintf("ch%d requests", ch)
+	if t.firstSight(ch, t.seenStride-3+tid) {
+		t.name(pid, tid, name, fmt.Sprintf("ch%d requests", ch))
 	}
 	return pid, tid
+}
+
+// name records a track's thread name and its process's name, unless
+// the track already has one: the first event on a track names it.
+func (t *Trace) name(pid, tid int, thread, proc string) {
+	key := [2]int{pid, tid}
+	if _, ok := t.names[key]; !ok {
+		t.names[key] = thread
+		t.procs[pid] = proc
+	}
 }
 
 // Command implements Sink: device commands become complete ("X")

@@ -39,7 +39,11 @@ type TelemetryOptions struct {
 	// n is 1 per queued request per cycle, except that the idle-cycle
 	// fast-forward delivers a skipped stretch as one call per queued
 	// request with n the stretch's length; disable fast-forward to get
-	// only n = 1. Sink callbacks run on the goroutine that called Run.
+	// only n = 1. Per cause, the weights sum to Result.Stalls' buckets.
+	// A Sink makes the run classify every queued request's stall each
+	// cycle, which Attribution alone pays only per cause; Occupancy and
+	// the trace classify none. Sink callbacks run on the goroutine that
+	// called Run.
 	Sink telemetry.Sink
 }
 

@@ -50,36 +50,64 @@ type warmState struct {
 const warmMemoCap = 16
 
 // warmMemo is the process-wide warm-up memo, evicted in FIFO order.
-// Concurrent misses on one key each warm their own copy; the first to
-// finish is stored, and both results are identical anyway.
+// A key being warmed has an entry in flight, closed when its warm-up
+// ends, so concurrent misses on one key warm it once.
 var warmMemo struct {
 	sync.Mutex
-	m    map[warmKey]warmState
-	fifo [warmMemoCap]warmKey // insertion ring; next is the oldest slot
-	next int
+	m      map[warmKey]warmState
+	flight map[warmKey]chan struct{}
+	fifo   [warmMemoCap]warmKey // insertion ring; next is the oldest slot
+	next   int
+	warms  uint64 // warm-ups computed, for tests
 }
 
 // warmedCore returns the LLC of the benchmark core k describes, warmed
 // with k.accesses accesses, and the stream that continues after them.
 // The warmed state comes from the memo when an earlier run already
-// computed it; otherwise it is computed and stored. A cancelled warm-up
-// stores nothing.
+// computed it. Otherwise the first caller warms it and stores it, and
+// a caller that misses while that warm-up runs waits for it, or for
+// its own ctx. A cancelled or failed warm-up stores nothing, and its
+// waiters try again.
 func warmedCore(ctx context.Context, k warmKey) (*cpu.LLC, trace.Stream, error) {
-	warmMemo.Lock()
-	w, ok := warmMemo.m[k]
-	warmMemo.Unlock()
-	if !ok {
-		llc, err := cpu.NewLLC(cpu.LLCConfig{})
+	for {
+		warmMemo.Lock()
+		w, ok := warmMemo.m[k]
+		done := warmMemo.flight[k]
+		if ok || done != nil {
+			warmMemo.Unlock()
+			if ok {
+				return w.llc.Clone(), k.stream(w.gen.Clone()), nil
+			}
+			select {
+			case <-done:
+				continue
+			case <-ctx.Done():
+				return nil, nil, ctx.Err()
+			}
+		}
+		done = make(chan struct{})
+		if warmMemo.flight == nil {
+			warmMemo.flight = make(map[warmKey]chan struct{})
+		}
+		warmMemo.flight[k] = done
+		warmMemo.warms++
+		warmMemo.Unlock()
+		w, err := warm(ctx, k, done)
 		if err != nil {
 			return nil, nil, err
 		}
-		gen := k.generator()
-		if err := warmLLC(ctx, llc, k.stream(gen), k.accesses); err != nil {
-			return nil, nil, err
-		}
-		w = warmState{llc: llc, gen: gen}
+		return w.llc.Clone(), k.stream(w.gen.Clone()), nil
+	}
+}
+
+// warm computes k's warm-up for the caller that holds its in-flight
+// entry done, stores it unless it failed, and then retires done, also
+// if the warm-up panics.
+func warm(ctx context.Context, k warmKey, done chan struct{}) (w warmState, err error) {
+	defer func() {
 		warmMemo.Lock()
-		if _, ok := warmMemo.m[k]; !ok {
+		delete(warmMemo.flight, k)
+		if err == nil && w.llc != nil {
 			if warmMemo.m == nil {
 				warmMemo.m = make(map[warmKey]warmState, warmMemoCap)
 			}
@@ -89,8 +117,17 @@ func warmedCore(ctx context.Context, k warmKey) (*cpu.LLC, trace.Stream, error) 
 			warmMemo.m[k] = w
 		}
 		warmMemo.Unlock()
+		close(done)
+	}()
+	llc, err := cpu.NewLLC(cpu.LLCConfig{})
+	if err != nil {
+		return warmState{}, err
 	}
-	return w.llc.Clone(), k.stream(w.gen.Clone()), nil
+	gen := k.generator()
+	if err := warmLLC(ctx, llc, k.stream(gen), k.accesses); err != nil {
+		return warmState{}, err
+	}
+	return warmState{llc: llc, gen: gen}, nil
 }
 
 // warmLLC runs the first n accesses of stream through llc (fewer if the

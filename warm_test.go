@@ -33,6 +33,13 @@ func warmMemoLen() int {
 	return len(warmMemo.m)
 }
 
+// warmCount returns the number of warm-ups computed so far.
+func warmCount() uint64 {
+	warmMemo.Lock()
+	defer warmMemo.Unlock()
+	return warmMemo.warms
+}
+
 // warmInstr keeps the memo tests short: the warm-up, not the timed
 // region, is what they compare.
 const warmInstr = 2_000
@@ -203,6 +210,96 @@ func TestWarmMemoParallelSweep(t *testing.T) {
 	if ser := sweep(); !bytes.Equal(par, ser) {
 		t.Errorf("parallel sweep diverged from the serial one:\n  parallel: %s\n  serial  : %s", par, ser)
 	}
+}
+
+// TestConcurrentMissesWarmOnce: at Parallel 8, concurrent misses on one
+// warm-up key coalesce into one warm-up. A sweep's runs all share one
+// key, as do the stall story's; a two-benchmark Summary has two. Run
+// it under -race.
+func TestConcurrentMissesWarmOnce(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		want uint64
+		run  func() error
+	}{
+		{"sweep", 1, func() error {
+			_, err := SweepContext(context.Background(), SweepParams{Axis: "cds", Values: []int{1, 2, 4, 8},
+				Design: DesignFgNVM, Benchmark: "milc", Instructions: warmInstr, Parallel: 8})
+			return err
+		}},
+		{"stall story", 1, func() error {
+			_, err := StallStory(ExperimentParams{Instructions: warmInstr, Parallel: 8})
+			return err
+		}},
+		{"summary", 2, func() error {
+			_, err := Summary(ExperimentParams{Benchmarks: []string{"mcf", "lbm"}, Instructions: warmInstr, Parallel: 8})
+			return err
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			resetWarmMemo()
+			before := warmCount()
+			if err := c.run(); err != nil {
+				t.Fatal(err)
+			}
+			if got := warmCount() - before; got != c.want {
+				t.Errorf("%d warm-ups, want %d", got, c.want)
+			}
+		})
+	}
+}
+
+// TestWarmMemoWaiters drives the in-flight entry by hand: a waiter
+// whose own ctx ends stops waiting, and a waiter whose leader ends
+// without storing (a cancelled warm-up) warms the key itself.
+func TestWarmMemoWaiters(t *testing.T) {
+	k := warmKey{profile: mustProfile(t, "mcf"), seed: 21, lineBytes: 64, accesses: 256}
+	resetWarmMemo()
+	done := make(chan struct{})
+	warmMemo.Lock()
+	if warmMemo.flight == nil {
+		warmMemo.flight = make(map[warmKey]chan struct{})
+	}
+	warmMemo.flight[k] = done
+	warmMemo.Unlock()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if _, _, err := warmedCore(ctx, k); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("waiter past its deadline returned %v, want context.DeadlineExceeded", err)
+	}
+
+	before := warmCount()
+	got := make(chan error, 1)
+	go func() {
+		_, _, err := warmedCore(context.Background(), k)
+		got <- err
+	}()
+	// Give the waiter time to block; if it has not, it finds the key
+	// neither memoized nor in flight and warms it all the same.
+	time.Sleep(20 * time.Millisecond)
+	// The stand-in leader gives up: it retires its entry and stores
+	// nothing, as a cancelled warm-up does.
+	warmMemo.Lock()
+	delete(warmMemo.flight, k)
+	warmMemo.Unlock()
+	close(done)
+	if err := <-got; err != nil {
+		t.Fatalf("waiter after an abandoned warm-up: %v", err)
+	}
+	if n := warmCount() - before; n != 1 || warmMemoLen() != 1 {
+		t.Errorf("waiter warmed %d times and left %d memo entries, want 1 and 1", n, warmMemoLen())
+	}
+}
+
+// mustProfile returns the named benchmark profile.
+func mustProfile(t *testing.T, name string) trace.Profile {
+	t.Helper()
+	p, ok := trace.ProfileByName(name)
+	if !ok {
+		t.Fatalf("no profile %q", name)
+	}
+	return p
 }
 
 // fuzzRunBudget is FuzzRunOptions' deadline per run: generous for a
