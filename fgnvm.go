@@ -426,6 +426,12 @@ const maxCores = 4
 // an arbitrarily long one; the paper's Multi-Issue controller uses 4.
 const maxIssueLanes = 64
 
+// maxCoreParam bounds every field of Options.Core. The core allocates
+// its ROB up front, so an unbounded ROB lets one request (a sweep's
+// "rob" axis value) ask for gigabytes; the sweep axes' defaults stay at
+// 512 and below.
+const maxCoreParam = 1 << 16
+
 // maxWarmupAccesses bounds Options.WarmupAccesses. The warm-up runs
 // before the first simulated cycle, so MaxCycles does not limit it,
 // and a server with no deadline would spend a worker on it for as long
@@ -498,6 +504,11 @@ func (o Options) Canonical() (Options, error) {
 		return Options{}, fmt.Errorf("fgnvm: IssueLanes = %d, want 0 (design default) to %d", o.IssueLanes, maxIssueLanes)
 	case o.WarmupAccesses > maxWarmupAccesses:
 		return Options{}, fmt.Errorf("fgnvm: WarmupAccesses = %d, want at most %d", o.WarmupAccesses, maxWarmupAccesses)
+	}
+	for _, v := range [...]int{o.Core.ROB, o.Core.MSHRs, o.Core.RetireWidth, o.Core.CPUPerMemCycle} {
+		if v < 0 || v > maxCoreParam {
+			return Options{}, fmt.Errorf("fgnvm: Core = %+v, want every field 0 (the default) to %d", o.Core, maxCoreParam)
+		}
 	}
 	sources := 0
 	for _, set := range [...]bool{o.Benchmark != "" || len(o.Mix) > 0, o.Stream != nil, len(o.Streams) > 0, o.Workload != nil} {
@@ -825,16 +836,14 @@ func RunContext(ctx context.Context, o Options) (Result, error) {
 		// Telemetry consumers attach before the controller is built so
 		// every bank is born with its sink. Command and request events
 		// fan out to Occupancy, the trace and the user Sink; stalls go
-		// to Attribution and the user Sink, and are not classified when
-		// neither is set. DesignDRAM skips this branch entirely, so
-		// Telemetry is a documented no-op there.
+		// to Attribution alone, and are not classified without it.
+		// DesignDRAM skips this branch entirely, so Telemetry is a
+		// documented no-op there.
 		var events telemetry.Sink
-		var stalls telemetry.Stalls
 		if t := o.Telemetry; t != nil {
 			fan := make(telemetry.Fanout, 0, 3)
 			if t.Attribution {
 				telAtt = telemetry.NewAttribution(geom)
-				stalls.Attribution = telAtt
 			}
 			if t.Occupancy {
 				telOcc = telemetry.NewOccupancy(geom)
@@ -847,17 +856,16 @@ func RunContext(ctx context.Context, o Options) (Result, error) {
 			}
 			if t.Sink != nil {
 				fan = append(fan, t.Sink)
-				stalls.Sink = t.Sink
 			}
 			events = fan.Compact()
 		}
 		ccfg := controller.Config{
 			Geom: geom, Tim: tim, Modes: modes,
 			Scheduler: schedulerKinds[o.Scheduler], IssueLanes: o.IssueLanes,
-			Interleave: addr.RowBankRankChanCol,
-			Energy:     emod,
-			Telemetry:  events,
-			Stalls:     stalls,
+			Interleave:  addr.RowBankRankChanCol,
+			Energy:      emod,
+			Telemetry:   events,
+			Attribution: telAtt,
 		}
 		ctrl, err = controller.New(ccfg, eng)
 		if err != nil {

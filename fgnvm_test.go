@@ -97,6 +97,8 @@ func TestCanonicalRejects(t *testing.T) {
 		{"2^24 lanes on dram", Options{Design: DesignDRAM, Benchmark: "mcf", IssueLanes: 1 << 24}},
 		{"negative lanes", Options{Benchmark: "mcf", IssueLanes: -1}},
 		{"warm-up past the cap", Options{Benchmark: "mcf", WarmupAccesses: maxWarmupAccesses + 1}},
+		{"a ROB past the cap", Options{Benchmark: "mcf", Core: CoreParams{ROB: maxCoreParam + 1}}},
+		{"negative MSHRs", Options{Benchmark: "mcf", Core: CoreParams{MSHRs: -1}}},
 		{"16384x64 grid on the paper geometry", Options{Design: DesignFgNVM, Benchmark: "mcf", SAGs: 16384, CDs: 64}},
 		{"65536x4 grid on the paper geometry", Options{Design: DesignFgNVM, Benchmark: "mcf", SAGs: 65536, CDs: 4}},
 		{"2^20 baseline banks", Options{Benchmark: "mcf", Geometry: &addr.Geometry{

@@ -37,7 +37,8 @@ type fuzzSpec struct {
 	// stream shape; its bit 7 asks for four Mix cores or two Streams.
 	pick uint8
 	// geom: bit 7 attaches a Geometry of 1, 2 or 4 channels (bits 0–1),
-	// 1 or 2 ranks (bit 2) and 2 to 16 banks (bits 3–4).
+	// 1 or 2 ranks (bit 2), 2 to 16 banks (bits 3–4), and rows, columns
+	// and line size from fuzzArrays (bits 5–6).
 	geom uint8
 	// modes: bit 3 attaches Modes, whose three flags are bits 0–2.
 	modes uint8
@@ -55,7 +56,7 @@ type fuzzSpec struct {
 	maxCycles uint16
 	instr     uint16
 	// tel picks the telemetry of the observed runs: bit 0 Attribution,
-	// bit 1 Occupancy, bit 2 a TraceWriter, bit 3 a counting Sink.
+	// bit 1 Occupancy, bit 2 a TraceWriter, bit 3 a counting event Sink.
 	tel uint8
 	// seed is Options.Seed; an odd seed also gives a Workload an
 	// explicit shape, drawn from its other bits, in place of a preset.
@@ -128,6 +129,8 @@ func (s fuzzSpec) options() Options {
 		g.Channels = [...]int{1, 2, 4, 4}[s.geom&3]
 		g.Ranks = 1 << (s.geom >> 2 & 1)
 		g.Banks = 2 << (s.geom >> 3 & 3)
+		a := fuzzArrays[s.geom>>5&3]
+		g.Rows, g.Cols, g.LineBytes = a.rows, a.cols, a.lineBytes
 		o.Geometry = &g
 	}
 	if s.modes&8 != 0 {
@@ -159,6 +162,18 @@ func (s fuzzSpec) options() Options {
 	return o
 }
 
+// fuzzArrays are the bank arrays a decoded Geometry may take: the
+// paper's, then fewer and longer rows, shorter lines, and few rows of
+// short lines. Each has at least 64 rows and columns, so every decoded
+// grid (at most 64 SAGs and 64 CDs) divides it, and none changes the
+// bank state Canonical bounds.
+var fuzzArrays = [4]struct{ rows, cols, lineBytes int }{
+	{65536, 64, 64},
+	{1024, 64, 128},
+	{65536, 128, 32},
+	{256, 256, 16},
+}
+
 // fuzzStream is a custom access stream: a SplitMix64 walk over addresses,
 // write mix and gaps, with shape picking the footprint and write share.
 // It outlasts the longest decoded warm-up (the default) by 1,024
@@ -184,17 +199,13 @@ func fuzzStream(seed uint64, shape int) trace.Stream {
 	return trace.NewSliceStream(accs)
 }
 
-// countingSink totals the weights of the Stall calls a user Sink gets,
-// per cause.
+// countingSink counts the events a user Sink gets.
 type countingSink struct {
-	stalls [telemetry.NumStallCauses]uint64
+	commands, requests uint64
 }
 
-func (c *countingSink) Command(telemetry.Command)      {}
-func (c *countingSink) Request(telemetry.RequestEvent) {}
-func (c *countingSink) Stall(cause telemetry.StallCause, n uint64) {
-	c.stalls[cause] += n
-}
+func (c *countingSink) Command(telemetry.Command)      { c.commands++ }
+func (c *countingSink) Request(telemetry.RequestEvent) { c.requests++ }
 
 // attachTelemetry attaches the consumers tel picks to o, the trace writing
 // to buf, and returns the counting Sink when one is attached.
@@ -214,39 +225,16 @@ func (s fuzzSpec) attachTelemetry(o *Options, buf *bytes.Buffer) *countingSink {
 	return sink
 }
 
-// checkSink holds a user Sink to its contract: its in-queue Stall
-// weights sum to the controller's queued-wait cycles, and per cause
-// they equal the built-in attribution. Both need Result.Stalls, so
-// both run only when Attribution was attached too.
-func checkSink(t *testing.T, spec fuzzSpec, sink *countingSink, st *StallBreakdown) {
-	t.Helper()
-	if st == nil {
-		return
-	}
-	var queued uint64
-	for c, n := range sink.stalls {
-		if telemetry.StallCause(c) != telemetry.StallQueueFull {
-			queued += n
-		}
-	}
-	if queued != st.QueuedWaitCycles {
-		t.Fatalf("%+v: the Sink's in-queue stalls sum to %d, QueuedWaitCycles is %d", spec, queued, st.QueuedWaitCycles)
-	}
-	if got := stallBreakdownFrom(sink.stalls, st.QueuedWaitCycles); *got != *st {
-		t.Fatalf("%+v: the Sink's per-cause totals %+v differ from Result.Stalls %+v", spec, *got, *st)
-	}
-}
-
 // FuzzRunDifferential runs a decoded point of the whole Options space
 // three times: with fast-forward and the decoded telemetry, without
 // fast-forward and with the decoded telemetry, and with fast-forward
 // and no telemetry. Each run must return a clean error or finish
 // within fuzzRunBudget, and the three together must stay within
 // fuzzDiffAllocBudget. The first two must fail alike or succeed with
-// the same Result JSON, the same Perfetto bytes and the same Stall
-// totals at a user Sink, and the third must agree with them on every
-// machine field. A user Sink must also agree with Result.Stalls (see
-// checkSink).
+// the same Result JSON, the same Perfetto bytes and the same command
+// and request counts at a user Sink, and the third must agree with them
+// on every machine field. Attributed stalls must sum to the queued-wait
+// cycles.
 func FuzzRunDifferential(f *testing.F) {
 	// One entry per design, on the paper grid and a small benchmark run.
 	for _, d := range Designs() {
@@ -270,6 +258,11 @@ func FuzzRunDifferential(f *testing.F) {
 	// FgNVM 8x2 with all four consumers: Attribution, Occupancy, a
 	// trace and a user Sink.
 	f.Add(uint8(DesignFgNVM), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint16(0), uint16(1500), uint8(15), uint64(7))
+	// 256×256 arrays of 16-byte lines on 2 channels, a 64×64 grid, with
+	// all four consumers.
+	f.Add(uint8(DesignFgNVM), uint8(7|7<<3), uint8(0), uint8(1), uint8(0x80|1|3<<5), uint8(0), uint8(0), uint8(0), uint8(0), uint16(0), uint16(1500), uint8(15), uint64(7))
+	// A GEMM preset on 1,024-row arrays of 128-byte lines, many banks.
+	f.Add(uint8(DesignManyBanks), uint8(0), uint8(3), uint8(0x21), uint8(0x80|1<<5), uint8(0), uint8(0), uint8(0), uint8(0), uint16(0), uint16(1500), uint8(9), uint64(2))
 	// A MaxCycles far too small to finish: both runs must fail alike.
 	f.Add(uint8(DesignFgNVM), uint8(0), uint8(0), uint8(3), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint16(2*200+1), uint16(1000), uint8(7), uint64(1))
 	f.Fuzz(func(t *testing.T, design, grid, source, pick, geom, modes, ctrl, cpu, device uint8,
@@ -279,8 +272,8 @@ func FuzzRunDifferential(f *testing.F) {
 		runtime.ReadMemStats(&before)
 		// run returns the Result JSON, the same without its telemetry
 		// fields (the machine), the Perfetto bytes and the user Sink's
-		// Stall totals.
-		run := func(ff, traced bool) (full, machine, perfetto []byte, sunk [telemetry.NumStallCauses]uint64, err error) {
+		// event counts.
+		run := func(ff, traced bool) (full, machine, perfetto []byte, sunk countingSink, err error) {
 			o := spec.options()
 			o.DisableFastForward = !ff
 			var buf bytes.Buffer
@@ -297,9 +290,11 @@ func FuzzRunDifferential(f *testing.F) {
 			if err != nil {
 				return nil, nil, nil, sunk, err
 			}
+			if st := r.Stalls; st != nil && st.Sum() != st.QueuedWaitCycles {
+				t.Fatalf("%+v (ff=%v): stalls sum to %d, QueuedWaitCycles is %d", spec, ff, st.Sum(), st.QueuedWaitCycles)
+			}
 			if sink != nil {
-				checkSink(t, spec, sink, r.Stalls)
-				sunk = sink.stalls
+				sunk = *sink
 			}
 			full = mustJSON(t, r)
 			r.Stalls, r.TileOccupancy, r.TraceEvents = nil, nil, 0
@@ -320,7 +315,7 @@ func FuzzRunDifferential(f *testing.F) {
 			t.Fatalf("%+v: Perfetto trace diverged from the cycle-by-cycle reference (%d vs %d bytes)", spec, len(ffTrace), len(refTrace))
 		}
 		if ffSunk != refSunk {
-			t.Fatalf("%+v: the Sink's Stall totals diverged from the cycle-by-cycle reference:\n  ff : %v\n  ref: %v", spec, ffSunk, refSunk)
+			t.Fatalf("%+v: the Sink's event counts diverged from the cycle-by-cycle reference:\n  ff : %+v\n  ref: %+v", spec, ffSunk, refSunk)
 		}
 		_, bare, _, _, err := run(true, false)
 		if err != nil {

@@ -77,17 +77,17 @@ type Config struct {
 	Energy     *energy.Model // optional
 
 	// Telemetry, when non-nil, receives command spans from every bank
-	// and request lifecycle events. It gets no Stall calls: those go to
-	// Stalls. Nil disables the event hooks; the disabled path adds no
-	// allocations (guarded by a testing.AllocsPerRun regression test).
+	// and request lifecycle events. Nil disables the event hooks; the
+	// disabled path adds no allocations (guarded by a
+	// testing.AllocsPerRun regression test).
 	Telemetry telemetry.Sink
 
-	// Stalls names the stall consumers (see telemetry.Stalls). Stalls
-	// are classified only when one of them is set: Attribution gets one
-	// weighted Stall per cause per cycle, Sink one Stall(cause, n) per
-	// queued request per cycle. Both get every rejected enqueue attempt
-	// as Stall(StallQueueFull, n).
-	Stalls telemetry.Stalls
+	// Attribution, when non-nil, is the one stall consumer. For each
+	// cycle, or fast-forwarded window of n cycles, it gets one
+	// Stall(cause, k·n) per cause that k > 0 queued requests share, and
+	// rejected enqueue attempts as Stall(StallQueueFull, n). Stalls are
+	// classified only when it is set.
+	Attribution *telemetry.Attribution
 
 	// EngineHook has no effect.
 	EngineHook sim.Hook
@@ -145,8 +145,7 @@ type Controller struct {
 	cfg    Config
 	mapper *addr.Mapper
 	eng    *sim.Engine
-	tel    telemetry.Sink    // event sink; nil when no one reads events
-	stalls *telemetry.Stalls // stall consumers; nil when no one reads stalls
+	tel    telemetry.Sink // event sink; nil when no one reads events
 
 	shards []shard // one per channel, stepped in channel order
 
@@ -160,10 +159,9 @@ type shard struct {
 	cfg *Config // the effective (defaulted) configuration, frozen at New
 	st  *Stats  // the Controller's statistics, shared by every shard
 	eng *sim.Engine
-	// tel and stalls are the Controller's event sink and stall
-	// consumers.
-	tel    telemetry.Sink
-	stalls *telemetry.Stalls
+	// tel and att are the Controller's event sink and stall consumer.
+	tel telemetry.Sink
+	att *telemetry.Attribution
 	// finishReadFn/finishWriteFn are the completion callbacks, cached
 	// once as sim.ArgEvent method values so the per-request completion
 	// schedule does not allocate a closure.
@@ -193,13 +191,11 @@ type shard struct {
 	// CD-blocking write.
 	lastReadActive sim.Tick
 
-	// causes memoizes attributeStalls' classification of every queued
-	// request (reads, then writes, in queue order), and causeCount its
-	// per-cause histogram. They hold until causesUntil, the channel's
-	// next work tick when they were taken, or until a queue push, a
-	// command, a queue removal or a drain-mode transition zeroes
+	// causeCount memoizes attributeStalls' classification of the queued
+	// requests as a per-cause histogram. It holds until causesUntil, the
+	// channel's next work tick when it was taken, or until a queue push,
+	// a command, a queue removal or a drain-mode transition zeroes
 	// causesUntil.
-	causes      []telemetry.StallCause
 	causeCount  [telemetry.NumStallCauses]int
 	causesUntil sim.Tick
 }
@@ -234,9 +230,6 @@ func New(cfg Config, eng *sim.Engine) (*Controller, error) {
 		eng:    eng,
 		tel:    cfg.Telemetry,
 	}
-	if cfg.Stalls.Attribution != nil || cfg.Stalls.Sink != nil {
-		c.stalls = &c.cfg.Stalls
-	}
 	finishRead := sim.ArgEvent(c.finishRead)
 	finishWrite := sim.ArgEvent(c.finishWrite)
 	g := cfg.Geom
@@ -248,7 +241,7 @@ func New(cfg Config, eng *sim.Engine) (*Controller, error) {
 		s.st = &c.st
 		s.eng = eng
 		s.tel = cfg.Telemetry
-		s.stalls = c.stalls
+		s.att = cfg.Attribution
 		s.finishReadFn = finishRead
 		s.finishWriteFn = finishWrite
 		s.banks = make([]*core.Bank, 0, nb)
@@ -333,8 +326,8 @@ func (s *shard) enqueue(r *mem.Request, now sim.Tick) bool {
 			return true
 		}
 		if !s.readQ.Push(r) {
-			if s.stalls != nil {
-				s.stalls.Stall(telemetry.StallQueueFull, 1)
+			if s.att != nil {
+				s.att.Stall(telemetry.StallQueueFull, 1)
 			}
 			return false
 		}
@@ -357,8 +350,8 @@ func (s *shard) enqueue(r *mem.Request, now sim.Tick) bool {
 		return true
 	}
 	if !s.writeQ.Push(r) {
-		if s.stalls != nil {
-			s.stalls.Stall(telemetry.StallQueueFull, 1)
+		if s.att != nil {
+			s.att.Stall(telemetry.StallQueueFull, 1)
 		}
 		return false
 	}
@@ -387,79 +380,63 @@ func (c *Controller) Drained() bool { return c.inflight == 0 }
 // channels and returns the number of commands issued (activations,
 // column reads and writes). The caller must invoke it with strictly
 // increasing ticks; a zero return with every core blocked is the run
-// loop's licence to consider fast-forwarding (see NextWork).
+// loop's licence to consider fast-forwarding (see NextWork). Each
+// channel schedules, then accounts for the cycle; accounting after
+// scheduling means a request that issued this cycle does not count
+// this cycle.
 func (c *Controller) Cycle(now sim.Tick) int {
 	if c.cfg.Energy != nil {
 		c.cfg.Energy.AdvanceBackground(now)
 	}
 	issued := 0
 	for ch := range c.shards {
-		issued += c.shards[ch].cycle(now)
+		s := &c.shards[ch]
+		issued += s.schedule(now)
+		s.account(now, 1)
 	}
 	return issued
 }
 
-// cycle runs one controller clock for this channel: scheduling, then
-// queued-wait accounting and, when a consumer reads stalls, stall
-// attribution. Accounting happens after scheduling, so a request that
-// issued this cycle does not count this cycle — matching the
-// attribution pass, which classifies exactly the requests still queued
-// at this point.
-func (s *shard) cycle(now sim.Tick) int {
-	issued := s.schedule(now)
+// account credits n waiting cycles to each request still queued after
+// now's scheduling, classified as at now: queued-wait accounting and,
+// when Attribution is set, stall attribution. The per-cycle path passes
+// n = 1, the fast-forward path the width of a window over which
+// NextWork's analysis has proved the queues and every classification
+// constant. Each queued request-cycle gets exactly one cause, so the
+// in-queue causes sum to QueuedWaitCycles — the conservation invariant
+// the stall-attribution engine relies on.
+func (s *shard) account(now sim.Tick, n uint64) {
 	queued := s.readQ.Len() + s.writeQ.Len()
-	s.st.QueuedWaitCycles.Add(uint64(queued))
-	if s.stalls != nil {
-		emitted := s.attributeStalls(now, 1)
-		if invariant.Enabled && emitted != queued { // guarded so a passing cycle stays allocation-free
-			invariant.Assertf(false,
-				"stall attribution emitted %d events for %d queued requests (tick %d): "+
-					"per-cause buckets no longer sum to QueuedWaitCycles", emitted, queued, now)
-		}
+	if queued == 0 {
+		return
 	}
-	return issued
+	s.st.QueuedWaitCycles.Add(uint64(queued) * n)
+	if s.att != nil {
+		s.attributeStalls(now, queued, n)
+	}
 }
 
-// attributeStalls classifies every request still queued after this
-// cycle's scheduling and credits each one's cause with weight n — the
-// conservation invariant the stall-attribution engine relies on (sum of
-// attributed causes == QueuedWaitCycles). The per-cycle path passes
-// n = 1, the fast-forward path the width of a window over which it has
-// proved the classification constant. The built-in Attribution gets
-// one Stall(cause, k·n) per cause that k requests share, so a busy
-// cycle costs it O(causes); a user Sink gets one Stall(cause, n) per
-// request, in queue order. It returns the number of requests credited
-// so the tagged build can assert conservation.
+// attributeStalls credits Attribution with n cycles of the queued
+// requests' stall histogram: one Stall(cause, k·n) per cause that k
+// requests share, so a busy cycle costs O(causes).
 //
-// The classification is memoized in s.causes. By the argument behind
+// The histogram is memoized in s.causeCount. By the argument behind
 // NextWork and SkipCycles, every cause is constant until the channel's
-// next work tick as long as the queues, the bank and bus
-// state and the drain mode stay put; every change to those zeroes
-// causesUntil (a successful Push, markBusy — which every command and
-// every queue Remove passes through — and both updateDrain
-// transitions). So the queues are rescanned only when now reaches
-// causesUntil, and the tagged build checks every reuse against a fresh
-// classification.
-func (s *shard) attributeStalls(now sim.Tick, n uint64) int {
+// next work tick as long as the queues, the bank and bus state and the
+// drain mode stay put; every change to those zeroes causesUntil (a
+// successful Push, markBusy — which every command and every queue
+// Remove passes through — and both updateDrain transitions). So the
+// queues are reclassified only when now reaches causesUntil, and the
+// tagged build checks every reuse against a fresh classification and
+// every histogram against the queued count.
+func (s *shard) attributeStalls(now sim.Tick, queued int, n uint64) {
 	if now >= s.causesUntil {
-		s.causes = s.causes[:0]
-		s.causeCount = [telemetry.NumStallCauses]int{}
-		for i, q := 0, s.readQ.Len()+s.writeQ.Len(); i < q; i++ {
-			c := s.classifyQueued(i, now)
-			s.causes = append(s.causes, c)
-			s.causeCount[c]++
-		}
+		s.causeCount = s.stallHistogram(now)
 		s.causesUntil = s.channelNextWork(now)
 	} else if invariant.Enabled {
-		if q := s.readQ.Len() + s.writeQ.Len(); len(s.causes) != q {
-			invariant.Assertf(false, "stall memo holds %d causes for %d queued requests (tick %d)",
-				len(s.causes), q, now)
-		}
-		for i, c := range s.causes {
-			if fresh := s.classifyQueued(i, now); c != fresh {
-				invariant.Assertf(false, "stall memo says %v for queued request %d at tick %d, a fresh classification says %v",
-					c, i, now, fresh)
-			}
+		if fresh := s.stallHistogram(now); fresh != s.causeCount { // guarded so a passing cycle stays allocation-free
+			invariant.Assertf(false, "stall memo holds histogram %v at tick %d, a fresh classification gives %v",
+				s.causeCount, now, fresh)
 		}
 	}
 	if invariant.Enabled {
@@ -467,36 +444,30 @@ func (s *shard) attributeStalls(now sim.Tick, n uint64) int {
 		for _, k := range s.causeCount {
 			sum += k
 		}
-		if sum != len(s.causes) {
-			invariant.Assertf(false, "stall histogram sums to %d for %d memoized causes (tick %d)",
-				sum, len(s.causes), now)
+		if sum != queued {
+			invariant.Assertf(false, "stall histogram sums to %d for %d queued requests (tick %d): "+
+				"per-cause buckets no longer sum to QueuedWaitCycles", sum, queued, now)
 		}
 	}
-	if a := s.stalls.Attribution; a != nil {
-		for c, k := range s.causeCount {
-			if k != 0 {
-				a.Stall(telemetry.StallCause(c), uint64(k)*n)
-			}
+	for c, k := range s.causeCount {
+		if k != 0 {
+			s.att.Stall(telemetry.StallCause(c), uint64(k)*n)
 		}
 	}
-	if sink := s.stalls.Sink; sink != nil {
-		for _, c := range s.causes {
-			sink.Stall(c, n)
-		}
-	}
-	return len(s.causes)
 }
 
-// classifyQueued classifies the i-th queued request, counting the read
-// queue first and then the write queue, each in queue order.
-func (s *shard) classifyQueued(i int, now sim.Tick) telemetry.StallCause {
-	nr := s.readQ.Len()
-	if i < nr {
+// stallHistogram classifies every queued request at now and counts the
+// requests per cause.
+func (s *shard) stallHistogram(now sim.Tick) (h [telemetry.NumStallCauses]int) {
+	for i := 0; i < s.readQ.Len(); i++ {
 		r := s.readQ.At(i)
-		return s.classifyReadStall(r, s.bankOf(r), now)
+		h[s.classifyReadStall(r, s.bankOf(r), now)]++
 	}
-	w := s.writeQ.At(i - nr)
-	return s.classifyWriteStall(w, s.bankOf(w), now)
+	for i := 0; i < s.writeQ.Len(); i++ {
+		w := s.writeQ.At(i)
+		h[s.classifyWriteStall(w, s.bankOf(w), now)]++
+	}
+	return h
 }
 
 // classifyReadStall attributes one waiting cycle of a queued read. The
@@ -978,34 +949,16 @@ func (s *shard) nextBankFlip(now sim.Tick) sim.Tick {
 // before now+n+1, and no enqueue succeeds in the window — under which
 // NextWork's analysis proves every scheduling predicate and
 // stall classification equal to its value at now throughout. The
-// per-cycle work therefore reduces to multiplication: the queued-wait
-// counter advances by n times its per-cycle increment, and stall
-// attribution credits each queued request's cause with weight n.
-// Background energy needs no crediting here — the energy model
-// integrates elapsed ticks exactly on the next Cycle.
+// per-cycle work therefore reduces to multiplication: each channel's
+// account credits its queued requests with weight n. Background
+// energy needs no crediting here — the energy model integrates elapsed
+// ticks exactly on the next Cycle.
 func (c *Controller) SkipCycles(now sim.Tick, n uint64) {
 	if n == 0 {
 		return
 	}
 	for ch := range c.shards {
-		c.shards[ch].skipCycles(now, n)
-	}
-}
-
-// skipCycles is one channel's share of a fast-forward batch credit.
-func (s *shard) skipCycles(now sim.Tick, n uint64) {
-	queued := s.readQ.Len() + s.writeQ.Len()
-	if queued == 0 {
-		return
-	}
-	s.st.QueuedWaitCycles.Add(uint64(queued) * n)
-	if s.stalls != nil {
-		emitted := s.attributeStalls(now, n)
-		if invariant.Enabled && emitted != queued {
-			invariant.Assertf(false,
-				"fast-forward stall attribution emitted %d weighted events for %d queued requests (tick %d)",
-				emitted, queued, now)
-		}
+		c.shards[ch].account(now, n)
 	}
 }
 
@@ -1013,13 +966,12 @@ func (s *shard) skipCycles(now sim.Tick, n uint64) {
 // skipped tick): the reference loop would have re-attempted Enqueue
 // each cycle and attributed one StallQueueFull cycle per rejection.
 // The caller guarantees WouldAccept(r) is false for the whole window.
-// Only the stall consumers observe rejections, so with none this is a
-// no-op.
+// Only Attribution observes rejections, so without it this is a no-op.
 func (c *Controller) SkipRejects(r *mem.Request, now sim.Tick, n uint64) {
-	if n == 0 || c.stalls == nil {
+	if n == 0 || c.cfg.Attribution == nil {
 		return
 	}
-	c.stalls.Stall(telemetry.StallQueueFull, n)
+	c.cfg.Attribution.Stall(telemetry.StallQueueFull, n)
 }
 
 // writeClobbersPendingRead reports whether issuing w would invalidate a

@@ -28,17 +28,17 @@ type saturatedHarness struct {
 
 func newSaturatedHarness(tb testing.TB) *saturatedHarness {
 	tb.Helper()
-	return newStalledHarness(tb, telemetry.Stalls{})
+	return newStalledHarness(tb, nil)
 }
 
-// newStalledHarness is newSaturatedHarness with stall consumers
-// attached.
-func newStalledHarness(tb testing.TB, stalls telemetry.Stalls) *saturatedHarness {
+// newStalledHarness is newSaturatedHarness with att, when non-nil, as
+// the stall consumer.
+func newStalledHarness(tb testing.TB, att *telemetry.Attribution) *saturatedHarness {
 	tb.Helper()
 	eng := sim.NewEngine()
 	c, err := New(Config{
 		Geom: testGeom(), Tim: timing.Paper(), Modes: core.AllModes(),
-		IssueLanes: 1, Interleave: addr.RowBankRankChanCol, Stalls: stalls,
+		IssueLanes: 1, Interleave: addr.RowBankRankChanCol, Attribution: att,
 	}, eng)
 	if err != nil {
 		tb.Fatal(err)

@@ -12,33 +12,24 @@ import (
 	"repro/internal/timing"
 )
 
-// recordingSink counts every event it receives.
+// recordingSink records every event it receives.
 type recordingSink struct {
-	commands  []telemetry.Command
-	requests  []telemetry.RequestEvent
-	stalls    int // non-QueueFull Stall calls
-	queueFull int
+	commands []telemetry.Command
+	requests []telemetry.RequestEvent
 }
 
 func (r *recordingSink) Command(ev telemetry.Command) { r.commands = append(r.commands, ev) }
 func (r *recordingSink) Request(ev telemetry.RequestEvent) {
 	r.requests = append(r.requests, ev)
 }
-func (r *recordingSink) Stall(cause telemetry.StallCause, _ uint64) {
-	if cause == telemetry.StallQueueFull {
-		r.queueFull++
-		return
-	}
-	r.stalls++
-}
 
-func newCtrlSink(t *testing.T, sink telemetry.Sink) (*Controller, *sim.Engine) {
+func newCtrlSink(t *testing.T, sink telemetry.Sink, att *telemetry.Attribution) (*Controller, *sim.Engine) {
 	t.Helper()
 	eng := sim.NewEngine()
 	c, err := New(Config{
 		Geom: testGeom(), Tim: timing.Paper(), Modes: core.AllModes(),
 		IssueLanes: 1, Interleave: addr.RowBankRankChanCol,
-		Telemetry: sink, Stalls: telemetry.Stalls{Sink: sink},
+		Telemetry: sink, Attribution: att,
 	}, eng)
 	if err != nil {
 		t.Fatal(err)
@@ -47,12 +38,13 @@ func newCtrlSink(t *testing.T, sink telemetry.Sink) (*Controller, *sim.Engine) {
 }
 
 // TestTelemetryConservation drives a bursty workload and checks, at the
-// controller level, the attribution invariant: one non-QueueFull stall
-// event per queued request per cycle, so the event count equals the
+// controller level, the attribution invariant: one in-queue cause per
+// queued request per cycle, so Attribution's in-queue total equals the
 // QueuedWaitCycles counter exactly.
 func TestTelemetryConservation(t *testing.T) {
 	sink := &recordingSink{}
-	c, eng := newCtrlSink(t, sink)
+	att := telemetry.NewAttribution(testGeom())
+	c, eng := newCtrlSink(t, sink, att)
 
 	reqs := make([]*mem.Request, 0, 24)
 	for i := 0; i < 24; i++ {
@@ -71,8 +63,14 @@ func TestTelemetryConservation(t *testing.T) {
 		t.Fatal("controller did not drain")
 	}
 
-	if got, want := uint64(sink.stalls), c.Stats().QueuedWaitCycles.Value(); got != want {
-		t.Errorf("stall events %d != queued-wait cycles %d", got, want)
+	var inQueue uint64
+	for cause, n := range att.Causes() {
+		if telemetry.StallCause(cause) != telemetry.StallQueueFull {
+			inQueue += n
+		}
+	}
+	if want := c.Stats().QueuedWaitCycles.Value(); inQueue != want || inQueue == 0 {
+		t.Errorf("attributed in-queue cycles %d != queued-wait cycles %d", inQueue, want)
 	}
 	var completed int
 	for _, ev := range sink.requests {
@@ -97,8 +95,8 @@ func TestTelemetryConservation(t *testing.T) {
 // about scheduling: identical workloads with and without telemetry
 // produce identical statistics and drain at the same cycle.
 func TestTelemetryIsObservational(t *testing.T) {
-	drive := func(sink telemetry.Sink) (Stats, sim.Tick) {
-		c, eng := newCtrlSink(t, sink)
+	drive := func(sink telemetry.Sink, att *telemetry.Attribution) (Stats, sim.Tick) {
+		c, eng := newCtrlSink(t, sink, att)
 		for i := 0; i < 24; i++ {
 			op := mem.Read
 			if i%3 == 0 {
@@ -113,8 +111,8 @@ func TestTelemetryIsObservational(t *testing.T) {
 		st := *c.Stats()
 		return st, end
 	}
-	plain, endPlain := drive(nil)
-	traced, endTraced := drive(&recordingSink{})
+	plain, endPlain := drive(nil, nil)
+	traced, endTraced := drive(&recordingSink{}, telemetry.NewAttribution(testGeom()))
 	if endPlain != endTraced {
 		t.Errorf("drain cycle changed under telemetry: %d vs %d", endPlain, endTraced)
 	}
@@ -155,7 +153,7 @@ func TestNoSinkCycleZeroAllocs(t *testing.T) {
 // completions and refills) allocates nothing once warm.
 func TestAttributionOnlyBusyCycleZeroAllocs(t *testing.T) {
 	att := telemetry.NewAttribution(testGeom())
-	h := newStalledHarness(t, telemetry.Stalls{Attribution: att})
+	h := newStalledHarness(t, att)
 	now := sim.Tick(0)
 	h.fill(0)
 	for ; now < 4096; now++ {
@@ -179,9 +177,9 @@ func TestAttributionOnlyBusyCycleZeroAllocs(t *testing.T) {
 }
 
 // TestEventSinkClassifiesNoStalls checks that a run whose only consumer
-// reads events, not stalls (Occupancy or a trace), classifies no stall:
-// over bursty traffic that keeps the queues busy, the stall memo is
-// never filled and the sink never gets a Stall call.
+// reads events, not stalls (Occupancy, a trace or a user Sink),
+// classifies no stall: over bursty traffic that keeps the queues busy,
+// the stall memo is never filled.
 func TestEventSinkClassifiesNoStalls(t *testing.T) {
 	sink := &recordingSink{}
 	g := testGeom()
@@ -208,13 +206,10 @@ func TestEventSinkClassifiesNoStalls(t *testing.T) {
 			c.Enqueue(&mem.Request{ID: uint64(now), Op: op, Addr: m.Encode(loc)}, now)
 		}
 		c.Cycle(now)
-		if s.causes != nil || s.causeCount != [telemetry.NumStallCauses]int{} || s.causesUntil != 0 {
-			t.Fatalf("tick %d: the stall memo was filled (%d causes, histogram %v, valid until %d)",
-				now, len(s.causes), s.causeCount, s.causesUntil)
+		if s.causeCount != [telemetry.NumStallCauses]int{} || s.causesUntil != 0 {
+			t.Fatalf("tick %d: the stall memo was filled (histogram %v, valid until %d)",
+				now, s.causeCount, s.causesUntil)
 		}
-	}
-	if sink.stalls != 0 || sink.queueFull != 0 {
-		t.Errorf("event sink got %d stall and %d queue-full calls, want none", sink.stalls, sink.queueFull)
 	}
 	if c.Stats().QueuedWaitCycles.Value() == 0 || len(sink.commands) == 0 {
 		t.Error("the traffic never queued a request or issued a command")
@@ -266,12 +261,12 @@ func TestNoSinkBankOpsZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestStallMemoMatchesScan checks attributeStalls' memo against a fresh
-// classification of every queued request after every cycle, under
-// bursty mixed traffic whose write bursts cross the drain watermarks.
-// A missing memo invalidation at any of its sites (read or write Push,
-// markBusy, either updateDrain transition) leaves a stale cause that
-// this comparison sees.
+// TestStallMemoMatchesScan checks attributeStalls' memoized histogram
+// against a fresh classification of every queued request after every
+// cycle that credits one, under bursty mixed traffic whose write bursts
+// cross the drain watermarks. A missing memo invalidation at any of its
+// sites (read or write Push, markBusy, either updateDrain transition)
+// leaves a stale histogram that this comparison sees.
 func TestStallMemoMatchesScan(t *testing.T) {
 	salp := core.AccessModes{MultiActivation: true, BackgroundedWrites: true, LocalSenseAmps: true}
 	noBG := core.AccessModes{PartialActivation: true, MultiActivation: true}
@@ -305,7 +300,7 @@ func TestStallMemoMatchesScan(t *testing.T) {
 				Geom: g, Tim: timing.Paper(), Modes: tc.modes, IssueLanes: tc.lanes, Scheduler: tc.sched,
 				WriteLowWM: tc.wm, WriteHighWM: tc.wm,
 				Interleave: addr.RowBankRankChanCol, Telemetry: &recordingSink{},
-				Stalls: telemetry.Stalls{Sink: &recordingSink{}},
+				Attribution: telemetry.NewAttribution(g),
 			}, eng)
 			if err != nil {
 				t.Fatal(err)
@@ -328,13 +323,12 @@ func TestStallMemoMatchesScan(t *testing.T) {
 					c.Enqueue(&mem.Request{ID: uint64(now), Op: op, Addr: m.Encode(loc)}, now)
 				}
 				c.Cycle(now)
-				if q := s.readQ.Len() + s.writeQ.Len(); len(s.causes) != q {
-					t.Fatalf("tick %d: memo holds %d causes for %d queued requests", now, len(s.causes), q)
-				}
-				for i, cause := range s.causes {
-					if fresh := s.classifyQueued(i, now); cause != fresh {
-						t.Fatalf("tick %d: memo says %v for queued request %d, a fresh classification says %v",
-							now, cause, i, fresh)
+				// An empty queue credits nothing, so the memo may
+				// keep a stale histogram until the next push.
+				if s.readQ.Len()+s.writeQ.Len() > 0 {
+					if fresh := s.stallHistogram(now); s.causeCount != fresh {
+						t.Fatalf("tick %d: memo holds histogram %v, a fresh classification gives %v",
+							now, s.causeCount, fresh)
 					}
 				}
 				if s.causesUntil > now+1 {

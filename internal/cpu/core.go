@@ -51,14 +51,10 @@ func (c *CoreConfig) applyDefaults() {
 	}
 }
 
-// loadEntry tracks an in-flight demand load occupying a ROB slot. req
-// backlinks to the fill request while the load is in flight (done is
-// false); once the completion callback marks done the pointer is stale
-// (the request recycles through the pool) and must not be followed.
+// loadEntry tracks an in-flight demand load occupying a ROB slot.
 type loadEntry struct {
 	idx  uint64 // instruction index in program order
 	done bool
-	req  *mem.Request
 }
 
 // Core consumes an access stream, filters it through the LLC, issues
@@ -384,9 +380,7 @@ func (c *Core) fetch(now sim.Tick) {
 		} else {
 			// The completion callback can fire no earlier than now+1,
 			// after Entry is in place.
-			e := c.pushLoad(c.fetched)
-			e.req = fill
-			fill.Entry = e
+			fill.Entry = c.pushLoad(c.fetched)
 			c.demandLoads++
 		}
 		c.fetched++

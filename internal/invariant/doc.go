@@ -21,8 +21,9 @@
 //     device operations within one bank respect the paper's Section 4
 //     conflict rules, independently re-checked by TileTracker.
 //   - Stall-bucket conservation (internal/controller): the attribution
-//     pass makes exactly one Stall call per queued request per cycle,
-//     so the per-cause buckets sum to QueuedWaitCycles.
+//     pass's per-cause histogram counts every queued request exactly
+//     once, and every reuse of the memoized histogram equals a fresh
+//     classification, so the per-cause buckets sum to QueuedWaitCycles.
 //
 // TileTracker itself is compiled unconditionally (it panics directly
 // rather than via Assert) so its rules stay unit-testable without the

@@ -306,7 +306,7 @@ func TestStreamDisconnectResume(t *testing.T) {
 		}, nil
 	}
 	s, ts := newTestServer(t, Config{Workers: 1, StoreDir: dir}, stub)
-	const body = `{"axis":"cds","values":[1,2,3],"benchmark":"mcf","instructions":1000}`
+	const body = `{"axis":"cds","values":[1,2,4],"benchmark":"mcf","instructions":1000}`
 
 	// First attempt: allow exactly two points (four runs), then vanish.
 	ctx, cancel := context.WithCancel(context.Background())

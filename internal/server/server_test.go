@@ -343,6 +343,8 @@ func TestBadRequests(t *testing.T) {
 		{"figure4 bad bench", "/v1/figure4", `{"benchmarks":["nope"]}`},
 		{"figure4 duplicate bench", "/v1/figure4", `{"benchmarks":["mcf","lbm","mcf"],"instructions":1000}`},
 		{"too many sweep values", "/v1/sweep", `{"axis":"rob","instructions":1000,"values":[` + robValues(maxSweepValues+1) + `]}`},
+		{"sweep value a run refuses", "/v1/sweep", `{"axis":"cores","instructions":1000,"values":[1,16]}`},
+		{"sweep ROB past the cap", "/v1/sweep", `{"axis":"rob","instructions":1000,"values":[2000000000]}`},
 	} {
 		resp, b := postJSON(t, ts.URL+tc.path, tc.body)
 		if resp.StatusCode != http.StatusBadRequest {

@@ -36,9 +36,6 @@ func (o *Occupancy) Command(ev Command) {
 // Request implements Sink (occupancy ignores request lifecycles).
 func (o *Occupancy) Request(RequestEvent) {}
 
-// Stall implements Sink (occupancy ignores stalls).
-func (o *Occupancy) Stall(StallCause, uint64) {}
-
 // Matrix returns the [SAG][CD] busy-cycle matrix.
 func (o *Occupancy) Matrix() [][]uint64 {
 	out := make([][]uint64, o.geom.SAGs)

@@ -1,23 +1,25 @@
 // Package telemetry is the observability subsystem of the simulator:
 // a low-overhead event hook interface (Sink) that the kernel, the bank
-// models and the memory controller call at command issue, block and
-// completion points, plus the standard consumers built on it —
+// models and the memory controller call at command issue and
+// request lifecycle points, plus the standard consumers —
 //
-//   - Attribution: a stall-attribution engine that classifies every
-//     cycle a queued request waits into a fixed taxonomy (SAG conflict,
-//     CD conflict, bus conflict, write-drain block, queue full,
-//     controller idle) and totals it per cause over the run;
+//   - Attribution: a stall-attribution engine. The controller
+//     classifies every cycle a queued request waits into a fixed
+//     taxonomy (SAG conflict, CD conflict, bus conflict, write-drain
+//     block, queue full, controller idle) and credits it per cause;
+//     Attribution totals it over the run;
 //   - Occupancy: a per-tile (SAG × CD) busy-cycle matrix;
 //   - Trace: a Chrome trace-event / Perfetto JSON exporter with one
 //     track per (bank, SAG, CD) resource and request-lifetime flow
 //     events.
 //
-// Components hold a Sink for command and request events and, in the
-// controller, a Stalls for stall events; each is nil when no consumer
-// reads it. Every hook call is guarded by a nil check, so a disabled
-// path costs one branch and zero allocations (asserted by tests), and
-// stalls are classified only when a consumer reads them. All consumers
-// are single-goroutine, matching the simulator's execution model.
+// Components hold a Sink for command and request events, nil when no
+// consumer reads them. Stalls have one consumer, the Attribution the
+// controller is configured with, and are classified only when it is
+// set. Every hook call is guarded by a nil check, so a disabled path
+// costs one branch and zero allocations (asserted by tests). All
+// consumers are single-goroutine, matching the simulator's execution
+// model.
 package telemetry
 
 import (
@@ -144,43 +146,13 @@ type RequestEvent struct {
 	Now   sim.Tick
 }
 
-// Sink receives simulation events. A nil Sink means telemetry is off.
-//
-// Stall attributes n waiting cycles to cause. The controller calls it
-// only on a Sink handed to it as Stalls.Sink: once per queued request
-// per cycle the request stays queued after scheduling, and once per
-// rejected enqueue attempt (StallQueueFull), so implementations must be
-// cheap. Across a fast-forwarded idle window the controller proves each
-// classification constant and delivers the window as one call with n
-// its cycle count; consumers that count cycles must weight by n.
+// Sink receives simulation events: command spans and request
+// lifecycle transitions. A nil Sink means event telemetry is off.
+// Stalls are not events; the controller credits them to an Attribution
+// (see controller.Config.Attribution).
 type Sink interface {
 	Command(ev Command)
 	Request(ev RequestEvent)
-	Stall(cause StallCause, n uint64)
-}
-
-// Stalls is the stall side of a run's telemetry: the consumers that
-// read stall attribution. When both are nil nothing reads stalls, and
-// the controller classifies none.
-type Stalls struct {
-	// Attribution, when non-nil, is credited per cause: each cycle it
-	// gets one Stall(cause, k·n) per cause that k > 0 queued requests
-	// share, not one call per request. The totals are the same.
-	Attribution *Attribution
-	// Sink, when non-nil, gets one Stall(cause, n) per queued request
-	// per cycle, as the Sink contract describes.
-	Sink Sink
-}
-
-// Stall delivers one stall of weight n to every consumer: the path of
-// rejected enqueue attempts, which are not in the per-cause memo.
-func (s *Stalls) Stall(cause StallCause, n uint64) {
-	if s.Attribution != nil {
-		s.Attribution.Stall(cause, n)
-	}
-	if s.Sink != nil {
-		s.Sink.Stall(cause, n)
-	}
 }
 
 // Fanout broadcasts events to several sinks in order.
@@ -197,13 +169,6 @@ func (f Fanout) Command(ev Command) {
 func (f Fanout) Request(ev RequestEvent) {
 	for _, s := range f {
 		s.Request(ev)
-	}
-}
-
-// Stall implements Sink.
-func (f Fanout) Stall(cause StallCause, n uint64) {
-	for _, s := range f {
-		s.Stall(cause, n)
 	}
 }
 

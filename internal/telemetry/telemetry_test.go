@@ -18,21 +18,19 @@ func testGeom() addr.Geometry {
 }
 
 // countingSink counts calls per hook.
-type countingSink struct{ cmd, req, stall int }
+type countingSink struct{ cmd, req int }
 
-func (c *countingSink) Command(Command)          { c.cmd++ }
-func (c *countingSink) Request(RequestEvent)     { c.req++ }
-func (c *countingSink) Stall(StallCause, uint64) { c.stall++ }
+func (c *countingSink) Command(Command)      { c.cmd++ }
+func (c *countingSink) Request(RequestEvent) { c.req++ }
 
 func TestFanoutBroadcastsAndCompacts(t *testing.T) {
 	a, b := &countingSink{}, &countingSink{}
 	f := Fanout{a, b}
 	f.Command(Command{})
 	f.Request(RequestEvent{})
-	f.Stall(StallSAGConflict, 1)
 	for _, s := range []*countingSink{a, b} {
-		if s.cmd != 1 || s.req != 1 || s.stall != 1 {
-			t.Errorf("sink saw %d/%d/%d events, want 1/1/1", s.cmd, s.req, s.stall)
+		if s.cmd != 1 || s.req != 1 {
+			t.Errorf("sink saw %d/%d events, want 1/1", s.cmd, s.req)
 		}
 	}
 	if got := (Fanout{}).Compact(); got != nil {

@@ -222,10 +222,6 @@ func (t *Trace) flow(ph, bp string, now sim.Tick, pid, tid int, id uint64) {
 	t.done(append(b, '}'))
 }
 
-// Stall implements Sink (stall cycles are aggregated by Attribution;
-// emitting one event per stalled cycle would swamp the trace).
-func (t *Trace) Stall(StallCause, uint64) {}
-
 // EngineSample records the simulation kernel's pending-event count as
 // a counter track, at most once per tick. Wire it to sim.Engine's
 // dispatch hook.

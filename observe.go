@@ -32,18 +32,13 @@ type TelemetryOptions struct {
 	// Options produce byte-identical traces.
 	TraceWriter io.Writer
 
-	// Sink, when non-nil, additionally receives every raw event —
-	// the extension point for custom consumers. Event order is part of
-	// the simulator's determinism contract: within a tick, channels
-	// emit in ascending order. Stall events arrive as Stall(cause, n):
-	// n is 1 per queued request per cycle, except that the idle-cycle
-	// fast-forward delivers a skipped stretch as one call per queued
-	// request with n the stretch's length; disable fast-forward to get
-	// only n = 1. Per cause, the weights sum to Result.Stalls' buckets.
-	// A Sink makes the run classify every queued request's stall each
-	// cycle, which Attribution alone pays only per cause; Occupancy and
-	// the trace classify none. Sink callbacks run on the goroutine that
-	// called Run.
+	// Sink, when non-nil, additionally receives every raw command and
+	// request event — the extension point for custom consumers. It
+	// gets no stalls: those are classified only for Attribution and
+	// reported in Result.Stalls. Event order is part of the
+	// simulator's determinism contract: within a tick, channels emit in
+	// ascending order. Sink callbacks run on the goroutine that called
+	// Run.
 	Sink telemetry.Sink
 }
 

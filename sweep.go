@@ -162,7 +162,8 @@ type SweepPlan struct {
 }
 
 // PlanSweep validates p, makes its defaults explicit, and expands it
-// into one job per axis value. SweepContext executes exactly this plan,
+// into one job per axis value; every job's runs must pass
+// Options.Canonical, so a value no run accepts is refused here. SweepContext executes exactly this plan,
 // so a caller that runs the jobs itself (the serving layer's sharded
 // and streaming paths) reproduces Sweep's output exactly via Assemble.
 func PlanSweep(p SweepParams) (SweepPlan, error) {
@@ -236,6 +237,11 @@ func PlanSweep(p SweepParams) (SweepPlan, error) {
 		ax.apply(&o, v)
 		if ax.appliesToBaseline {
 			ax.apply(&b, v)
+		}
+		for _, run := range [...]Options{o, b} {
+			if _, err := run.Canonical(); err != nil {
+				return SweepPlan{}, fmt.Errorf("fgnvm: sweep %s=%d: %w", ax.Name, v, err)
+			}
 		}
 		plan.Jobs[i] = SweepJob{Index: i, Value: v, Options: o, Baseline: b}
 	}

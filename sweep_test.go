@@ -93,7 +93,8 @@ func TestSweepPointOverBankBudget(t *testing.T) {
 
 // TestPlanSweepCanonicalParams: the plan carries its parameters with
 // every default explicit, planning them again changes nothing, and an
-// unknown benchmark is refused before any simulation.
+// unknown benchmark or a value no run accepts is refused before any
+// simulation.
 func TestPlanSweepCanonicalParams(t *testing.T) {
 	plan, err := PlanSweep(SweepParams{Axis: "sags"})
 	if err != nil {
@@ -122,5 +123,17 @@ func TestPlanSweepCanonicalParams(t *testing.T) {
 
 	if _, err := PlanSweep(SweepParams{Axis: "cds", Benchmark: "nope"}); err == nil {
 		t.Error("unknown benchmark planned")
+	}
+	// Values a run refuses are refused by the plan, before any point
+	// runs: a grid that is not a power of two, more cores than a run
+	// takes, and a ROB past maxCoreParam.
+	for _, p := range []SweepParams{
+		{Axis: "cds", Design: DesignFgNVM, Values: []int{2, 3}},
+		{Axis: "cores", Values: []int{maxCores + 1}},
+		{Axis: "rob", Values: []int{maxCoreParam + 1}},
+	} {
+		if _, err := PlanSweep(p); err == nil {
+			t.Errorf("%s sweep over %v planned", p.Axis, p.Values)
+		}
 	}
 }
