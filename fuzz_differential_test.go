@@ -265,6 +265,10 @@ func FuzzRunDifferential(f *testing.F) {
 	f.Add(uint8(DesignManyBanks), uint8(0), uint8(3), uint8(0x21), uint8(0x80|1<<5), uint8(0), uint8(0), uint8(0), uint8(0), uint16(0), uint16(1500), uint8(9), uint64(2))
 	// A MaxCycles far too small to finish: both runs must fail alike.
 	f.Add(uint8(DesignFgNVM), uint8(0), uint8(0), uint8(3), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint16(2*200+1), uint16(1000), uint8(7), uint64(1))
+	// A 3-core GEMM preset behind a 512-access warm-up on a 64×32
+	// many-banks grid (16,384 one-tile banks), with Attribution and
+	// Occupancy.
+	f.Add(uint8(DesignManyBanks), uint8(7|6<<3), uint8(3|3<<2|2<<5), uint8(3), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint16(0), uint16(1568), uint8(3), uint64(2))
 	f.Fuzz(func(t *testing.T, design, grid, source, pick, geom, modes, ctrl, cpu, device uint8,
 		maxCycles, instr uint16, tel uint8, seed uint64) {
 		spec := fuzzSpec{design, grid, source, pick, geom, modes, ctrl, cpu, device, maxCycles, instr, tel, seed}

@@ -191,13 +191,9 @@ type shard struct {
 	// CD-blocking write.
 	lastReadActive sim.Tick
 
-	// causeCount memoizes attributeStalls' classification of the queued
-	// requests as a per-cause histogram. It holds until causesUntil, the
-	// channel's next work tick when it was taken, or until a queue push,
-	// a command, a queue removal or a drain-mode transition zeroes
-	// causesUntil.
-	causeCount  [telemetry.NumStallCauses]int
-	causesUntil sim.Tick
+	// stalls memoizes the stall classification of the queued requests
+	// bank by bank (see stallMemo). Nil unless Attribution is set.
+	stalls *stallMemo
 }
 
 // idleWriteDelay is how many cycles the read queue must stay empty
@@ -268,6 +264,9 @@ func New(cfg Config, eng *sim.Engine) (*Controller, error) {
 		for i := range s.hotCD {
 			s.hotCD[i] = -1
 		}
+		if cfg.Attribution != nil {
+			s.stalls = newStallMemo(nb, cfg.ReadQueueCap+cfg.WriteQueueCap)
+		}
 	}
 	return c, nil
 }
@@ -331,7 +330,7 @@ func (s *shard) enqueue(r *mem.Request, now sim.Tick) bool {
 			}
 			return false
 		}
-		s.causesUntil = 0
+		s.pushed(r, now)
 		if s.tel != nil {
 			telRequest(s.tel, telemetry.ReqEnqueued, r, now)
 		}
@@ -355,7 +354,7 @@ func (s *shard) enqueue(r *mem.Request, now sim.Tick) bool {
 		}
 		return false
 	}
-	s.causesUntil = 0
+	s.pushed(r, now)
 	if s.tel != nil {
 		telRequest(s.tel, telemetry.ReqEnqueued, r, now)
 	}
@@ -416,97 +415,6 @@ func (s *shard) account(now sim.Tick, n uint64) {
 	}
 }
 
-// attributeStalls credits Attribution with n cycles of the queued
-// requests' stall histogram: one Stall(cause, k·n) per cause that k
-// requests share, so a busy cycle costs O(causes).
-//
-// The histogram is memoized in s.causeCount. By the argument behind
-// NextWork and SkipCycles, every cause is constant until the channel's
-// next work tick as long as the queues, the bank and bus state and the
-// drain mode stay put; every change to those zeroes causesUntil (a
-// successful Push, markBusy — which every command and every queue
-// Remove passes through — and both updateDrain transitions). So the
-// queues are reclassified only when now reaches causesUntil, and the
-// tagged build checks every reuse against a fresh classification and
-// every histogram against the queued count.
-func (s *shard) attributeStalls(now sim.Tick, queued int, n uint64) {
-	if now >= s.causesUntil {
-		s.causeCount = s.stallHistogram(now)
-		s.causesUntil = s.channelNextWork(now)
-	} else if invariant.Enabled {
-		if fresh := s.stallHistogram(now); fresh != s.causeCount { // guarded so a passing cycle stays allocation-free
-			invariant.Assertf(false, "stall memo holds histogram %v at tick %d, a fresh classification gives %v",
-				s.causeCount, now, fresh)
-		}
-	}
-	if invariant.Enabled {
-		sum := 0
-		for _, k := range s.causeCount {
-			sum += k
-		}
-		if sum != queued {
-			invariant.Assertf(false, "stall histogram sums to %d for %d queued requests (tick %d): "+
-				"per-cause buckets no longer sum to QueuedWaitCycles", sum, queued, now)
-		}
-	}
-	for c, k := range s.causeCount {
-		if k != 0 {
-			s.att.Stall(telemetry.StallCause(c), uint64(k)*n)
-		}
-	}
-}
-
-// stallHistogram classifies every queued request at now and counts the
-// requests per cause.
-func (s *shard) stallHistogram(now sim.Tick) (h [telemetry.NumStallCauses]int) {
-	for i := 0; i < s.readQ.Len(); i++ {
-		r := s.readQ.At(i)
-		h[s.classifyReadStall(r, s.bankOf(r), now)]++
-	}
-	for i := 0; i < s.writeQ.Len(); i++ {
-		w := s.writeQ.At(i)
-		h[s.classifyWriteStall(w, s.bankOf(w), now)]++
-	}
-	return h
-}
-
-// classifyReadStall attributes one waiting cycle of a queued read. The
-// bank rules come first (SAG/CD/write conflicts); a device-ready
-// request that could burst but didn't was blocked by the shared bus
-// (lane budget); a device-ready request still needing its activation
-// was held back either by a draining write batch or by controller
-// policy (activation budget, anti-thrash guard) — the latter lands in
-// the controller-idle bucket together with tCCD pacing and
-// own-sense-in-flight waits.
-func (s *shard) classifyReadStall(r *mem.Request, b *core.Bank, now sim.Tick) telemetry.StallCause {
-	if cause, blocked := b.ReadStallCause(r.Loc.Row, r.Loc.Col, now); blocked {
-		return cause
-	}
-	if b.CanRead(r.Loc.Row, r.Loc.Col, now) {
-		return telemetry.StallBusConflict
-	}
-	if b.NeedsActivate(r.Loc.Row, r.Loc.Col, now) &&
-		(s.drain || s.writeQ.Full()) {
-		// schedule suppresses new activations while writes drain.
-		return telemetry.StallWriteDrain
-	}
-	return telemetry.StallControllerIdle
-}
-
-// classifyWriteStall attributes one waiting cycle of a queued write:
-// bank conflicts first, then the shared bus, then deliberate deferral
-// (idle-window hysteresis, clobber avoidance, one-write-per-cycle
-// budget) as controller-idle.
-func (s *shard) classifyWriteStall(w *mem.Request, b *core.Bank, now sim.Tick) telemetry.StallCause {
-	if cause, blocked := b.WriteStallCause(w.Loc.Row, w.Loc.Col, now); blocked {
-		return cause
-	}
-	if b.CanWrite(w.Loc.Row, w.Loc.Col, now) && s.busLaneFor(now+s.cfg.Tim.TCWD) < 0 {
-		return telemetry.StallBusConflict
-	}
-	return telemetry.StallControllerIdle
-}
-
 // schedule issues this channel's commands for one controller clock.
 func (s *shard) schedule(now sim.Tick) int {
 	if !s.readQ.Empty() {
@@ -561,7 +469,6 @@ func (s *shard) updateDrain() {
 	if s.drain {
 		if s.writeQ.Len() <= s.cfg.WriteLowWM {
 			s.drain = false
-			s.causesUntil = 0
 		}
 		return
 	}
@@ -571,7 +478,6 @@ func (s *shard) updateDrain() {
 	}
 	if s.writeQ.Len() >= start {
 		s.drain = true
-		s.causesUntil = 0
 		s.st.WriteDrainEvents.Inc()
 	}
 }
@@ -590,11 +496,6 @@ func (s *shard) busLaneFor(start sim.Tick) int {
 func (s *shard) bankOf(r *mem.Request) *core.Bank {
 	return s.banks[r.Loc.Rank*s.cfg.Geom.Banks+r.Loc.Bank]
 }
-
-// markBusy drops the stall memo. Every command issue calls it, since a
-// command is the only thing that sets a bank timer or a bus lane, and
-// so does every queue Remove, which only follows an issue.
-func (s *shard) markBusy() { s.causesUntil = 0 }
 
 // tryIssueRead issues at most one command (column read or, when
 // mayActivate, an activation) on behalf of the read queue. It returns
@@ -651,7 +552,7 @@ func (s *shard) tryIssueRead(now sim.Tick, mayActivate bool) (bool, bool) {
 			}
 		}
 		b.Activate(r.Loc.Row, r.Loc.Col, now)
-		s.markBusy()
+		s.markBusy(s.bankIndex(r.Loc))
 		s.st.Activations.Inc()
 		return true, true
 	}
@@ -706,11 +607,13 @@ func (s *shard) issueColumnRead(r *mem.Request, b *core.Bank, lane, qi int, now 
 		s.st.BackgroundedRds.Inc()
 	}
 	done := b.Read(r.Loc.Row, r.Loc.Col, now)
-	s.markBusy()
+	bi := s.bankIndex(r.Loc)
+	s.markBusy(bi)
 	s.busUse[lane] = done // bus busy until the burst ends
-	s.hotCD[s.bankIndex(r.Loc)] = b.CDOf(r.Loc.Col)
+	s.hotCD[bi] = b.CDOf(r.Loc.Col)
 	s.st.ColumnReads.Inc()
 	s.readQ.Remove(qi)
+	s.removed(r)
 	if s.tel != nil {
 		s.tel.Command(telemetry.Command{
 			Kind: telemetry.CmdBus,
@@ -810,10 +713,11 @@ func (s *shard) tryIssueWrite(now sim.Tick) bool {
 		return false
 	}
 	w := q.Remove(pick)
+	s.removed(w)
 	b := s.bankOf(w)
 	w.MarkIssued(now)
 	done := b.Write(w.Loc.Row, w.Loc.Col, now)
-	s.markBusy()
+	s.markBusy(s.bankIndex(w.Loc))
 	s.busUse[lane] = now + s.cfg.Tim.TCWD + s.cfg.Tim.TBURST
 	if s.tel != nil {
 		telRequest(s.tel, telemetry.ReqIssued, w, now)

@@ -179,7 +179,7 @@ func TestAttributionOnlyBusyCycleZeroAllocs(t *testing.T) {
 // TestEventSinkClassifiesNoStalls checks that a run whose only consumer
 // reads events, not stalls (Occupancy, a trace or a user Sink),
 // classifies no stall: over bursty traffic that keeps the queues busy,
-// the stall memo is never filled.
+// the stall memo never exists.
 func TestEventSinkClassifiesNoStalls(t *testing.T) {
 	sink := &recordingSink{}
 	g := testGeom()
@@ -206,9 +206,9 @@ func TestEventSinkClassifiesNoStalls(t *testing.T) {
 			c.Enqueue(&mem.Request{ID: uint64(now), Op: op, Addr: m.Encode(loc)}, now)
 		}
 		c.Cycle(now)
-		if s.causeCount != [telemetry.NumStallCauses]int{} || s.causesUntil != 0 {
-			t.Fatalf("tick %d: the stall memo was filled (histogram %v, valid until %d)",
-				now, s.causeCount, s.causesUntil)
+		if s.stalls != nil {
+			t.Fatalf("tick %d: the stall memo was allocated (histogram %v, valid until %d)",
+				now, s.stalls.count, s.stalls.until)
 		}
 	}
 	if c.Stats().QueuedWaitCycles.Value() == 0 || len(sink.commands) == 0 {
@@ -261,12 +261,13 @@ func TestNoSinkBankOpsZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestStallMemoMatchesScan checks attributeStalls' memoized histogram
-// against a fresh classification of every queued request after every
-// cycle that credits one, under bursty mixed traffic whose write bursts
-// cross the drain watermarks. A missing memo invalidation at any of its
-// sites (read or write Push, markBusy, either updateDrain transition)
-// leaves a stale histogram that this comparison sees.
+// TestStallMemoMatchesScan checks the per-bank stall memo, resolved at
+// now, against a fresh classification of every queued request after
+// every cycle that credits one, under bursty mixed traffic whose write
+// bursts cross the drain watermarks. A missing invalidation (a command's
+// stale mark, a push's classification) or a channel-dependent class
+// resolved when classified rather than at each account leaves a stale
+// histogram that this comparison sees.
 func TestStallMemoMatchesScan(t *testing.T) {
 	salp := core.AccessModes{MultiActivation: true, BackgroundedWrites: true, LocalSenseAmps: true}
 	noBG := core.AccessModes{PartialActivation: true, MultiActivation: true}
@@ -324,14 +325,14 @@ func TestStallMemoMatchesScan(t *testing.T) {
 				}
 				c.Cycle(now)
 				// An empty queue credits nothing, so the memo may
-				// keep a stale histogram until the next push.
+				// keep stale banks until the next push.
 				if s.readQ.Len()+s.writeQ.Len() > 0 {
-					if fresh := s.stallHistogram(now); s.causeCount != fresh {
-						t.Fatalf("tick %d: memo holds histogram %v, a fresh classification gives %v",
-							now, s.causeCount, fresh)
+					if memo, fresh := s.resolveStalls(&s.stalls.count, now), s.stallHistogram(now); memo != fresh {
+						t.Fatalf("tick %d: memo resolves to histogram %v, a fresh classification gives %v",
+							now, memo, fresh)
 					}
 				}
-				if s.causesUntil > now+1 {
+				if s.stalls.until > now+1 {
 					reused++
 				}
 			}

@@ -422,13 +422,18 @@ func (b *Bank) Read(row, col int, now sim.Tick) sim.Tick {
 
 // CanWrite reports whether a line write targeting (row, col) may issue
 // at now: no conflict rule blocks it (see WriteStallCause) and tCCD
-// spacing on its CD's column path is respected.
+// spacing on its CD's column path is respected (see ColumnReady).
 func (b *Bank) CanWrite(row, col int, now sim.Tick) bool {
-	c := b.cd(col)
-	if _, blocked := b.writeBlocker(b.sag(row), c, now); blocked {
+	if _, blocked := b.writeBlocker(b.sag(row), b.cd(col), now); blocked {
 		return false
 	}
-	return now >= b.colReady[c]
+	return b.ColumnReady(col, now)
+}
+
+// ColumnReady reports whether the CD of col has met its tCCD spacing at
+// now. For a write no conflict rule blocks, it is the rest of CanWrite.
+func (b *Bank) ColumnReady(col int, now sim.Tick) bool {
+	return now >= b.colReady[b.cd(col)]
 }
 
 // Write issues a line write at now; panics if CanWrite is false.
@@ -629,33 +634,64 @@ func (b *Bank) WriteStallCause(row, col int, now sim.Tick) (cause telemetry.Stal
 // write needs its SAG's wordline and its CD's write drivers (every SAG
 // and CD without Backgrounded Writes), and the bank itself when writes
 // or senses serialize it.
+//
+// Without Backgrounded Writes the cause is that of the first blocked
+// (SAG, CD) pair in row-major order. A pair is blocked exactly when its
+// SAG or its CD is, so that pair is (0, 0) when SAG 0 is blocked, else
+// (0, j) for the first blocked CD j, else (i, 0) for the first blocked
+// SAG i: an O(SAGs + CDs) scan stands in for the O(SAGs × CDs) grid.
 func (b *Bank) writeBlocker(s, c int, now sim.Tick) (telemetry.StallCause, bool) {
-	classify := func(i, j int) (telemetry.StallCause, bool) {
-		if now < b.sagWrite[i] || now < b.cdWrite[j] {
-			return telemetry.StallWriteDrain, true
-		}
-		if now < b.sagBusy[i] {
-			return telemetry.StallSAGConflict, true
-		}
-		if now < b.cdBusy[j] {
-			return telemetry.StallCDConflict, true
-		}
-		return 0, false
-	}
-	if cause, blocked := classify(s, c); blocked {
+	if cause, blocked := b.tileWriteBlocker(s, c, now); blocked {
 		return cause, blocked
 	}
 	if !b.modes.BackgroundedWrites {
-		for i := range b.sagBusy {
-			for j := range b.cdBusy {
-				if cause, blocked := classify(i, j); blocked {
-					return cause, blocked
-				}
-			}
+		if i, j, blocked := b.firstBlockedTile(now); blocked {
+			return b.tileWriteBlocker(i, j, now)
 		}
 	}
 	if now < b.bankBusy && (!b.modes.BackgroundedWrites || !b.modes.MultiActivation) {
 		return b.bankBlocker(now), true
 	}
 	return 0, false
+}
+
+// tileWriteBlocker classifies the (SAG i, CD j) pair for a write at
+// now: write drivers in either first, then the SAG's wordline, then the
+// CD's sense path.
+func (b *Bank) tileWriteBlocker(i, j int, now sim.Tick) (telemetry.StallCause, bool) {
+	if now < b.sagWrite[i] || now < b.cdWrite[j] {
+		return telemetry.StallWriteDrain, true
+	}
+	if now < b.sagBusy[i] {
+		return telemetry.StallSAGConflict, true
+	}
+	if now < b.cdBusy[j] {
+		return telemetry.StallCDConflict, true
+	}
+	return 0, false
+}
+
+// firstBlockedTile returns the first (SAG, CD) pair in row-major order
+// that tileWriteBlocker finds blocked at now, or blocked=false when
+// every pair is free.
+func (b *Bank) firstBlockedTile(now sim.Tick) (sag, cd int, blocked bool) {
+	if b.sagOccupied(0, now) {
+		return 0, 0, true
+	}
+	for j := range b.cdBusy {
+		if now < b.cdWrite[j] || now < b.cdBusy[j] {
+			return 0, j, true
+		}
+	}
+	for i := 1; i < len(b.sagBusy); i++ {
+		if b.sagOccupied(i, now) {
+			return i, 0, true
+		}
+	}
+	return 0, 0, false
+}
+
+// sagOccupied reports whether SAG i is writing or busy at now.
+func (b *Bank) sagOccupied(i int, now sim.Tick) bool {
+	return now < b.sagWrite[i] || now < b.sagBusy[i]
 }

@@ -49,7 +49,8 @@ type RunRequest struct {
 	// the instrumented result holds strictly more data.
 	StallReport bool `json:"stall_report,omitempty"`
 
-	// TimeoutMS bounds this request's wall-clock time. Execution-only:
+	// TimeoutMS bounds this request's wall-clock time; it may shorten
+	// the server's default timeout, never lengthen it. Execution-only:
 	// excluded from the cache key.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }

@@ -42,6 +42,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"runtime"
 	"runtime/debug"
@@ -69,8 +70,9 @@ type Config struct {
 	// CacheEntries is the result-cache capacity (default 256; < 0
 	// disables caching).
 	CacheEntries int
-	// DefaultTimeout bounds each request's wall-clock time when the
-	// request does not set timeout_ms (0 = unbounded).
+	// DefaultTimeout bounds each request's wall-clock time (0 =
+	// unbounded). A request's timeout_ms may shorten it, never lengthen
+	// it; with no default, timeout_ms alone bounds the request.
 	DefaultTimeout time.Duration
 	// MaxInstructions rejects requests asking for longer simulations
 	// (0 = unlimited) — an admission guard so one request cannot pin a
@@ -114,8 +116,10 @@ type Server struct {
 	metrics metrics
 	mux     *http.ServeMux
 
-	// runFn is the simulation entry point, replaceable in tests.
-	runFn func(context.Context, fgnvm.Options) (fgnvm.Result, error)
+	// runFn and figure4Fn are the simulation entry points, replaceable
+	// in tests.
+	runFn     func(context.Context, fgnvm.Options) (fgnvm.Result, error)
+	figure4Fn func(context.Context, fgnvm.ExperimentParams) (fgnvm.Figure4Result, error)
 }
 
 // New builds a Server and starts its worker pool. It fails only when
@@ -123,10 +127,11 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	cfg.applyDefaults()
 	s := &Server{
-		cfg:   cfg,
-		pool:  NewPool(cfg.Workers, cfg.QueueDepth),
-		cache: NewCache(cfg.CacheEntries),
-		runFn: fgnvm.RunContext,
+		cfg:       cfg,
+		pool:      NewPool(cfg.Workers, cfg.QueueDepth),
+		cache:     NewCache(cfg.CacheEntries),
+		runFn:     fgnvm.RunContext,
+		figure4Fn: fgnvm.Figure4Context,
 	}
 	if cfg.StoreDir != "" {
 		st, err := store.Open(cfg.StoreDir, cfg.StoreMaxBytes)
@@ -209,7 +214,7 @@ func (s *Server) handleFigure4(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.serveCached(w, r, norm.cacheKey(), req.TimeoutMS, func(ctx context.Context) (any, error) {
-		return fgnvm.Figure4Context(ctx, params)
+		return s.figure4Fn(ctx, params)
 	})
 }
 
@@ -332,13 +337,22 @@ func (s *Server) runTask(ctx context.Context, key string, compute func(context.C
 	return b, err
 }
 
+// maxTimeoutMS is the longest timeout_ms a time.Duration can hold. A
+// longer one is ignored: converted, it would overflow to a negative
+// duration, which requestContext would take for "no deadline".
+const maxTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
+
 // requestContext derives the compute context: the client's lifetime
-// bounded by the per-request (or default) timeout.
+// bounded by the default timeout, or by the request's timeout_ms where
+// that is shorter or no default is set. One request body therefore
+// cannot hold a worker past DefaultTimeout.
 func (s *Server) requestContext(r *http.Request, timeoutMS int64) (context.Context, context.CancelFunc) {
 	ctx := r.Context()
 	timeout := s.cfg.DefaultTimeout
-	if timeoutMS > 0 {
-		timeout = time.Duration(timeoutMS) * time.Millisecond
+	if timeoutMS > 0 && timeoutMS <= maxTimeoutMS {
+		if t := time.Duration(timeoutMS) * time.Millisecond; timeout == 0 || t < timeout {
+			timeout = t
+		}
 	}
 	if timeout > 0 {
 		return context.WithTimeout(ctx, timeout)

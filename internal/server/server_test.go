@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -232,6 +234,48 @@ func TestTimeoutReturns504(t *testing.T) {
 		t.Fatalf("status = %d, want 504", resp.StatusCode)
 	}
 	waitFor(t, "worker to free", func() bool { return s.pool.InFlight() == 0 })
+}
+
+// TestTimeoutCannotExceedDefault proves timeout_ms only shortens the
+// server's deadline: a slow request asking for a minute, or for more
+// than a time.Duration holds, on a server whose default is 100 ms is
+// cancelled and answered 504 at the default deadline.
+func TestTimeoutCannotExceedDefault(t *testing.T) {
+	const def = 100 * time.Millisecond
+	cancelled := make(chan time.Time, 1)
+	s, ts := newTestServer(t, Config{Workers: 1, DefaultTimeout: def}, func(ctx context.Context, o fgnvm.Options) (fgnvm.Result, error) {
+		<-ctx.Done()
+		cancelled <- time.Now()
+		return fgnvm.Result{}, ctx.Err()
+	})
+	// The client gives up long before either timeout_ms would end.
+	client := &http.Client{Timeout: 5 * time.Second}
+	for seed, ms := range []int64{60_000, math.MaxInt64} {
+		start := time.Now()
+		body := fmt.Sprintf(`{"benchmark":"mcf","seed":%d,"timeout_ms":%d}`, seed+1, ms)
+		resp, err := client.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("timeout_ms %d: no answer: %v", ms, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusGatewayTimeout {
+			t.Fatalf("timeout_ms %d: status = %d, want 504", ms, resp.StatusCode)
+		}
+		// Generous bounds: the timeout asked for must not show, and
+		// neither may an instant expiry; scheduling delays may.
+		if took := time.Since(start); took < def/2 || took > 10*def {
+			t.Errorf("timeout_ms %d: the 504 came %v after the request, want about the %v default", ms, took, def)
+		}
+		select {
+		case at := <-cancelled:
+			if after := at.Sub(start); after > 10*def {
+				t.Errorf("timeout_ms %d: run cancelled %v after the request, want about the %v default", ms, after, def)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("timeout_ms %d: the run never started or was never cancelled", ms)
+		}
+		waitFor(t, "worker to free", func() bool { return s.pool.InFlight() == 0 })
+	}
 }
 
 // TestSaturationReturns429 proves queue-depth backpressure: with one
@@ -528,4 +572,45 @@ func TestPanicContained(t *testing.T) {
 	if got := s.pool.InFlight(); got != 0 {
 		t.Errorf("pool reports %d tasks in flight after the panics", got)
 	}
+}
+
+// TestPanicContainedFigure4 is TestPanicContained for /v1/figure4: a
+// Figure 4 computation that panics on a pool worker answers a 500
+// naming its cache key, the next request is served, and
+// fgnvm_panics_total counts the panic.
+func TestPanicContainedFigure4(t *testing.T) {
+	log.SetOutput(io.Discard) // the recovered panic logs its stack
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+	s, err := New(Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.figure4Fn = func(ctx context.Context, p fgnvm.ExperimentParams) (fgnvm.Figure4Result, error) {
+		if slices.Contains(p.Benchmarks, "lbm") {
+			panic("simulated bug")
+		}
+		return fgnvm.Figure4Result{Rows: []fgnvm.Figure4Row{{Benchmark: p.Benchmarks[0], BaselineIPC: 1}}}, nil
+	}
+	ts := httptest.NewServer(s)
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+
+	norm, _, err := Figure4Request{Benchmarks: []string{"lbm"}}.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, b := postJSON(t, ts.URL+"/v1/figure4", `{"benchmarks":["lbm"]}`)
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(b), norm.cacheKey()) {
+		t.Errorf("/v1/figure4 panic: status %d, body %q; want 500 naming %s", resp.StatusCode, b, norm.cacheKey())
+	}
+	if resp, b := postJSON(t, ts.URL+"/v1/figure4", `{"benchmarks":["mcf"]}`); resp.StatusCode != http.StatusOK {
+		t.Errorf("/v1/figure4 after a panic: status %d, body %s", resp.StatusCode, b)
+	}
+	if got := metricValue(t, ts, "fgnvm_panics_total"); got != 1 {
+		t.Errorf("fgnvm_panics_total = %d, want 1", got)
+	}
+	// A worker leaves the pool just after its response is written.
+	waitFor(t, "workers to free", func() bool { return s.pool.InFlight() == 0 })
 }
