@@ -313,42 +313,22 @@ func (c *Controller) Enqueue(r *mem.Request, now sim.Tick) bool {
 // enqueue is the per-channel half of Enqueue: forwarding, coalescing,
 // queue admission and telemetry.
 func (s *shard) enqueue(r *mem.Request, now sim.Tick) bool {
-	if r.Op == mem.Read {
-		if s.queuedWrite(r.Addr) {
-			r.MarkIssued(now)
-			s.st.ForwardedReads.Inc()
-			if s.tel != nil {
-				telRequest(s.tel, telemetry.ReqEnqueued, r, now)
-				telRequest(s.tel, telemetry.ReqIssued, r, now)
-			}
-			s.eng.ScheduleArg(now+1, s.finishReadFn, r)
-			return true
-		}
-		if !s.readQ.Push(r) {
-			if s.att != nil {
-				s.att.Stall(telemetry.StallQueueFull, 1)
-			}
-			return false
-		}
-		s.pushed(r, now)
-		if s.tel != nil {
-			telRequest(s.tel, telemetry.ReqEnqueued, r, now)
-		}
-		return true
+	q, finish, merged := s.readQ, s.finishReadFn, &s.st.ForwardedReads
+	if r.Op == mem.Write {
+		q, finish, merged = s.writeQ, s.finishWriteFn, &s.st.CoalescedWrites
 	}
-
-	// Write path: coalesce into an existing write to the same line.
 	if s.queuedWrite(r.Addr) {
-		r.MarkIssued(now)
-		s.st.CoalescedWrites.Inc()
+		// A read is forwarded the queued write's data, a write coalesces
+		// into it; either completes next cycle without a queue slot.
+		merged.Inc()
 		if s.tel != nil {
 			telRequest(s.tel, telemetry.ReqEnqueued, r, now)
-			telRequest(s.tel, telemetry.ReqIssued, r, now)
 		}
-		s.eng.ScheduleArg(now+1, s.finishWriteFn, r)
+		s.issue(r, now)
+		s.eng.ScheduleArg(now+1, finish, r)
 		return true
 	}
-	if !s.writeQ.Push(r) {
+	if !q.Push(r) {
 		if s.att != nil {
 			s.att.Stall(telemetry.StallQueueFull, 1)
 		}
@@ -357,6 +337,19 @@ func (s *shard) enqueue(r *mem.Request, now sim.Tick) bool {
 	s.pushed(r, now)
 	if s.tel != nil {
 		telRequest(s.tel, telemetry.ReqEnqueued, r, now)
+	}
+	return true
+}
+
+// issue marks r issued at now and emits ReqIssued, both only the first
+// time: it reports whether this was r's first issue.
+func (s *shard) issue(r *mem.Request, now sim.Tick) bool {
+	if r.Issued() {
+		return false
+	}
+	r.MarkIssued(now)
+	if s.tel != nil {
+		telRequest(s.tel, telemetry.ReqIssued, r, now)
 	}
 	return true
 }
@@ -382,11 +375,9 @@ func (c *Controller) Drained() bool { return c.inflight == 0 }
 // loop's licence to consider fast-forwarding (see NextWork). Each
 // channel schedules, then accounts for the cycle; accounting after
 // scheduling means a request that issued this cycle does not count
-// this cycle.
+// this cycle. Background energy is not charged here: it depends only on
+// the final tick, which the run loop charges once.
 func (c *Controller) Cycle(now sim.Tick) int {
-	if c.cfg.Energy != nil {
-		c.cfg.Energy.AdvanceBackground(now)
-	}
 	issued := 0
 	for ch := range c.shards {
 		s := &c.shards[ch]
@@ -544,12 +535,8 @@ func (s *shard) tryIssueRead(now sim.Tick, mayActivate bool) (bool, bool) {
 		if s.activationClobbers(q, i, r, b) {
 			continue
 		}
-		if !r.Issued() {
-			r.MarkIssued(now)
+		if s.issue(r, now) {
 			r.Opened = !b.SegmentOpen(r.Loc.Row, r.Loc.Col)
-			if s.tel != nil {
-				telRequest(s.tel, telemetry.ReqIssued, r, now)
-			}
 		}
 		b.Activate(r.Loc.Row, r.Loc.Col, now)
 		s.markBusy(s.bankIndex(r.Loc))
@@ -594,12 +581,7 @@ func (s *shard) activationClobbers(q *mem.Queue, self int, r *mem.Request, b *co
 }
 
 func (s *shard) issueColumnRead(r *mem.Request, b *core.Bank, lane, qi int, now sim.Tick) {
-	if !r.Issued() {
-		r.MarkIssued(now) // ready without us ever activating for it
-		if s.tel != nil {
-			telRequest(s.tel, telemetry.ReqIssued, r, now)
-		}
-	}
+	s.issue(r, now) // first issue only if ready without us ever activating for it
 	if !r.Opened {
 		s.st.SegmentHits.Inc()
 	}
@@ -615,14 +597,20 @@ func (s *shard) issueColumnRead(r *mem.Request, b *core.Bank, lane, qi int, now 
 	s.readQ.Remove(qi)
 	s.removed(r)
 	if s.tel != nil {
-		s.tel.Command(telemetry.Command{
-			Kind: telemetry.CmdBus,
-			Bank: telemetry.BankID{Channel: r.Loc.Channel, Rank: r.Loc.Rank, Bank: r.Loc.Bank},
-			CD:   lane, Row: r.Loc.Row, Col: r.Loc.Col, ReqID: r.ID,
-			Start: now + s.cfg.Tim.TCAS, End: done,
-		})
+		s.busSpan(r, lane, now+s.cfg.Tim.TCAS, done)
 	}
 	s.eng.ScheduleArg(done, s.finishReadFn, r)
+}
+
+// busSpan emits the CmdBus span of r's data burst on lane, [start, end).
+// Callers guard with a nil check of tel.
+func (s *shard) busSpan(r *mem.Request, lane int, start, end sim.Tick) {
+	s.tel.Command(telemetry.Command{
+		Kind: telemetry.CmdBus,
+		Bank: telemetry.BankID{Channel: r.Loc.Channel, Rank: r.Loc.Rank, Bank: r.Loc.Bank},
+		CD:   lane, Row: r.Loc.Row, Col: r.Loc.Col, ReqID: r.ID,
+		Start: start, End: end,
+	})
 }
 
 // finishRead completes a read request: it runs as a scheduled ArgEvent
@@ -682,32 +670,26 @@ func (s *shard) tryIssueWrite(now sim.Tick) bool {
 		return false // write data also crosses the shared bus
 	}
 
-	// Preferred pass: the oldest legal write whose (SAG, CD) does not
-	// collide with any queued read — "put the write where the reads
-	// are not", the scheduling half of Backgrounded Writes.
-	pick := -1
-	for i := 0; i < limit; i++ {
+	// The pick is the oldest legal write whose (SAG, CD) does not
+	// collide with any queued read — "put the write where the reads are
+	// not", the scheduling half of Backgrounded Writes. Under pressure
+	// the oldest write that is merely legal, noted on the way, stands in.
+	pick, legal := -1, -1
+	for i := 0; i < limit && pick < 0; i++ {
 		w := q.At(i)
 		b := s.bankOf(w)
 		if !b.CanWrite(w.Loc.Row, w.Loc.Col, now) {
 			continue
 		}
-		if s.writeClobbersPendingRead(w, b) {
-			continue
+		if legal < 0 {
+			legal = i
 		}
-		pick = i
-		break
+		if !s.writeClobbersPendingRead(w, b) {
+			pick = i
+		}
 	}
 	if pick < 0 && force {
-		// Under pressure: take the oldest write that is merely legal.
-		for i := 0; i < limit; i++ {
-			w := q.At(i)
-			b := s.bankOf(w)
-			if b.CanWrite(w.Loc.Row, w.Loc.Col, now) {
-				pick = i
-				break
-			}
-		}
+		pick = legal
 	}
 	if pick < 0 {
 		return false
@@ -715,18 +697,13 @@ func (s *shard) tryIssueWrite(now sim.Tick) bool {
 	w := q.Remove(pick)
 	s.removed(w)
 	b := s.bankOf(w)
-	w.MarkIssued(now)
 	done := b.Write(w.Loc.Row, w.Loc.Col, now)
+	s.issue(w, now)
 	s.markBusy(s.bankIndex(w.Loc))
-	s.busUse[lane] = now + s.cfg.Tim.TCWD + s.cfg.Tim.TBURST
+	start := now + s.cfg.Tim.TCWD
+	s.busUse[lane] = start + s.cfg.Tim.TBURST
 	if s.tel != nil {
-		telRequest(s.tel, telemetry.ReqIssued, w, now)
-		s.tel.Command(telemetry.Command{
-			Kind: telemetry.CmdBus,
-			Bank: telemetry.BankID{Channel: w.Loc.Channel, Rank: w.Loc.Rank, Bank: w.Loc.Bank},
-			CD:   lane, Row: w.Loc.Row, Col: w.Loc.Col, ReqID: w.ID,
-			Start: now + s.cfg.Tim.TCWD, End: now + s.cfg.Tim.TCWD + s.cfg.Tim.TBURST,
-		})
+		s.busSpan(w, lane, start, s.busUse[lane])
 	}
 	s.eng.ScheduleArg(done, s.finishWriteFn, w)
 	return true
@@ -743,12 +720,13 @@ func (c *Controller) WouldAccept(r *mem.Request) bool {
 
 // queuedWrite reports whether the write queue holds a write to the
 // line of addr: a read of that line is forwarded from it, and a write
-// to it coalesces into it.
+// to it coalesces into it. LineBytes is a power of two (see
+// addr.Geometry.Validate), so two addresses share a line exactly when
+// they differ only below it.
 func (s *shard) queuedWrite(addr uint64) bool {
 	lb := uint64(s.cfg.Geom.LineBytes)
-	line := addr / lb
 	for i := 0; i < s.writeQ.Len(); i++ {
-		if s.writeQ.At(i).Addr/lb == line {
+		if s.writeQ.At(i).Addr^addr < lb {
 			return true
 		}
 	}
@@ -855,8 +833,8 @@ func (s *shard) nextBankFlip(now sim.Tick) sim.Tick {
 // stall classification equal to its value at now throughout. The
 // per-cycle work therefore reduces to multiplication: each channel's
 // account credits its queued requests with weight n. Background
-// energy needs no crediting here — the energy model integrates elapsed
-// ticks exactly on the next Cycle.
+// energy needs no crediting here: it is charged once, from the final
+// tick.
 func (c *Controller) SkipCycles(now sim.Tick, n uint64) {
 	if n == 0 {
 		return

@@ -71,6 +71,7 @@ func driveClosedLoop(t *testing.T, cfg Config, s trace.Stream, n int) oracleOutc
 			break
 		}
 	}
+	cfg.Energy.AdvanceBackground(now) // charged once, from the final tick, as fgnvm.RunContext does
 	out := oracleOutcome{
 		End:         now,
 		Latency:     make([]sim.Tick, n),

@@ -72,17 +72,6 @@ func AllModes() AccessModes {
 	return AccessModes{PartialActivation: true, MultiActivation: true, BackgroundedWrites: true}
 }
 
-// CommandKind identifies the next device command a request needs.
-type CommandKind int
-
-const (
-	// CmdNone means the request's target segment is open and ready: the
-	// next step is a column access (read burst or write data).
-	CmdNone CommandKind = iota
-	// CmdActivate means the target row segment must be sensed first.
-	CmdActivate
-)
-
 // Config assembles the parameters of one bank.
 type Config struct {
 	Geom   addr.Geometry

@@ -45,14 +45,10 @@ type Model struct {
 	bitsSensed uint64
 	bitsWrit   uint64
 
-	// Background energy is tracked as an integer tick count and
-	// converted to picojoules only when read. Accumulating in float
-	// per call would make the total depend on the call pattern
-	// (N one-cycle advances sum differently from one N-cycle advance
-	// in floating point), which would break the bit-exactness the
-	// fast-forwarded simulation loop is held to.
-	bgTicks uint64
-	lastBG  sim.Tick // background accounted up to this tick
+	// Background energy is tracked as the tick it is accounted up to
+	// and converted to picojoules only when read, so the total depends
+	// on that tick alone, not on how often it was advanced.
+	lastBG sim.Tick
 }
 
 // Config parameterizes a Model.
@@ -109,16 +105,11 @@ func (m *Model) Write(bits int) {
 	m.bitsWrit += uint64(bits)
 }
 
-// AdvanceBackground charges background energy up to time now. Call it
-// periodically and once at end of simulation; it is idempotent per
-// tick, and charging an N-cycle window in one call is exactly
-// equivalent to charging it cycle by cycle.
+// AdvanceBackground charges background energy up to time now. Charging
+// depends only on the latest tick, so one call at the end of simulation
+// suffices; repeated or earlier ticks charge nothing more.
 func (m *Model) AdvanceBackground(now sim.Tick) {
-	if now <= m.lastBG {
-		return
-	}
-	m.bgTicks += uint64(now - m.lastBG)
-	m.lastBG = now
+	m.lastBG = max(m.lastBG, now)
 }
 
 // ReadPJ returns accumulated sensing energy in pJ.
@@ -129,7 +120,7 @@ func (m *Model) WritePJ() float64 { return float64(m.bitsWrit) * m.writePJPerBit
 
 // BackgroundPJ returns accumulated background energy in pJ.
 func (m *Model) BackgroundPJ() float64 {
-	return m.bgPJPerBit * m.rowBufferBits * m.banks * float64(m.bgTicks) / float64(m.bgWindow)
+	return m.bgPJPerBit * m.rowBufferBits * m.banks * float64(m.lastBG) / float64(m.bgWindow)
 }
 
 // TotalPJ returns total energy in pJ.

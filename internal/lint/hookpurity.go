@@ -38,7 +38,6 @@ var HookPurity = &Analyzer{
 var mutatingMethods = map[string][]string{
 	"internal/sim":        {"ScheduleArg", "Step", "Run", "RunUntil", "Advance", "SetHook"},
 	"internal/core":       {"Activate", "Read", "Write"},
-	"internal/bank":       {"Activate", "Read", "Write", "SetTelemetry"},
 	"internal/controller": {"Enqueue", "Cycle", "SkipCycles"},
 	// Pool.Get/Put and Request.Reset recycle request identity: a hook
 	// that touches the free list can alias a live request with a future
