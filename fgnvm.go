@@ -196,7 +196,8 @@ type Options struct {
 	// defaults and the design's resets), which always set the
 	// subdivision.
 	Geometry *addr.Geometry
-	// Timings overrides the Table 2 PCM timing set (advanced).
+	// Timings overrides the Table 2 PCM timing set (advanced). Ignored
+	// by DesignDRAM, like Device.
 	Timings *timing.Timings
 
 	// Device, when set, derives timings and per-bit energies from the
@@ -614,9 +615,10 @@ func (o Options) Canonical() (Options, error) {
 		o.Modes = nil
 	case DesignDRAM:
 		// The DDR reference system has no NVM controller, cells or
-		// telemetry hooks.
+		// telemetry hooks, and runs its own DDR timings.
 		o.SAGs, o.CDs, o.Modes = 1, 1, nil
 		o.Scheduler, o.IssueLanes, o.Technology, o.Telemetry = SchedFRFCFS, 1, TechPCM, nil
+		o.Timings, o.Device = nil, nil
 	}
 	g, _, err := o.resolve()
 	if err != nil {

@@ -162,7 +162,11 @@ func TestCanonicalResetsIgnoredFields(t *testing.T) {
 		{"dram controller knobs",
 			Options{Design: DesignDRAM, Benchmark: "mcf"},
 			Options{Design: DesignDRAM, Benchmark: "mcf", SAGs: 4, Scheduler: SchedFCFS, IssueLanes: 4,
-				Technology: TechRRAM, Telemetry: &TelemetryOptions{Attribution: true}}},
+				Technology: TechRRAM, Telemetry: &TelemetryOptions{Attribution: true},
+				Device: &DeviceParams{FeatureNm: 22}}},
+		{"dram timings",
+			Options{Design: DesignDRAM, Benchmark: "mcf"},
+			Options{Design: DesignDRAM, Benchmark: "mcf", Timings: &timing.Timings{TRCD: 1}}},
 		{"workload seed",
 			Options{Workload: &WorkloadSpec{Preset: "gpt2s-attn-qkv"}},
 			Options{Workload: &WorkloadSpec{Preset: "gpt2s-attn-qkv", Tiling: "sag"}, Seed: 7}},

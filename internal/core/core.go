@@ -111,14 +111,12 @@ type Bank struct {
 	sink  telemetry.Sink
 	id    telemetry.BankID
 
-	rowsPerSAG int
-	colsPerCD  int
-	sagMask    int // SAGs-1: SAGs is a power of two (addr.Geometry.Validate)
-	cdMask     int // CDs-1
-	segBits    int // bits sensed by a partial activation
-	rowBits    int // bits sensed by a full activation
-	lineBits   int
-	pulses     sim.Tick // write pulses per line (serialized on WriteDrivers)
+	sagMask  int // SAGs-1: SAGs is a power of two (addr.Geometry.Validate)
+	cdMask   int // CDs-1
+	segBits  int // bits sensed by a partial activation
+	rowBits  int // bits sensed by a full activation
+	lineBits int
+	pulses   sim.Tick // write pulses per line (serialized on WriteDrivers)
 
 	openRow  []int        // per SAG: wordline currently latched, -1 if none
 	openSeg  [][]int      // [sag][cd]: row whose data is in that CD's row buffer, -1 if none
@@ -165,21 +163,19 @@ func NewBank(cfg Config) (*Bank, error) {
 	lineBits := cfg.Geom.LineBytes * 8
 	pulses := (lineBits + cfg.WriteDrivers - 1) / cfg.WriteDrivers
 	b := &Bank{
-		geom:       cfg.Geom,
-		tim:        cfg.Tim,
-		modes:      cfg.Modes,
-		emod:       cfg.Energy,
-		sink:       cfg.Sink,
-		id:         cfg.ID,
-		rowsPerSAG: cfg.Geom.RowsPerSAG(),
-		colsPerCD:  cfg.Geom.ColsPerCD(),
-		sagMask:    cfg.Geom.SAGs - 1,
-		cdMask:     cfg.Geom.CDs - 1,
-		segBits:    cfg.Geom.SegmentBytes() * 8,
-		rowBits:    cfg.Geom.RowBytes() * 8,
-		lineBits:   lineBits,
-		pulses:     sim.Tick(pulses),
-		cal:        cfg.Calendar,
+		geom:     cfg.Geom,
+		tim:      cfg.Tim,
+		modes:    cfg.Modes,
+		emod:     cfg.Energy,
+		sink:     cfg.Sink,
+		id:       cfg.ID,
+		sagMask:  cfg.Geom.SAGs - 1,
+		cdMask:   cfg.Geom.CDs - 1,
+		segBits:  cfg.Geom.SegmentBytes() * 8,
+		rowBits:  cfg.Geom.RowBytes() * 8,
+		lineBits: lineBits,
+		pulses:   sim.Tick(pulses),
+		cal:      cfg.Calendar,
 	}
 	if b.cal == nil {
 		b.cal = NewCalendar()
@@ -256,9 +252,10 @@ func (b *Bank) SegmentOpen(row, col int) bool {
 // issue at time now under the conflict rules.
 func (b *Bank) CanActivate(row, col int, now sim.Tick) bool {
 	s, c := b.sag(row), b.cd(col)
-	if b.openRow[s] == row && b.openSeg[s][c] == row && now < b.segReady[s][c] {
-		// The target segment is already being sensed: a second
-		// activation would only restart the sense and delay the data.
+	if b.openRow[s] == row && b.openSeg[s][c] == row && now < b.sagBusy[s] {
+		// The target segment is already open and its SAG still sensing:
+		// a second activation would only restart the sense. Without
+		// this, local sense amps (SALP) would admit one.
 		return false
 	}
 	_, blocked := b.activationBlocker(s, c, row, now)

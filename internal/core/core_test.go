@@ -547,6 +547,24 @@ func TestLocalSenseAmpsAllowConcurrentSAGs(t *testing.T) {
 	}
 }
 
+// TestCanActivateRefusesReSense: an activation whose target segment is
+// already open is refused while its SAG is still sensing, with or
+// without local sense amps, and admitted once the sense ends.
+func TestCanActivateRefusesReSense(t *testing.T) {
+	for _, modes := range []AccessModes{AllModes(), salpModes()} {
+		b := fgBank(t, modes)
+		ready := b.Activate(8, 0, 0)
+		for now := ready; now < b.SenseOccupancy(); now++ {
+			if b.CanActivate(8, 0, now) {
+				t.Fatalf("%+v: re-sense of an open segment admitted at %d, inside the %d-cycle sense window", modes, now, b.SenseOccupancy())
+			}
+		}
+		if !b.CanActivate(8, 0, b.SenseOccupancy()) {
+			t.Fatalf("%+v: activation still refused after the sense window", modes)
+		}
+	}
+}
+
 func TestLocalSenseAmpsPreserveOtherSAGSegments(t *testing.T) {
 	g := testGeom()
 	g.CDs = 1

@@ -59,6 +59,14 @@ func (t Timings) Validate() error {
 	return nil
 }
 
+// Table 2's transaction queues, as on the NVM side: 32 reads and 32
+// writes per channel, with writes drained from 3/4 full down to 1/4.
+const (
+	queueCap    = 32
+	writeHighWM = queueCap * 3 / 4
+	writeLowWM  = queueCap / 4
+)
+
 // bankState is one DRAM bank's FSM.
 type bankState struct {
 	openRow    int      // -1 when precharged
@@ -69,32 +77,22 @@ type bankState struct {
 	colReady   sim.Tick // tCCD
 }
 
-// Config parameterizes the DRAM system.
-type Config struct {
-	Geom addr.Geometry // SAGs/CDs are ignored (a DRAM bank is monolithic here)
-	Tim  Timings
-
-	ReadQueueCap  int // default 32
-	WriteQueueCap int // default 32
-	WriteHighWM   int // default 3/4 cap
-	WriteLowWM    int // default 1/4 cap
-
-	Interleave addr.Interleave
+// channel is one channel's scheduling state.
+type channel struct {
+	readQ, writeQ mem.Queue
+	busUse        sim.Tick // data bus busy until
+	drain         bool     // write drain active
+	nextRef       sim.Tick // next refresh due
+	// banks holds the channel's banks in rank-major order, so a
+	// request's bank is one multiply-add away (see System.bankOf).
+	banks []bankState
 }
 
-func (c *Config) applyDefaults() {
-	if c.ReadQueueCap == 0 {
-		c.ReadQueueCap = 32
-	}
-	if c.WriteQueueCap == 0 {
-		c.WriteQueueCap = 32
-	}
-	if c.WriteHighWM == 0 {
-		c.WriteHighWM = c.WriteQueueCap * 3 / 4
-	}
-	if c.WriteLowWM == 0 {
-		c.WriteLowWM = c.WriteQueueCap / 4
-	}
+// Config parameterizes the DRAM system.
+type Config struct {
+	Geom       addr.Geometry // SAGs/CDs are ignored (a DRAM bank is monolithic here)
+	Tim        Timings
+	Interleave addr.Interleave
 }
 
 // Stats aggregates observable behaviour.
@@ -115,26 +113,18 @@ type System struct {
 	cfg    Config
 	mapper *addr.Mapper
 	eng    *sim.Engine
-
-	banks   [][][]*bankState // [ch][rank][bank]
-	busUse  []sim.Tick       // per channel
-	readQ   []*mem.Queue
-	writeQ  []*mem.Queue
-	drain   []bool
-	nextRef []sim.Tick // per channel: next refresh due
+	chans  []channel
 
 	inflight int
 	st       Stats
 
-	// Cached completion callbacks: one method value each instead of a
-	// closure allocation per request.
-	finishReadFn  sim.ArgEvent
-	finishWriteFn sim.ArgEvent
+	// finishFn is the completion callback, cached once as a method
+	// value instead of a closure allocation per request.
+	finishFn sim.ArgEvent
 }
 
 // New builds the system.
 func New(cfg Config, eng *sim.Engine) (*System, error) {
-	cfg.applyDefaults()
 	if eng == nil {
 		return nil, fmt.Errorf("dram: nil engine")
 	}
@@ -146,28 +136,21 @@ func New(cfg Config, eng *sim.Engine) (*System, error) {
 		return nil, err
 	}
 	s := &System{cfg: cfg, mapper: mapper, eng: eng}
-	s.finishReadFn = s.finishReadEv
-	s.finishWriteFn = s.finishWriteEv
+	s.finishFn = s.finish
 	g := cfg.Geom
-	s.banks = make([][][]*bankState, g.Channels)
-	for ch := range s.banks {
-		s.banks[ch] = make([][]*bankState, g.Ranks)
-		for rk := range s.banks[ch] {
-			s.banks[ch][rk] = make([]*bankState, g.Banks)
-			for bk := range s.banks[ch][rk] {
-				s.banks[ch][rk][bk] = &bankState{openRow: -1}
-			}
-		}
+	perChan := g.Ranks * g.Banks
+	banks := make([]bankState, g.Channels*perChan)
+	for i := range banks {
+		banks[i].openRow = -1
 	}
-	s.busUse = make([]sim.Tick, g.Channels)
-	s.readQ = make([]*mem.Queue, g.Channels)
-	s.writeQ = make([]*mem.Queue, g.Channels)
-	s.drain = make([]bool, g.Channels)
-	s.nextRef = make([]sim.Tick, g.Channels)
-	for ch := range s.readQ {
-		s.readQ[ch] = mem.NewQueue(cfg.ReadQueueCap)
-		s.writeQ[ch] = mem.NewQueue(cfg.WriteQueueCap)
-		s.nextRef[ch] = cfg.Tim.TREFI
+	s.chans = make([]channel, g.Channels)
+	for i := range s.chans {
+		s.chans[i] = channel{
+			readQ:   *mem.NewQueue(queueCap),
+			writeQ:  *mem.NewQueue(queueCap),
+			nextRef: cfg.Tim.TREFI,
+			banks:   banks[i*perChan : (i+1)*perChan : (i+1)*perChan],
+		}
 	}
 	return s, nil
 }
@@ -181,23 +164,34 @@ func (s *System) Pending() int { return s.inflight }
 // Drained reports whether nothing is queued or in flight.
 func (s *System) Drained() bool { return s.inflight == 0 }
 
+// queueFor returns the queue an op of r joins on channel c.
+func queueFor(c *channel, r *mem.Request) *mem.Queue {
+	if r.Op == mem.Write {
+		return &c.writeQ
+	}
+	return &c.readQ
+}
+
 // Enqueue accepts a request (cpu.MemorySystem).
 func (s *System) Enqueue(r *mem.Request, now sim.Tick) bool {
 	r.Loc = s.mapper.Decode(r.Addr)
 	r.Arrive = now
-	q := s.readQ[r.Loc.Channel]
-	if r.Op == mem.Write {
-		q = s.writeQ[r.Loc.Channel]
-	}
-	if !q.Push(r) {
+	if !queueFor(&s.chans[r.Loc.Channel], r).Push(r) {
 		return false
 	}
 	s.inflight++
 	return true
 }
 
-func (s *System) bankOf(r *mem.Request) *bankState {
-	return s.banks[r.Loc.Channel][r.Loc.Rank][r.Loc.Bank]
+// WouldAccept reports whether Enqueue(r) would succeed right now,
+// without mutating anything (cpu.MemorySystem).
+func (s *System) WouldAccept(r *mem.Request) bool {
+	loc := s.mapper.Decode(r.Addr)
+	return !queueFor(&s.chans[loc.Channel], r).Full()
+}
+
+func (s *System) bankOf(c *channel, loc addr.Location) *bankState {
+	return &c.banks[loc.Rank*s.cfg.Geom.Banks+loc.Bank]
 }
 
 // Cycle performs one controller cycle of scheduling and returns the
@@ -205,32 +199,23 @@ func (s *System) bankOf(r *mem.Request) *bankState {
 // activations and refreshes).
 func (s *System) Cycle(now sim.Tick) int {
 	issued := 0
-	for ch := range s.readQ {
-		if s.refresh(ch, now) {
+	for i := range s.chans {
+		c := &s.chans[i]
+		if s.refresh(c, now) {
 			issued++
 		}
-		s.updateDrain(ch)
-		if s.drain[ch] || s.writeQ[ch].Full() {
-			if s.tryWrite(ch, now) || s.tryRead(ch, now) {
-				issued++
-			}
-			continue
+		// Drain hysteresis: start at the high watermark, stop at the low.
+		n := c.writeQ.Len()
+		c.drain = n >= writeHighWM || c.drain && n > writeLowWM
+		first, second := &c.readQ, &c.writeQ
+		if c.drain || c.writeQ.Full() {
+			first, second = second, first
 		}
-		if s.tryRead(ch, now) || s.tryWrite(ch, now) {
+		if s.issue(c, first, now) || s.issue(c, second, now) {
 			issued++
 		}
 	}
 	return issued
-}
-
-// WouldAccept reports whether Enqueue(r) would succeed right now,
-// without mutating anything (cpu.MemorySystem).
-func (s *System) WouldAccept(r *mem.Request) bool {
-	loc := s.mapper.Decode(r.Addr)
-	if r.Op == mem.Write {
-		return !s.writeQ[loc.Channel].Full()
-	}
-	return !s.readQ[loc.Channel].Full()
 }
 
 // NextWork returns the earliest tick strictly after now at which this
@@ -247,27 +232,28 @@ func (s *System) NextWork(now sim.Tick) sim.Tick {
 			next = t
 		}
 	}
-	for ch := range s.readQ {
-		if s.cfg.Tim.TREFI > 0 {
-			consider(s.nextRef[ch])
+	tim := &s.cfg.Tim
+	for i := range s.chans {
+		c := &s.chans[i]
+		if tim.TREFI > 0 {
+			consider(c.nextRef)
 		}
-		if s.readQ[ch].Empty() && s.writeQ[ch].Empty() {
+		if c.readQ.Empty() && c.writeQ.Empty() {
 			continue
 		}
-		for _, rank := range s.banks[ch] {
-			for _, b := range rank {
-				consider(b.readyAt)
-				consider(b.busyUntil)
-				consider(b.rasUntil)
-				consider(b.writeUntil)
-				consider(b.colReady)
-			}
+		for j := range c.banks {
+			b := &c.banks[j]
+			consider(b.readyAt)
+			consider(b.busyUntil)
+			consider(b.rasUntil)
+			consider(b.writeUntil)
+			consider(b.colReady)
 		}
-		if s.busUse[ch] > now+s.cfg.Tim.TCAS {
-			consider(s.busUse[ch] - s.cfg.Tim.TCAS)
+		if c.busUse > now+tim.TCAS {
+			consider(c.busUse - tim.TCAS)
 		}
-		if s.busUse[ch] > now+s.cfg.Tim.TCWD {
-			consider(s.busUse[ch] - s.cfg.Tim.TCWD)
+		if c.busUse > now+tim.TCWD {
+			consider(c.busUse - tim.TCWD)
 		}
 	}
 	return next
@@ -285,68 +271,65 @@ func (s *System) SkipRejects(*mem.Request, sim.Tick, uint64) {}
 // bank of the channel is precharged and blocked for tRFC. This is the
 // overhead NVM does not pay (Section 2: "Refresh must also occur
 // periodically, while NVM ... has no need for refresh").
-func (s *System) refresh(ch int, now sim.Tick) bool {
-	if s.cfg.Tim.TREFI == 0 || now < s.nextRef[ch] {
+func (s *System) refresh(c *channel, now sim.Tick) bool {
+	if s.cfg.Tim.TREFI == 0 || now < c.nextRef {
 		return false
 	}
 	until := now + s.cfg.Tim.TRFC
-	for _, rank := range s.banks[ch] {
-		for _, b := range rank {
-			// Refresh waits for in-flight column work implicitly: we
-			// conservatively push the block past any current busy time.
-			if b.busyUntil > until {
-				continue
-			}
-			b.openRow = -1
-			b.busyUntil = until
-			b.colReady = until
+	for i := range c.banks {
+		b := &c.banks[i]
+		// Refresh waits for in-flight column work implicitly: we
+		// conservatively push the block past any current busy time.
+		if b.busyUntil > until {
+			continue
 		}
+		b.openRow = -1
+		b.busyUntil = until
+		b.colReady = until
 	}
-	s.nextRef[ch] = now + s.cfg.Tim.TREFI
+	c.nextRef = now + s.cfg.Tim.TREFI
 	s.st.Refreshes.Inc()
 	return true
 }
 
-func (s *System) updateDrain(ch int) {
-	wq := s.writeQ[ch]
-	if s.drain[ch] {
-		if wq.Len() <= s.cfg.WriteLowWM {
-			s.drain[ch] = false
+// issue makes one FR-FCFS pass over q, c's read or write queue, and
+// issues at most one command. First ready: the oldest request whose row
+// is open and ready gets its column command. Bus admission depends only
+// on now, not the candidate, so it is resolved once: with the bus busy
+// past the tCAS (read) or tCWD (write) lead no column command can issue
+// and that search is skipped. Otherwise the oldest request whose bank
+// accepts it gets a precharge or activation (openFor). DRAM writes go
+// through the open row buffer like reads.
+func (s *System) issue(c *channel, q *mem.Queue, now sim.Tick) bool {
+	tim := &s.cfg.Tim
+	write := q == &c.writeQ
+	lead := tim.TCAS
+	if write {
+		lead = tim.TCWD
+	}
+	if c.busUse <= now+lead {
+		for i := 0; i < q.Len(); i++ {
+			r := q.At(i)
+			b := s.bankOf(c, r.Loc)
+			if b.openRow != r.Loc.Row || now < b.readyAt || now < b.colReady || now < b.busyUntil {
+				continue
+			}
+			b.colReady = now + tim.TCCD
+			c.busUse = now + lead + tim.TBURST
+			done := c.busUse
+			if write {
+				done += tim.TWR
+				b.writeUntil = max(b.writeUntil, done)
+			} else if !r.Opened {
+				s.st.RowHits.Inc()
+			}
+			q.Remove(i)
+			s.eng.ScheduleArg(done, s.finishFn, r)
+			return true
 		}
-		return
 	}
-	if wq.Len() >= s.cfg.WriteHighWM {
-		s.drain[ch] = true
-	}
-}
-
-// tryRead issues one command for the read queue (FR-FCFS).
-func (s *System) tryRead(ch int, now sim.Tick) bool {
-	q := s.readQ[ch]
-	// First ready: open-row hits with a free bus.
 	for i := 0; i < q.Len(); i++ {
-		r := q.At(i)
-		b := s.bankOf(r)
-		if b.openRow != r.Loc.Row || now < b.readyAt || now < b.colReady || now < b.busyUntil {
-			continue
-		}
-		if s.busUse[ch] > now+s.cfg.Tim.TCAS {
-			continue
-		}
-		b.colReady = now + s.cfg.Tim.TCCD
-		done := now + s.cfg.Tim.TCAS + s.cfg.Tim.TBURST
-		s.busUse[ch] = done
-		if !r.Opened {
-			s.st.RowHits.Inc()
-		}
-		q.Remove(i)
-		s.finishRead(r, done)
-		return true
-	}
-	// Then: activate (or precharge+activate) for the oldest miss.
-	for i := 0; i < q.Len(); i++ {
-		r := q.At(i)
-		if s.openFor(r, now) {
+		if s.openFor(c, q.At(i), now) {
 			return true
 		}
 	}
@@ -356,8 +339,8 @@ func (s *System) tryRead(ch int, now sim.Tick) bool {
 // openFor moves r's bank toward having r's row open: precharge if a
 // different row is open, else activate. Returns whether a command
 // issued.
-func (s *System) openFor(r *mem.Request, now sim.Tick) bool {
-	b := s.bankOf(r)
+func (s *System) openFor(c *channel, r *mem.Request, now sim.Tick) bool {
+	b := s.bankOf(c, r.Loc)
 	if now < b.busyUntil {
 		return false
 	}
@@ -385,59 +368,16 @@ func (s *System) openFor(r *mem.Request, now sim.Tick) bool {
 	return true
 }
 
-func (s *System) finishRead(r *mem.Request, done sim.Tick) {
-	s.eng.ScheduleArg(done, s.finishReadFn, r)
-}
-
-// finishReadEv is the scheduled read-completion callback (see
-// finishReadFn).
-func (s *System) finishReadEv(t sim.Tick, arg any) {
+// finish is the scheduled completion callback (see finishFn).
+func (s *System) finish(t sim.Tick, arg any) {
 	r := arg.(*mem.Request)
 	r.Finish(t)
-	s.st.Reads.Inc()
-	s.st.ReadLatency.Observe(float64(r.Latency()))
-	s.inflight--
-}
-
-// finishWriteEv is the scheduled write-completion callback (see
-// finishWriteFn).
-func (s *System) finishWriteEv(t sim.Tick, arg any) {
-	w := arg.(*mem.Request)
-	w.Finish(t)
-	s.st.Writes.Inc()
-	s.st.WriteLatency.Observe(float64(w.Latency()))
-	s.inflight--
-}
-
-// tryWrite issues one command for the write queue. DRAM writes go
-// through the open row buffer like reads.
-func (s *System) tryWrite(ch int, now sim.Tick) bool {
-	q := s.writeQ[ch]
-	for i := 0; i < q.Len(); i++ {
-		w := q.At(i)
-		b := s.bankOf(w)
-		if b.openRow != w.Loc.Row || now < b.readyAt || now < b.colReady || now < b.busyUntil {
-			continue
-		}
-		if s.busUse[ch] > now+s.cfg.Tim.TCWD {
-			continue
-		}
-		b.colReady = now + s.cfg.Tim.TCCD
-		dataEnd := now + s.cfg.Tim.TCWD + s.cfg.Tim.TBURST
-		s.busUse[ch] = dataEnd
-		done := dataEnd + s.cfg.Tim.TWR
-		if done > b.writeUntil {
-			b.writeUntil = done
-		}
-		q.Remove(i)
-		s.eng.ScheduleArg(done, s.finishWriteFn, w)
-		return true
+	if r.Op == mem.Write {
+		s.st.Writes.Inc()
+		s.st.WriteLatency.Observe(float64(r.Latency()))
+	} else {
+		s.st.Reads.Inc()
+		s.st.ReadLatency.Observe(float64(r.Latency()))
 	}
-	for i := 0; i < q.Len(); i++ {
-		w := q.At(i)
-		if s.openFor(w, now) {
-			return true
-		}
-	}
-	return false
+	s.inflight--
 }

@@ -238,21 +238,23 @@ func TestDrainAndDeterminism(t *testing.T) {
 	}
 }
 
+// TestBackpressure fills Table 2's 32-entry read queue: the next read
+// is refused, while the write queue still has room.
 func TestBackpressure(t *testing.T) {
-	eng := sim.NewEngine()
-	s, err := New(Config{Geom: geom(), Tim: Defaults(), ReadQueueCap: 2}, eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
+	s, _ := newSys(t, Defaults())
+	for i := 0; i < queueCap; i++ {
 		if !s.Enqueue(&mem.Request{ID: uint64(i), Op: mem.Read, Addr: pa(t, i, 0, 0)}, 0) {
 			t.Fatal("push failed")
 		}
 	}
-	if s.Enqueue(&mem.Request{ID: 9, Op: mem.Read, Addr: pa(t, 9, 0, 0)}, 0) {
+	full := &mem.Request{ID: 99, Op: mem.Read, Addr: pa(t, 99, 0, 0)}
+	if s.WouldAccept(full) || s.Enqueue(full, 0) {
 		t.Fatal("full queue accepted")
 	}
-	if s.Pending() != 2 {
+	if s.Pending() != queueCap {
 		t.Fatalf("Pending = %d", s.Pending())
+	}
+	if !s.WouldAccept(&mem.Request{ID: 100, Op: mem.Write, Addr: pa(t, 99, 0, 0)}) {
+		t.Fatal("write refused while only the read queue is full")
 	}
 }

@@ -13,9 +13,10 @@ import (
 )
 
 // HookPurity inspects telemetry.Sink implementations (their
-// Command/Request/Stall methods), methods whose signature matches
-// sim.Hook, and function literals passed to (*sim.Engine).SetHook, and
-// flags:
+// Command/Request methods, and the Stall method of a Sink that also
+// consumes stalls, as telemetry.Attribution does), methods whose
+// signature matches sim.Hook, and function literals passed to
+// (*sim.Engine).SetHook, and flags:
 //
 //   - assignments or ++/-- through package-level variables, or through
 //     any base object other than the method receiver and its locals;
@@ -38,7 +39,8 @@ var HookPurity = &Analyzer{
 var mutatingMethods = map[string][]string{
 	"internal/sim":        {"ScheduleArg", "Step", "Run", "RunUntil", "Advance", "SetHook"},
 	"internal/core":       {"Activate", "Read", "Write"},
-	"internal/controller": {"Enqueue", "Cycle", "SkipCycles"},
+	"internal/controller": {"Enqueue", "Cycle", "SkipCycles", "SkipRejects"},
+	"internal/dram":       {"Enqueue", "Cycle"},
 	// Pool.Get/Put and Request.Reset recycle request identity: a hook
 	// that touches the free list can alias a live request with a future
 	// one, which is as stateful as mutation gets.

@@ -15,12 +15,12 @@ import (
 )
 
 // StatsDiscipline flags calls to the mutating methods of the
-// internal/stats primitives (Counter.Inc/Add, Scalar.Add,
-// Distribution.Observe, Histogram.Observe) when the counter reached is
-// a field of a struct type declared in a different package than the
-// one making the call. Locally declared bare counters (a stats.Counter
-// variable or a field of one of the package's own types) stay writable
-// — the primitives are general-purpose.
+// internal/stats primitives (Counter.Inc/Add, Distribution.Observe,
+// Histogram.Observe) when the counter reached is a field of a struct
+// type declared in a different package than the one making the call.
+// Locally declared bare counters (a stats.Counter variable or a field
+// of one of the package's own types) stay writable — the primitives
+// are general-purpose.
 var StatsDiscipline = &Analyzer{
 	Name: "statsdiscipline",
 	Doc:  "statistics counters are written only by their owning package",
@@ -30,7 +30,6 @@ var StatsDiscipline = &Analyzer{
 // statsMutators maps each internal/stats type to its mutating methods.
 var statsMutators = map[string]map[string]bool{
 	"Counter":      {"Inc": true, "Add": true},
-	"Scalar":       {"Add": true},
 	"Distribution": {"Observe": true},
 	"Histogram":    {"Observe": true},
 }

@@ -3,6 +3,8 @@
 package hookpurity
 
 import (
+	"repro/internal/controller"
+	"repro/internal/dram"
 	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -71,6 +73,24 @@ func (s *RecyclingSink) Request(telemetry.RequestEvent) {
 	s.spare.Reset()     // want "state-mutating"
 }
 func (s *RecyclingSink) Stall(telemetry.StallCause, uint64) {}
+
+// DrivingSink feeds the memory systems from telemetry context: an NVM
+// controller's skipped retries, and DRAM admission and scheduling.
+// Flagged.
+type DrivingSink struct {
+	ctrl *controller.Controller
+	dram *dram.System
+	req  *mem.Request
+}
+
+func (s *DrivingSink) Command(ev telemetry.Command) {
+	s.ctrl.SkipRejects(s.req, ev.Start, 1) // want "state-mutating"
+	s.dram.Enqueue(s.req, ev.Start)        // want "state-mutating"
+}
+func (s *DrivingSink) Request(telemetry.RequestEvent) {
+	s.dram.Cycle(0) // want "state-mutating"
+}
+func (s *DrivingSink) Stall(telemetry.StallCause, uint64) {}
 
 func installHooks(eng *sim.Engine) {
 	// Observation-only literal: allowed.

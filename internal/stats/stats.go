@@ -21,17 +21,6 @@ func (c *Counter) Inc() { c.n++ }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.n }
 
-// Scalar accumulates a running sum of a float quantity (e.g. energy).
-type Scalar struct {
-	v float64
-}
-
-// Add accumulates delta into the scalar.
-func (s *Scalar) Add(delta float64) { s.v += delta }
-
-// Value returns the accumulated total.
-func (s *Scalar) Value() float64 { return s.v }
-
 // Distribution tracks min/max/mean of a stream of samples without
 // retaining them.
 type Distribution struct {

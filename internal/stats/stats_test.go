@@ -19,15 +19,6 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-func TestScalar(t *testing.T) {
-	var s Scalar
-	s.Add(1.5)
-	s.Add(2.5)
-	if s.Value() != 4 {
-		t.Fatalf("Value = %v, want 4", s.Value())
-	}
-}
-
 func TestDistributionEmpty(t *testing.T) {
 	var d Distribution
 	if d.Count() != 0 || d.Mean() != 0 || d.Min() != 0 || d.Max() != 0 || d.Sum() != 0 {

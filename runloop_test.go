@@ -47,11 +47,12 @@ func TestParallelEngineDifferential(t *testing.T) {
 
 // TestParallelEngineMultiChannel drives the fast-forward differential
 // on 2- and 4-channel geometries, one core per channel: the
-// fast-forward probe must stay exact when several channel shards hold
-// work at once. The single-channel suites never reach that state.
+// fast-forward probe must stay exact when several channel shards (or
+// DRAM channels) hold work at once. The single-channel suites never
+// reach that state.
 func TestParallelEngineMultiChannel(t *testing.T) {
 	for _, channels := range []int{2, 4} {
-		for _, d := range []Design{DesignBaseline, DesignFgNVM, DesignFgNVMMultiIssue} {
+		for _, d := range []Design{DesignBaseline, DesignFgNVM, DesignFgNVMMultiIssue, DesignDRAM} {
 			for _, bench := range []string{"lbm", "mcf", "milc"} {
 				t.Run(bench, func(t *testing.T) {
 					t.Parallel()
