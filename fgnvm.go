@@ -1030,7 +1030,9 @@ func RunContext(ctx context.Context, o Options) (Result, error) {
 // and cycling requests, a device must support the fast-forward
 // protocol: report how much it issued (Cycle's return), bound when it
 // could next act (NextWork), and batch-credit skipped quiescent cycles
-// (SkipCycles/SkipRejects).
+// (SkipCycles/SkipRejects). The NVM controller implements it in full;
+// the DRAM reference system's NextWork always answers the next cycle,
+// so it never jumps and its Skip methods are no-ops.
 type memDevice interface {
 	cpu.MemorySystem
 	Cycle(now sim.Tick) int
@@ -1066,7 +1068,9 @@ type coreSlot struct {
 // stall-attribution events, rejected-retry telemetry), which keeps
 // fast-forwarded runs byte-identical to cycle-by-cycle runs — the
 // property the differential tests pin. The paper's long PCM write
-// windows (Section 4.3) are precisely where this pays off. The loop
+// windows (Section 4.3) are precisely where this pays off; a DRAM run,
+// whose commands come too densely to pay for a probe, never jumps
+// (see dram.System.NextWork) and is stepped cycle by cycle. The loop
 // probes whenever a jump is possible; a probe only decides whether to
 // jump. Each channel reads its bank timers from one release calendar
 // (core.Calendar), whose first tick is at or below the true next

@@ -124,12 +124,16 @@ func (s *shard) removed(r *mem.Request) {
 	panic("controller: removed request is not on its bank's stall list")
 }
 
-// markBusy marks bank bi's stall memo stale. Every command calls it: a
-// command is the only thing that sets a bank timer or a latch.
+// markBusy marks bank bi's stall memo, and under fgnvm_invariants its
+// cached NextRelease, stale. Every command calls it: a command is the
+// only thing that sets a bank timer or a latch.
 func (s *shard) markBusy(bi int) {
 	if m := s.stalls; m != nil {
 		m.banks[bi].until = 0
 		m.until = 0
+	}
+	if invariant.Enabled {
+		s.releases[bi] = 0
 	}
 }
 

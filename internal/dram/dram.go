@@ -10,7 +10,9 @@
 // The model is a classic open-page bank state machine with an FR-FCFS
 // scheduler, all-bank refresh, and a shared data bus — deliberately the
 // same controller structure as the NVM side so comparisons isolate the
-// device differences.
+// device differences. Unlike the NVM controller it offers the run loop
+// no fast-forward: its commands come too densely for a jump to pay, so
+// NextWork always answers the next cycle.
 package dram
 
 import (
@@ -218,53 +220,20 @@ func (s *System) Cycle(now sim.Tick) int {
 	return issued
 }
 
-// NextWork returns the earliest tick strictly after now at which this
-// system could issue a command, absent event-queue activity and new
-// arrivals: the minimum flip tick of every predicate Cycle consults —
-// bank timers of queued requests, bus releases offset by the tCAS/tCWD
-// lookahead, and, unconditionally, the next refresh deadline (refresh
-// fires on schedule even with empty queues, so a fast-forward may
-// never jump across it).
+// NextWork returns now+1, so a DRAM run never jumps and the run loop
+// steps it cycle by cycle. Its commands are dense: an access takes a
+// separate precharge, activation and column command, and a probe of
+// the bank timers, bus and refresh deadline found jumps of 1.9 cycles
+// on average, which cost as much wall time as they skipped.
 func (s *System) NextWork(now sim.Tick) sim.Tick {
-	next := sim.MaxTick
-	consider := func(t sim.Tick) {
-		if t > now && t < next {
-			next = t
-		}
-	}
-	tim := &s.cfg.Tim
-	for i := range s.chans {
-		c := &s.chans[i]
-		if tim.TREFI > 0 {
-			consider(c.nextRef)
-		}
-		if c.readQ.Empty() && c.writeQ.Empty() {
-			continue
-		}
-		for j := range c.banks {
-			b := &c.banks[j]
-			consider(b.readyAt)
-			consider(b.busyUntil)
-			consider(b.rasUntil)
-			consider(b.writeUntil)
-			consider(b.colReady)
-		}
-		if c.busUse > now+tim.TCAS {
-			consider(c.busUse - tim.TCAS)
-		}
-		if c.busUse > now+tim.TCWD {
-			consider(c.busUse - tim.TCWD)
-		}
-	}
-	return next
+	return now + 1
 }
 
-// SkipCycles credits skipped quiescent cycles. The DRAM model keeps no
-// per-cycle counters and no telemetry, so there is nothing to credit.
+// SkipCycles would credit skipped cycles, but DRAM never jumps (see
+// NextWork): the run loop's memDevice interface requires the method.
 func (s *System) SkipCycles(sim.Tick, uint64) {}
 
-// SkipRejects credits skipped futile enqueue retries; rejections are
-// unobservable here, so it is a no-op.
+// SkipRejects is a no-op for the same reason as SkipCycles.
 func (s *System) SkipRejects(*mem.Request, sim.Tick, uint64) {}
 
 // refresh issues an all-bank refresh per rank when tREFI elapses: every

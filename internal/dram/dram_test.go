@@ -152,6 +152,27 @@ func TestRefreshBlocksAndRecurs(t *testing.T) {
 	}
 }
 
+// TestIdleRefreshOnSchedule: refresh fires with empty queues, so an
+// idle system stepped cycle by cycle issues nothing before tREFI and
+// refreshes at exactly tREFI and 2·tREFI.
+func TestIdleRefreshOnSchedule(t *testing.T) {
+	tim := Defaults()
+	s, eng := newSys(t, tim)
+	var at []sim.Tick
+	for now := sim.Tick(0); now <= 2*tim.TREFI; now++ {
+		eng.RunUntil(now)
+		if s.Cycle(now) != 0 {
+			at = append(at, now)
+		}
+	}
+	if len(at) != 2 || at[0] != tim.TREFI || at[1] != 2*tim.TREFI {
+		t.Fatalf("idle system issued at ticks %v, want refreshes at %d and %d", at, tim.TREFI, 2*tim.TREFI)
+	}
+	if n := s.Stats().Refreshes.Value(); n != 2 {
+		t.Fatalf("Refreshes = %d, want 2", n)
+	}
+}
+
 func TestRefreshOverheadVisible(t *testing.T) {
 	// Same workload with and without refresh: refresh must cost cycles.
 	load := func(tim Timings) sim.Tick {
