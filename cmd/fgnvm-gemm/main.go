@@ -6,8 +6,6 @@
 //	fgnvm-gemm -preset gpt2s-attn-qkv -heatmap
 //	fgnvm-gemm -shape 128x768x768 -accumulate -tiling rowmajor
 //	fgnvm-gemm -preset gpt2s-ffn-down -tilings   # compare tiling strategies
-//	fgnvm-gemm -o BENCH_pr6.json          # write the perf-gate reference
-//	fgnvm-gemm -check BENCH_pr6.json      # verify against the reference
 //
 // The default report runs the workload on baseline, SALP, many-banks
 // and FgNVM designs and prints per-design IPC, speedup over baseline,
@@ -49,17 +47,12 @@ func run() error {
 		csv        = flag.Bool("csv", false, "CSV output")
 		heatmap    = flag.Bool("heatmap", false, "print the SAG×CD busy-cycle heatmap per design")
 		list       = flag.Bool("list", false, "list presets and tiling strategies")
-		out        = flag.String("out", "", "write the perf-gate reference JSON to this file")
-		check      = flag.String("check", "", "verify current results against a reference JSON")
 	)
 	flag.Parse()
 
 	if *list {
 		printList()
 		return nil
-	}
-	if *out != "" || *check != "" {
-		return gateMain(*out, *check, *n, *seed, *sags, *cds)
 	}
 
 	w, err := workloadFromFlags(*preset, *shape, *word, *accumulate, *tiling)

@@ -42,6 +42,7 @@ import (
 	"syscall"
 
 	fgnvm "repro"
+	"repro/internal/server"
 )
 
 func main() {
@@ -57,16 +58,16 @@ func run() error {
 		names = append(names, a.Name)
 	}
 	var (
-		axisName = flag.String("axis", "cds", "sweep axis: "+strings.Join(names, ", "))
-		values   = flag.String("values", "", "comma-separated values (default: axis-specific)")
-		bench    = flag.String("bench", "mcf", "benchmark profile")
-		preset   = flag.String("preset", "", "GEMM workload preset instead of -bench (required by -axis tiling; implies -skip-llc)")
-		skipLLC  = flag.Bool("skip-llc", false, "bypass the LLC (post-cache workload streams)")
-		design   = flag.String("design", "fgnvm", "design under sweep")
-		instr    = flag.Uint64("n", 100_000, "instructions per run")
-		seed     = flag.Uint64("seed", 1, "workload seed")
-		parallel = flag.Int("parallel", 0, "concurrent sweep points (0 = GOMAXPROCS)")
-		server   = flag.String("server", "", "delegate to a running fgnvm-serve at this base URL (streams progress to stderr)")
+		axisName  = flag.String("axis", "cds", "sweep axis: "+strings.Join(names, ", "))
+		values    = flag.String("values", "", "comma-separated values (default: axis-specific)")
+		bench     = flag.String("bench", "mcf", "benchmark profile")
+		preset    = flag.String("preset", "", "GEMM workload preset instead of -bench (required by -axis tiling; implies -skip-llc)")
+		skipLLC   = flag.Bool("skip-llc", false, "bypass the LLC (post-cache workload streams)")
+		design    = flag.String("design", "fgnvm", "design under sweep")
+		instr     = flag.Uint64("n", 100_000, "instructions per run")
+		seed      = flag.Uint64("seed", 1, "workload seed")
+		parallel  = flag.Int("parallel", 0, "concurrent sweep points (0 = GOMAXPROCS)")
+		serverURL = flag.String("server", "", "delegate to a running fgnvm-serve at this base URL (streams progress to stderr)")
 	)
 	flag.Parse()
 
@@ -103,8 +104,8 @@ func run() error {
 		workload = *preset
 	}
 	var res fgnvm.SweepResult
-	if *server != "" {
-		res, err = serverSweep(ctx, *server, p)
+	if *serverURL != "" {
+		res, err = serverSweep(ctx, *serverURL, p)
 	} else {
 		res, err = fgnvm.SweepContext(ctx, p)
 	}
@@ -135,31 +136,22 @@ type streamEvent struct {
 	Result json.RawMessage `json:"result"`
 }
 
+// sweepBody is the server's SweepRequest wire form of p; zero fields
+// are omitted and re-defaulted server-side identically. Parallel stays
+// local: the server sizes its own pool.
+func sweepBody(p fgnvm.SweepParams) ([]byte, error) {
+	return json.Marshal(server.SweepRequest{
+		Axis: p.Axis, Values: p.Values, Design: p.Design.String(),
+		Benchmark: p.Benchmark, Workload: p.Workload,
+		Instructions: p.Instructions, Seed: p.Seed, SkipLLC: p.SkipLLC,
+	})
+}
+
 // serverSweep delegates the sweep to a running fgnvm-serve, consuming
 // its progress stream: per-point status to stderr, the terminal merged
 // result returned for the usual CSV rendering.
 func serverSweep(ctx context.Context, base string, p fgnvm.SweepParams) (fgnvm.SweepResult, error) {
-	// Wire form of the server's SweepRequest; zero fields are omitted
-	// and re-defaulted server-side identically.
-	req := map[string]any{
-		"axis":         p.Axis,
-		"design":       p.Design.String(),
-		"instructions": p.Instructions,
-		"seed":         p.Seed,
-	}
-	if len(p.Values) > 0 {
-		req["values"] = p.Values
-	}
-	if p.Benchmark != "" {
-		req["benchmark"] = p.Benchmark
-	}
-	if p.Workload != nil {
-		req["workload"] = map[string]any{"preset": p.Workload.Preset}
-	}
-	if p.SkipLLC {
-		req["skip_llc"] = true
-	}
-	body, err := json.Marshal(req)
+	body, err := sweepBody(p)
 	if err != nil {
 		return fgnvm.SweepResult{}, err
 	}

@@ -116,3 +116,69 @@ func TestGEMMBaselineSuffersMost(t *testing.T) {
 		t.Errorf("fgnvm IPC = %.4f, want > baseline's %.4f", fg.IPC, base.IPC)
 	}
 }
+
+// TestGoldenGEMM pins the GEMM case study in BENCH_pr6.json: one
+// attention and one FFN preset (a streaming-output and an
+// accumulate-in-place projection) across the four-design matrix at
+// row-major and SAG-aligned tiling, recorded as exact cycle counts,
+// IPC and stall buckets. Before comparing, it checks the placement
+// claims themselves, so -update cannot write a state that breaks them:
+// on FgNVM, SAG-aligned tiling has strictly fewer sag-conflict stalls
+// than row-major, and FgNVM/sag beats baseline/sag on IPC.
+func TestGoldenGEMM(t *testing.T) {
+	type gemmCase struct {
+		Preset string `json:"preset"`
+		Design string `json:"design"`
+		Tiling string `json:"tiling"`
+
+		Cycles         uint64  `json:"cycles"`
+		IPC            float64 `json:"ipc"`
+		SAGConflict    uint64  `json:"sag_conflict"`
+		CDConflict     uint64  `json:"cd_conflict"`
+		BusConflict    uint64  `json:"bus_conflict"`
+		WriteDrain     uint64  `json:"write_drain"`
+		ControllerIdle uint64  `json:"controller_idle"`
+	}
+	type gemmReport struct {
+		Instructions uint64     `json:"instructions"`
+		Seed         uint64     `json:"seed"`
+		SAGs         int        `json:"sags"`
+		CDs          int        `json:"cds"`
+		Cases        []gemmCase `json:"cases"`
+	}
+	presets := []string{"gpt2s-attn-qkv", "gpt2s-ffn-down"}
+	designs := []Design{DesignBaseline, DesignSALP, DesignManyBanks, DesignFgNVM}
+	// GEMM streams are unseeded; Seed keeps the file's header as it was
+	// first recorded.
+	rep := gemmReport{Instructions: 100_000, Seed: 1, SAGs: 8, CDs: 2}
+	byKey := map[string]gemmCase{}
+	for _, preset := range presets {
+		for _, tl := range []string{"rowmajor", "sag"} {
+			for _, d := range designs {
+				r, _, _ := runGEMM(t, WorkloadSpec{Preset: preset, Tiling: tl}, d, rep.Instructions)
+				s := r.Stalls
+				c := gemmCase{
+					Preset: preset, Design: d.String(), Tiling: tl,
+					Cycles: uint64(r.Cycles), IPC: r.IPC,
+					SAGConflict: s.SAGConflict, CDConflict: s.CDConflict,
+					BusConflict: s.BusConflict, WriteDrain: s.WriteDrain,
+					ControllerIdle: s.ControllerIdle,
+				}
+				rep.Cases = append(rep.Cases, c)
+				byKey[preset+"/"+c.Design+"/"+tl] = c
+			}
+		}
+	}
+	for _, preset := range presets {
+		sag, naive := byKey[preset+"/fgnvm/sag"], byKey[preset+"/fgnvm/rowmajor"]
+		base := byKey[preset+"/baseline/sag"]
+		if sag.SAGConflict >= naive.SAGConflict {
+			t.Fatalf("%s: SAG-aligned tiling did not reduce sag-conflict stalls on fgnvm: sag %d >= rowmajor %d",
+				preset, sag.SAGConflict, naive.SAGConflict)
+		}
+		if sag.IPC <= base.IPC {
+			t.Fatalf("%s: fgnvm/sag IPC %.4f, want > baseline/sag's %.4f", preset, sag.IPC, base.IPC)
+		}
+	}
+	checkGolden(t, "BENCH_pr6.json", rep)
+}

@@ -8,7 +8,7 @@
 // picojoule shows up as a golden diff, reviewed like any other code
 // change. Regenerate after an intentional model change with:
 //
-//	go test -run TestGolden -update
+//	go test -run Golden -update
 //
 // and commit the updated files alongside the change that explains them.
 
@@ -30,16 +30,15 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden files wit
 // full-length figures.
 const goldenInstr = 20_000
 
-// checkGolden marshals got and compares it to testdata/golden/<name>,
+// checkGolden marshals got and compares it to the file at path,
 // rewriting the file under -update.
-func checkGolden(t *testing.T, name string, got any) {
+func checkGolden(t *testing.T, path string, got any) {
 	t.Helper()
 	j, err := json.MarshalIndent(got, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
 	j = append(j, '\n')
-	path := filepath.Join("testdata", "golden", name)
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
@@ -51,10 +50,10 @@ func checkGolden(t *testing.T, name string, got any) {
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("%v (run `go test -run TestGolden -update` to create)", err)
+		t.Fatalf("%v (run `go test -run '^%s$' -update` to create)", err, t.Name())
 	}
 	if !bytes.Equal(j, want) {
-		t.Errorf("%s drifted from golden file.\nIf the model change is intentional, regenerate with -update and commit.\ngot:\n%s\nwant:\n%s", name, j, want)
+		t.Errorf("%s drifted from golden file.\nIf the model change is intentional, regenerate with -update and commit.\ngot:\n%s\nwant:\n%s", path, j, want)
 	}
 }
 
@@ -65,7 +64,7 @@ func TestGoldenFigure4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "figure4.json", fig)
+	checkGolden(t, "testdata/golden/figure4.json", fig)
 }
 
 // TestGoldenFigure5 pins the relative-energy sweep of Figure 5
@@ -75,7 +74,7 @@ func TestGoldenFigure5(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "figure5.json", fig)
+	checkGolden(t, "testdata/golden/figure5.json", fig)
 }
 
 // TestStallBreakdownGolden pins the stall-attribution buckets and the
@@ -122,5 +121,5 @@ func TestStallBreakdownGolden(t *testing.T) {
 		run(b+"/FgNVM/FCFS", Options{Design: DesignFgNVM, Benchmark: b, Scheduler: SchedFCFS})
 		run(b+"/SALP/2ch-2core", Options{Design: DesignSALP, Benchmark: b, Cores: 2, Geometry: multiChannelGeom(2)})
 	}
-	checkGolden(t, "stalls.json", got)
+	checkGolden(t, "testdata/golden/stalls.json", got)
 }

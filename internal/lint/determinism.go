@@ -35,15 +35,19 @@ var Determinism = &Analyzer{
 	Run:   runDeterminism,
 }
 
-// determinismPackages are the internal packages whose behaviour feeds
-// simulation scheduling or output. cmd/ is covered as well: every CLI
-// prints results whose byte-identity the tests rely on. The serving
-// stack (server, store, shard) is in scope too: sharded sweep merging
-// and the content-addressed store both promise byte-identical results,
-// so wall-clock reads there must be explicit, audited waivers.
+// determinismPackages are the packages whose behaviour feeds
+// simulation scheduling or Result bytes, the root package repro
+// included. cmd/ is covered as well: every CLI prints results whose
+// byte-identity the tests rely on. The serving stack (server, store,
+// shard) is in scope too: sharded sweep merging and the
+// content-addressed store both promise byte-identical results, so
+// wall-clock reads there must be explicit, audited waivers.
 var determinismPackages = []string{
+	"repro",
 	"internal/sim", "internal/bank", "internal/controller",
 	"internal/core", "internal/gemm", "internal/mem",
+	"internal/cpu", "internal/dram", "internal/energy",
+	"internal/addr", "internal/stats", "internal/timing",
 	"internal/telemetry", "internal/trace",
 	"internal/server", "internal/store", "internal/shard",
 }

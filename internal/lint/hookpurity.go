@@ -41,6 +41,10 @@ var mutatingMethods = map[string][]string{
 	"internal/core":       {"Activate", "Read", "Write"},
 	"internal/controller": {"Enqueue", "Cycle", "SkipCycles", "SkipRejects"},
 	"internal/dram":       {"Enqueue", "Cycle"},
+	// Charging energy or stepping a core (or touching its LLC) changes
+	// the Result a hook is only meant to observe.
+	"internal/energy": {"Sense", "Write", "AdvanceBackground"},
+	"internal/cpu":    {"Cycle", "SkipStallCycles", "Access"},
 	// Pool.Get/Put and Request.Reset recycle request identity: a hook
 	// that touches the free list can alias a live request with a future
 	// one, which is as stateful as mutation gets.

@@ -133,6 +133,14 @@ func TestScopes(t *testing.T) {
 		{Determinism, "repro/internal/store", true},  // content-addressed bytes must not depend on the host
 		{Determinism, "repro/internal/shard", true},
 		{Determinism, "repro/internal/lint", false},
+		{Determinism, "repro", true}, // the root package assembles Result bytes
+		{Determinism, "repro/bench", false},
+		{Determinism, "repro/internal/cpu", true},
+		{Determinism, "repro/internal/dram", true},
+		{Determinism, "repro/internal/energy", true},
+		{Determinism, "repro/internal/addr", true},
+		{Determinism, "repro/internal/stats", true},
+		{Determinism, "repro/internal/timing", true},
 		{UnitSafety, "repro/internal/timing", false}, // owns the crossings
 		{UnitSafety, "repro/internal/sim", false},    // owns the Tick type
 		{UnitSafety, "repro/cmd/fgnvm-sim", true},

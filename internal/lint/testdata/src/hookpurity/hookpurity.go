@@ -4,7 +4,9 @@ package hookpurity
 
 import (
 	"repro/internal/controller"
+	"repro/internal/cpu"
 	"repro/internal/dram"
+	"repro/internal/energy"
 	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -91,6 +93,21 @@ func (s *DrivingSink) Request(telemetry.RequestEvent) {
 	s.dram.Cycle(0) // want "state-mutating"
 }
 func (s *DrivingSink) Stall(telemetry.StallCause, uint64) {}
+
+// ChargingSink charges energy and touches the LLC from telemetry
+// context: both change the Result. Flagged.
+type ChargingSink struct {
+	energy *energy.Model
+	llc    *cpu.LLC
+}
+
+func (s *ChargingSink) Command(telemetry.Command) {
+	s.energy.Sense(64) // want "state-mutating"
+}
+func (s *ChargingSink) Request(telemetry.RequestEvent) {
+	s.llc.Access(0, false) // want "state-mutating"
+}
+func (s *ChargingSink) Stall(telemetry.StallCause, uint64) {}
 
 func installHooks(eng *sim.Engine) {
 	// Observation-only literal: allowed.

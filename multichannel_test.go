@@ -59,7 +59,7 @@ func TestMultiChannelMixGolden(t *testing.T) {
 		}
 		golden = append(golden, res)
 	}
-	checkGolden(t, "multichannel_mix.json", golden)
+	checkGolden(t, "testdata/golden/multichannel_mix.json", golden)
 }
 
 // TestMultiChannelCycles pins simulated cycles for lbm at 1, 2 and 4
