@@ -1,8 +1,8 @@
 // Package config implements the simple key=value configuration format
 // used by the command-line tools, in the spirit of NVMain's config
 // files. Lines contain "key = value"; '#' starts a comment; keys are
-// case-insensitive. Typed getters record which keys were consumed so a
-// file full of typos fails loudly instead of silently using defaults.
+// case-insensitive. String records which keys were consumed so a file
+// full of typos fails loudly instead of silently using defaults.
 package config
 
 import (
@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -58,12 +57,6 @@ func Parse(r io.Reader) (*KV, error) {
 // ParseString parses a configuration from a string.
 func ParseString(s string) (*KV, error) { return Parse(strings.NewReader(s)) }
 
-// Has reports whether key is present.
-func (kv *KV) Has(key string) bool {
-	_, ok := kv.values[strings.ToLower(key)]
-	return ok
-}
-
 // String returns the raw value for key, or def if absent.
 func (kv *KV) String(key, def string) string {
 	k := strings.ToLower(key)
@@ -74,70 +67,7 @@ func (kv *KV) String(key, def string) string {
 	return def
 }
 
-// Int returns an integer value, or def if absent.
-func (kv *KV) Int(key string, def int) (int, error) {
-	k := strings.ToLower(key)
-	v, ok := kv.values[k]
-	if !ok {
-		return def, nil
-	}
-	kv.used[k] = true
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("config: key %q: %q is not an integer", key, v)
-	}
-	return n, nil
-}
-
-// Uint64 returns an unsigned value, or def if absent.
-func (kv *KV) Uint64(key string, def uint64) (uint64, error) {
-	k := strings.ToLower(key)
-	v, ok := kv.values[k]
-	if !ok {
-		return def, nil
-	}
-	kv.used[k] = true
-	n, err := strconv.ParseUint(v, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("config: key %q: %q is not a uint", key, v)
-	}
-	return n, nil
-}
-
-// Float returns a float value, or def if absent.
-func (kv *KV) Float(key string, def float64) (float64, error) {
-	k := strings.ToLower(key)
-	v, ok := kv.values[k]
-	if !ok {
-		return def, nil
-	}
-	kv.used[k] = true
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, fmt.Errorf("config: key %q: %q is not a number", key, v)
-	}
-	return f, nil
-}
-
-// Bool returns a boolean value (true/false/1/0/yes/no), or def if
-// absent.
-func (kv *KV) Bool(key string, def bool) (bool, error) {
-	k := strings.ToLower(key)
-	v, ok := kv.values[k]
-	if !ok {
-		return def, nil
-	}
-	kv.used[k] = true
-	switch strings.ToLower(v) {
-	case "true", "1", "yes", "on":
-		return true, nil
-	case "false", "0", "no", "off":
-		return false, nil
-	}
-	return false, fmt.Errorf("config: key %q: %q is not a boolean", key, v)
-}
-
-// Unused returns the keys that were parsed but never read by a getter —
+// Unused returns the keys that were parsed but never read by String —
 // usually misspellings. Sorted for stable error messages.
 func (kv *KV) Unused() []string {
 	var out []string

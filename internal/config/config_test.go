@@ -12,29 +12,18 @@ design = fgnvm
 sags=8
 cds = 2   # trailing comment
 ratio = 1.5
-big = 18446744073709551615
-flag = yes
+trace = out.json # value keeps its dots
+flag =
 `)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := kv.String("design", "x"); got != "fgnvm" {
-		t.Errorf("design = %q", got)
-	}
-	if got, err := kv.Int("sags", 0); err != nil || got != 8 {
-		t.Errorf("sags = %d, %v", got, err)
-	}
-	if got, err := kv.Int("cds", 0); err != nil || got != 2 {
-		t.Errorf("cds = %d, %v", got, err)
-	}
-	if got, err := kv.Float("ratio", 0); err != nil || got != 1.5 {
-		t.Errorf("ratio = %v, %v", got, err)
-	}
-	if got, err := kv.Uint64("big", 0); err != nil || got != ^uint64(0) {
-		t.Errorf("big = %d, %v", got, err)
-	}
-	if got, err := kv.Bool("flag", false); err != nil || !got {
-		t.Errorf("flag = %v, %v", got, err)
+	for key, want := range map[string]string{
+		"design": "fgnvm", "sags": "8", "cds": "2", "ratio": "1.5", "trace": "out.json", "flag": "",
+	} {
+		if got := kv.String(key, "absent"); got != want {
+			t.Errorf("%s = %q, want %q", key, got, want)
+		}
 	}
 	if err := kv.CheckUnused(); err != nil {
 		t.Errorf("all keys consumed but: %v", err)
@@ -49,20 +38,8 @@ func TestParseDefaults(t *testing.T) {
 	if kv.String("missing", "def") != "def" {
 		t.Error("string default")
 	}
-	if v, err := kv.Int("missing", 7); err != nil || v != 7 {
-		t.Error("int default")
-	}
-	if v, err := kv.Uint64("missing", 9); err != nil || v != 9 {
-		t.Error("uint default")
-	}
-	if v, err := kv.Float("missing", 2.5); err != nil || v != 2.5 {
-		t.Error("float default")
-	}
-	if v, err := kv.Bool("missing", true); err != nil || !v {
-		t.Error("bool default")
-	}
-	if kv.Has("missing") {
-		t.Error("Has on missing key")
+	if u := kv.Unused(); len(u) != 0 {
+		t.Errorf("empty config has unused keys %v", u)
 	}
 }
 
@@ -75,36 +52,6 @@ func TestParseErrors(t *testing.T) {
 	for _, in := range cases {
 		if _, err := ParseString(in); err == nil {
 			t.Errorf("input %q accepted", in)
-		}
-	}
-}
-
-func TestTypeErrors(t *testing.T) {
-	kv, _ := ParseString("a = xyz\nb = maybe\n")
-	if _, err := kv.Int("a", 0); err == nil {
-		t.Error("bad int accepted")
-	}
-	if _, err := kv.Uint64("a", 0); err == nil {
-		t.Error("bad uint accepted")
-	}
-	if _, err := kv.Float("a", 0); err == nil {
-		t.Error("bad float accepted")
-	}
-	if _, err := kv.Bool("b", false); err == nil {
-		t.Error("bad bool accepted")
-	}
-}
-
-func TestBoolForms(t *testing.T) {
-	kv, _ := ParseString("a=true\nb=1\nc=ON\nd=false\ne=0\nf=No\n")
-	for _, k := range []string{"a", "b", "c"} {
-		if v, err := kv.Bool(k, false); err != nil || !v {
-			t.Errorf("%s should be true (%v)", k, err)
-		}
-	}
-	for _, k := range []string{"d", "e", "f"} {
-		if v, err := kv.Bool(k, true); err != nil || v {
-			t.Errorf("%s should be false (%v)", k, err)
 		}
 	}
 }

@@ -132,7 +132,7 @@ type Stats struct {
 	// conserve (each such request-cycle gets exactly one attributed
 	// cause when telemetry is attached).
 	QueuedWaitCycles stats.Counter
-	WriteLatency     stats.Distribution
+	WriteLatency     stats.Histogram
 	ReadLatencyHist  stats.Histogram // log-bucketed, for percentile reporting
 }
 
@@ -638,7 +638,7 @@ func (c *Controller) finishWrite(t sim.Tick, arg any) {
 	w := arg.(*mem.Request)
 	w.Finish(t)
 	c.st.Writes.Inc()
-	c.st.WriteLatency.Observe(float64(w.Latency()))
+	c.st.WriteLatency.Observe(uint64(w.Latency()))
 	c.inflight--
 	if c.tel != nil {
 		telRequest(c.tel, telemetry.ReqCompleted, w, t)

@@ -105,8 +105,8 @@ type Stats struct {
 	Precharges   stats.Counter
 	RowHits      stats.Counter
 	Refreshes    stats.Counter
-	ReadLatency  stats.Distribution
-	WriteLatency stats.Distribution
+	ReadLatency  stats.Histogram
+	WriteLatency stats.Histogram
 }
 
 // System is the complete DRAM memory: queues, scheduler, banks,
@@ -343,10 +343,10 @@ func (s *System) finish(t sim.Tick, arg any) {
 	r.Finish(t)
 	if r.Op == mem.Write {
 		s.st.Writes.Inc()
-		s.st.WriteLatency.Observe(float64(r.Latency()))
+		s.st.WriteLatency.Observe(uint64(r.Latency()))
 	} else {
 		s.st.Reads.Inc()
-		s.st.ReadLatency.Observe(float64(r.Latency()))
+		s.st.ReadLatency.Observe(uint64(r.Latency()))
 	}
 	s.inflight--
 }

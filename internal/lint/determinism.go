@@ -10,7 +10,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // Determinism forbids, in kernel/model/CLI code:
@@ -35,30 +34,15 @@ var Determinism = &Analyzer{
 	Run:   runDeterminism,
 }
 
-// determinismPackages are the packages whose behaviour feeds
-// simulation scheduling or Result bytes, the root package repro
-// included. cmd/ is covered as well: every CLI prints results whose
-// byte-identity the tests rely on. The serving stack (server, store,
-// shard) is in scope too: sharded sweep merging and the
-// content-addressed store both promise byte-identical results, so
-// wall-clock reads there must be explicit, audited waivers.
-var determinismPackages = []string{
-	"repro",
-	"internal/sim", "internal/bank", "internal/controller",
-	"internal/core", "internal/gemm", "internal/mem",
-	"internal/cpu", "internal/dram", "internal/energy",
-	"internal/addr", "internal/stats", "internal/timing",
-	"internal/telemetry", "internal/trace",
-	"internal/server", "internal/store", "internal/shard",
-}
-
+// determinismScope is every package of the module but two. Simulation
+// packages feed scheduling and Result bytes; the CLIs and examples
+// print results whose byte-identity the tests rely on; the serving
+// stack (server, store, shard) promises byte-identical sharded sweeps
+// and content-addressed bytes. Wall-clock reads anywhere in them must
+// be explicit, audited waivers. Out of scope are the benchmark
+// harness (bench), which measures the host, and this linter.
 func determinismScope(pkgPath string) bool {
-	for _, p := range determinismPackages {
-		if pathHasSuffix(pkgPath, p) {
-			return true
-		}
-	}
-	return strings.Contains(pkgPath, "/cmd/")
+	return !pathHasSuffix(pkgPath, "bench") && !pathHasSuffix(pkgPath, "internal/lint")
 }
 
 func runDeterminism(pass *Pass) error {

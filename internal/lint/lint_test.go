@@ -141,6 +141,10 @@ func TestScopes(t *testing.T) {
 		{Determinism, "repro/internal/addr", true},
 		{Determinism, "repro/internal/stats", true},
 		{Determinism, "repro/internal/timing", true},
+		{Determinism, "repro/internal/memo", true},        // the server's cache and the warm-up memo
+		{Determinism, "repro/internal/reliability", true}, // seeded Monte Carlo: same seed, same counts
+		{Determinism, "repro/examples/quickstart", true},
+		{Determinism, "repro/cmd/fgnvm-bench", true}, // a CLI, not the bench harness
 		{UnitSafety, "repro/internal/timing", false}, // owns the crossings
 		{UnitSafety, "repro/internal/sim", false},    // owns the Tick type
 		{UnitSafety, "repro/cmd/fgnvm-sim", true},

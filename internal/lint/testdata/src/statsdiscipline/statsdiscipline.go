@@ -10,7 +10,7 @@ import (
 // Own aggregates this package's counters: freely writable here.
 type Own struct {
 	Hits stats.Counter
-	Lat  stats.Distribution
+	Lat  stats.Histogram
 }
 
 func record(o *Own) uint64 {

@@ -201,6 +201,7 @@ func Simulate(p Params, l Layout, e ECC) (Outcome, error) {
 			}
 		}
 		bad := false
+		//lint:allow rangemap a max and an any over the counts do not depend on their order
 		for _, n := range flips {
 			if n > out.MaxFlipsPerWord {
 				out.MaxFlipsPerWord = n

@@ -11,10 +11,11 @@ import (
 	"time"
 
 	fgnvm "repro"
+	"repro/internal/memo"
 )
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := NewCache(2)
+	c := memo.NewLRU[string, []byte](2)
 	c.Add("a", []byte("A"))
 	c.Add("b", []byte("B"))
 	if _, ok := c.Get("a"); !ok { // touch a: b becomes LRU
@@ -36,7 +37,7 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCacheReplaceAndDisabled(t *testing.T) {
-	c := NewCache(2)
+	c := memo.NewLRU[string, []byte](2)
 	c.Add("k", []byte("v1"))
 	c.Add("k", []byte("v2"))
 	if v, _ := c.Get("k"); !bytes.Equal(v, []byte("v2")) {
@@ -46,7 +47,7 @@ func TestCacheReplaceAndDisabled(t *testing.T) {
 		t.Errorf("Len after replace = %d, want 1", c.Len())
 	}
 
-	off := NewCache(-1)
+	off := memo.NewLRU[string, []byte](-1)
 	off.Add("k", []byte("v"))
 	if _, ok := off.Get("k"); ok {
 		t.Error("disabled cache returned a hit")
@@ -54,8 +55,9 @@ func TestCacheReplaceAndDisabled(t *testing.T) {
 }
 
 func TestFlightCoalescesAndSharesError(t *testing.T) {
-	var g flightGroup
-	var calls atomic.Int64
+	var g memo.Group[string, []byte]
+	var calls, joined atomic.Int64
+	g.OnCoalesce = func() { joined.Add(1) }
 	release := make(chan struct{})
 	wantErr := errors.New("boom")
 
@@ -66,7 +68,7 @@ func TestFlightCoalescesAndSharesError(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, err := g.do(context.Background(), "k", func(ctx context.Context) ([]byte, error) {
+			_, _, err := g.Do(context.Background(), "k", func(ctx context.Context) ([]byte, error) {
 				calls.Add(1)
 				<-release
 				return nil, wantErr
@@ -74,23 +76,9 @@ func TestFlightCoalescesAndSharesError(t *testing.T) {
 			errs[i] = err
 		}(i)
 	}
-	// Wait until all callers are attached to one flight.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		g.mu.Lock()
-		w := 0
-		if f := g.flights["k"]; f != nil {
-			w = f.waiters
-		}
-		g.mu.Unlock()
-		if w == n {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d waiters attached", w, n)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// Wait until all callers are attached to one flight: the first
+	// starts it and the other n-1 join.
+	waitFor(t, "every caller to attach", func() bool { return joined.Load() == n-1 })
 	close(release)
 	wg.Wait()
 	if calls.Load() != 1 {
@@ -104,12 +92,12 @@ func TestFlightCoalescesAndSharesError(t *testing.T) {
 }
 
 func TestFlightLastWaiterCancels(t *testing.T) {
-	var g flightGroup
+	var g memo.Group[string, []byte]
 	got := make(chan error, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
-		_, _, err := g.do(ctx, "k", func(fctx context.Context) ([]byte, error) {
+		_, _, err := g.Do(ctx, "k", func(fctx context.Context) ([]byte, error) {
 			<-fctx.Done()
 			got <- fctx.Err()
 			return nil, fctx.Err()
@@ -133,10 +121,10 @@ func TestFlightLastWaiterCancels(t *testing.T) {
 }
 
 func TestFlightSequentialCallsRunSeparately(t *testing.T) {
-	var g flightGroup
+	var g memo.Group[string, []byte]
 	var calls atomic.Int64
 	run := func() {
-		v, shared, err := g.do(context.Background(), "k", func(ctx context.Context) ([]byte, error) {
+		v, shared, err := g.Do(context.Background(), "k", func(ctx context.Context) ([]byte, error) {
 			calls.Add(1)
 			return []byte("x"), nil
 		})

@@ -4,14 +4,15 @@
 // 4, one sweep point — is computed through one path, cachedCompute,
 // which stacks four tiers under a canonical cache key:
 //
-//  1. an LRU cache of serialized results keyed by a canonical hash of
-//     the resolved request (identical Options ⇒ identical Result, so a
-//     hit is byte-identical to re-running);
+//  1. an LRU cache (internal/memo) of serialized results keyed by a
+//     canonical hash of the resolved request (identical Options ⇒
+//     identical Result, so a hit is byte-identical to re-running);
 //  2. an optional disk-backed content-addressed store (internal/store)
 //     that survives restarts and is shared by replicas on one volume;
-//  3. singleflight coalescing, so N concurrent identical requests cost
-//     one simulation — with reference-counted cancellation, so the run
-//     is aborted only when the last interested client has gone;
+//  3. singleflight coalescing (internal/memo's Group), so N concurrent
+//     identical requests cost one simulation — with reference-counted
+//     cancellation, so the run is aborted only when the last
+//     interested client has gone;
 //  4. a bounded worker pool with queue-depth backpressure — /v1/run and
 //     /v1/figure4 answer 429 + Retry-After on a full queue instead of
 //     accepting unbounded work; sweep points, whose sweep was already
@@ -49,6 +50,7 @@ import (
 	"time"
 
 	fgnvm "repro"
+	"repro/internal/memo"
 	"repro/internal/shard"
 	"repro/internal/store"
 )
@@ -109,10 +111,10 @@ func (c *Config) applyDefaults() {
 type Server struct {
 	cfg     Config
 	pool    *Pool
-	cache   *Cache
+	cache   *memo.LRU[string, []byte]
 	store   *store.Store // nil without Config.StoreDir
 	peers   []shard.Peer
-	flights flightGroup
+	flights memo.Group[string, []byte]
 	metrics metrics
 	mux     *http.ServeMux
 
@@ -129,7 +131,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		pool:      NewPool(cfg.Workers, cfg.QueueDepth),
-		cache:     NewCache(cfg.CacheEntries),
+		cache:     memo.NewLRU[string, []byte](cfg.CacheEntries),
 		runFn:     fgnvm.RunContext,
 		figure4Fn: fgnvm.Figure4Context,
 	}
@@ -144,7 +146,7 @@ func New(cfg Config) (*Server, error) {
 	for _, p := range cfg.Peers {
 		s.peers = append(s.peers, shard.Peer{BaseURL: p})
 	}
-	s.flights.onCoalesce = func() { s.metrics.coalesced.Add(1) }
+	s.flights.OnCoalesce = func() { s.metrics.coalesced.Add(1) }
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/run", s.handleRun)
 	s.mux.HandleFunc("POST /v1/figure4", s.handleFigure4)
@@ -286,7 +288,7 @@ func (s *Server) cachedCompute(ctx context.Context, key string, submit func(cont
 		s.cache.Add(key, b)
 		return b, "store", nil
 	}
-	b, shared, err := s.flights.do(ctx, key, func(fctx context.Context) ([]byte, error) {
+	b, shared, err := s.flights.Do(ctx, key, func(fctx context.Context) ([]byte, error) {
 		type outcome struct {
 			b   []byte
 			err error

@@ -1,5 +1,6 @@
-// Package stats provides the lightweight counters, distributions and
-// aggregation helpers used by the simulator to report results.
+// Package stats provides the lightweight counters, the latency
+// histogram and the aggregation helpers used by the simulator to
+// report results.
 package stats
 
 import (
@@ -20,60 +21,6 @@ func (c *Counter) Inc() { c.n++ }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.n }
-
-// Distribution tracks min/max/mean of a stream of samples without
-// retaining them.
-type Distribution struct {
-	n        uint64
-	sum      float64
-	min, max float64
-}
-
-// Observe adds one sample.
-func (d *Distribution) Observe(v float64) {
-	if d.n == 0 || v < d.min {
-		d.min = v
-	}
-	if d.n == 0 || v > d.max {
-		d.max = v
-	}
-	d.n++
-	d.sum += v
-}
-
-// Count returns the number of samples observed.
-func (d *Distribution) Count() uint64 { return d.n }
-
-// Mean returns the sample mean, or 0 with no samples.
-func (d *Distribution) Mean() float64 {
-	if d.n == 0 {
-		return 0
-	}
-	return d.sum / float64(d.n)
-}
-
-// Min returns the smallest sample, or 0 with no samples.
-func (d *Distribution) Min() float64 {
-	if d.n == 0 {
-		return 0
-	}
-	return d.min
-}
-
-// Max returns the largest sample, or 0 with no samples.
-func (d *Distribution) Max() float64 {
-	if d.n == 0 {
-		return 0
-	}
-	return d.max
-}
-
-// Sum returns the total of all samples.
-func (d *Distribution) Sum() float64 { return d.sum }
-
-func (d *Distribution) String() string {
-	return fmt.Sprintf("n=%d mean=%.3f min=%.3f max=%.3f", d.n, d.Mean(), d.Min(), d.Max())
-}
 
 // GeoMean returns the geometric mean of vs. Non-positive inputs are
 // rejected with an error since their log is undefined; the paper's

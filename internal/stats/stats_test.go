@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -16,44 +15,6 @@ func TestCounter(t *testing.T) {
 	c.Add(4)
 	if c.Value() != 5 {
 		t.Fatalf("Value = %d, want 5", c.Value())
-	}
-}
-
-func TestDistributionEmpty(t *testing.T) {
-	var d Distribution
-	if d.Count() != 0 || d.Mean() != 0 || d.Min() != 0 || d.Max() != 0 || d.Sum() != 0 {
-		t.Fatal("empty distribution not all-zero")
-	}
-}
-
-func TestDistribution(t *testing.T) {
-	var d Distribution
-	for _, v := range []float64{3, 1, 4, 1, 5} {
-		d.Observe(v)
-	}
-	if d.Count() != 5 {
-		t.Errorf("Count = %d", d.Count())
-	}
-	if d.Min() != 1 || d.Max() != 5 {
-		t.Errorf("Min/Max = %v/%v, want 1/5", d.Min(), d.Max())
-	}
-	if math.Abs(d.Mean()-2.8) > 1e-12 {
-		t.Errorf("Mean = %v, want 2.8", d.Mean())
-	}
-	if d.Sum() != 14 {
-		t.Errorf("Sum = %v, want 14", d.Sum())
-	}
-	if !strings.Contains(d.String(), "n=5") {
-		t.Errorf("String = %q", d.String())
-	}
-}
-
-func TestDistributionNegativeSamples(t *testing.T) {
-	var d Distribution
-	d.Observe(-5)
-	d.Observe(-1)
-	if d.Min() != -5 || d.Max() != -1 {
-		t.Errorf("Min/Max = %v/%v, want -5/-1", d.Min(), d.Max())
 	}
 }
 

@@ -2,9 +2,10 @@ package fgnvm
 
 import (
 	"context"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/cpu"
+	"repro/internal/memo"
 	"repro/internal/trace"
 )
 
@@ -49,85 +50,48 @@ type warmState struct {
 // memo holds about 13 MB.
 const warmMemoCap = 16
 
-// warmMemo is the process-wide warm-up memo, evicted in FIFO order.
-// A key being warmed has an entry in flight, closed when its warm-up
-// ends, so concurrent misses on one key warm it once.
-var warmMemo struct {
-	sync.Mutex
-	m      map[warmKey]warmState
-	flight map[warmKey]chan struct{}
-	fifo   [warmMemoCap]warmKey // insertion ring; next is the oldest slot
-	next   int
-	warms  uint64 // warm-ups computed, for tests
-}
+// warmMemo is the process-wide warm-up memo: finished warm-ups in an
+// LRU, and the warm-ups in flight, so concurrent misses on one key warm
+// it once.
+var warmMemo = struct {
+	lru     *memo.LRU[warmKey, warmState]
+	flights memo.Group[warmKey, warmState]
+	warms   atomic.Uint64 // warm-ups computed, for tests
+}{lru: memo.NewLRU[warmKey, warmState](warmMemoCap)}
 
 // warmedCore returns the LLC of the benchmark core k describes, warmed
 // with k.accesses accesses, and the stream that continues after them.
 // The warmed state comes from the memo when an earlier run already
-// computed it. Otherwise the first caller warms it and stores it, and
-// a caller that misses while that warm-up runs waits for it, or for
-// its own ctx. A cancelled or failed warm-up stores nothing, and its
-// waiters try again.
+// computed it. Otherwise the first caller's flight warms it and stores
+// it, and callers that miss while it runs join that flight. The
+// warm-up stops, storing nothing, only when every caller waiting for
+// it has gone.
 func warmedCore(ctx context.Context, k warmKey) (*cpu.LLC, trace.Stream, error) {
-	for {
-		warmMemo.Lock()
-		w, ok := warmMemo.m[k]
-		done := warmMemo.flight[k]
-		if ok || done != nil {
-			warmMemo.Unlock()
-			if ok {
-				return w.llc.Clone(), k.stream(w.gen.Clone()), nil
+	w, ok := warmMemo.lru.Get(k)
+	if !ok {
+		var err error
+		w, _, err = warmMemo.flights.Do(ctx, k, func(fctx context.Context) (warmState, error) {
+			if w, ok := warmMemo.lru.Get(k); ok { // a flight that just ended stored it
+				return w, nil
 			}
-			select {
-			case <-done:
-				continue
-			case <-ctx.Done():
-				return nil, nil, ctx.Err()
+			warmMemo.warms.Add(1)
+			llc, err := cpu.NewLLC(cpu.LLCConfig{})
+			if err != nil {
+				return warmState{}, err
 			}
-		}
-		done = make(chan struct{})
-		if warmMemo.flight == nil {
-			warmMemo.flight = make(map[warmKey]chan struct{})
-		}
-		warmMemo.flight[k] = done
-		warmMemo.warms++
-		warmMemo.Unlock()
-		w, err := warm(ctx, k, done)
+			gen := k.generator()
+			if err := warmLLC(fctx, llc, k.stream(gen), k.accesses); err != nil {
+				return warmState{}, err
+			}
+			w := warmState{llc: llc, gen: gen}
+			warmMemo.lru.Add(k, w)
+			return w, nil
+		})
 		if err != nil {
 			return nil, nil, err
 		}
-		return w.llc.Clone(), k.stream(w.gen.Clone()), nil
 	}
-}
-
-// warm computes k's warm-up for the caller that holds its in-flight
-// entry done, stores it unless it failed, and then retires done, also
-// if the warm-up panics.
-func warm(ctx context.Context, k warmKey, done chan struct{}) (w warmState, err error) {
-	defer func() {
-		warmMemo.Lock()
-		delete(warmMemo.flight, k)
-		if err == nil && w.llc != nil {
-			if warmMemo.m == nil {
-				warmMemo.m = make(map[warmKey]warmState, warmMemoCap)
-			}
-			delete(warmMemo.m, warmMemo.fifo[warmMemo.next])
-			warmMemo.fifo[warmMemo.next] = k
-			warmMemo.next = (warmMemo.next + 1) % warmMemoCap
-			warmMemo.m[k] = w
-		}
-		warmMemo.Unlock()
-		close(done)
-	}()
-	llc, err := cpu.NewLLC(cpu.LLCConfig{})
-	if err != nil {
-		return warmState{}, err
-	}
-	gen := k.generator()
-	if err := warmLLC(ctx, llc, k.stream(gen), k.accesses); err != nil {
-		return warmState{}, err
-	}
-	return warmState{llc: llc, gen: gen}, nil
+	return w.llc.Clone(), k.stream(w.gen.Clone()), nil
 }
 
 // warmLLC runs the first n accesses of stream through llc (fewer if the

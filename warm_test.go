@@ -10,35 +10,26 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/memo"
 	"repro/internal/trace"
 )
 
 // resetWarmMemo empties the warm-up memo, so the next run of every key
-// warms its LLC from cold.
+// warms its LLC from cold. No warm-up may be in flight.
 func resetWarmMemo() {
-	warmMemo.Lock()
-	defer warmMemo.Unlock()
-	warmMemo.m = nil
-	warmMemo.fifo = [warmMemoCap]warmKey{}
-	warmMemo.next = 0
+	warmMemo.lru = memo.NewLRU[warmKey, warmState](warmMemoCap)
 }
 
 // warmMemoLen returns the number of memoized warm-ups.
-func warmMemoLen() int {
-	warmMemo.Lock()
-	defer warmMemo.Unlock()
-	return len(warmMemo.m)
-}
+func warmMemoLen() int { return warmMemo.lru.Len() }
 
 // warmCount returns the number of warm-ups computed so far.
-func warmCount() uint64 {
-	warmMemo.Lock()
-	defer warmMemo.Unlock()
-	return warmMemo.warms
-}
+func warmCount() uint64 { return warmMemo.warms.Load() }
 
 // warmInstr keeps the memo tests short: the warm-up, not the timed
 // region, is what they compare.
@@ -156,10 +147,18 @@ func TestWarmMemoMatchesColdWarmup(t *testing.T) {
 func TestWarmMemoCancelledFill(t *testing.T) {
 	o := Options{Design: DesignFgNVM, Benchmark: "soplex", Seed: 11, Instructions: warmInstr}
 	resetWarmMemo()
-	ctx := &countdownCtx{Context: context.Background()}
-	ctx.left.Store(3) // RunContext's entry poll and two warm-up polls: cancelled 8192 accesses in
-	if _, err := RunContext(ctx, o); !errors.Is(err, context.Canceled) {
+	// RunContext's entry poll passes; the warm-up's flight then finds
+	// its only waiter gone as soon as it has started, and stops at its
+	// next poll.
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	idle, before := runtime.NumGoroutine(), warmCount()
+	if _, err := RunContext(&leaveOnWaitCtx{Context: done}, o); !errors.Is(err, context.Canceled) {
 		t.Fatalf("run cancelled mid-warm-up returned %v, want context.Canceled", err)
+	}
+	waitUntil(t, "the abandoned warm-up's goroutine to exit", func() bool { return runtime.NumGoroutine() <= idle })
+	if n := warmCount() - before; n != 1 {
+		t.Fatalf("%d warm-ups started, want the abandoned one", n)
 	}
 	if n := warmMemoLen(); n != 0 {
 		t.Fatalf("cancelled warm-up left %d memo entries, want 0", n)
@@ -169,6 +168,21 @@ func TestWarmMemoCancelledFill(t *testing.T) {
 	if cold := runJSON(t, o); !bytes.Equal(after, cold) {
 		t.Errorf("run after a cancelled warm-up diverged from a cold one:\n  after: %s\n  cold : %s", after, cold)
 	}
+}
+
+// leaveOnWaitCtx wraps a cancelled context but reports no error on its
+// first poll: a run gets past its entry poll, starts its warm-up, and
+// leaves it the moment it waits for it.
+type leaveOnWaitCtx struct {
+	context.Context
+	polls atomic.Int64
+}
+
+func (c *leaveOnWaitCtx) Err() error {
+	if c.polls.Add(1) == 1 {
+		return nil
+	}
+	return c.Context.Err()
 }
 
 // TestWarmMemoBound: the memo never holds more than warmMemoCap
@@ -249,46 +263,62 @@ func TestConcurrentMissesWarmOnce(t *testing.T) {
 	}
 }
 
-// TestWarmMemoWaiters drives the in-flight entry by hand: a waiter
-// whose own ctx ends stops waiting, and a waiter whose leader ends
-// without storing (a cancelled warm-up) warms the key itself.
+// TestWarmMemoWaiters drives one warm-up's flight through real
+// callers: a waiter past its deadline stops waiting, and a leader that
+// leaves while a waiter remains does not stop the warm-up, which
+// completes once, leaves one memo entry and serves the waiter.
 func TestWarmMemoWaiters(t *testing.T) {
-	k := warmKey{profile: mustProfile(t, "mcf"), seed: 21, lineBytes: 64, accesses: 256}
+	// Long enough that the callers below all meet the flight in flight.
+	k := warmKey{profile: mustProfile(t, "mcf"), seed: 21, lineBytes: 64, accesses: 1 << 21}
 	resetWarmMemo()
-	done := make(chan struct{})
-	warmMemo.Lock()
-	if warmMemo.flight == nil {
-		warmMemo.flight = make(map[warmKey]chan struct{})
-	}
-	warmMemo.flight[k] = done
-	warmMemo.Unlock()
+	var joined atomic.Int64
+	warmMemo.flights.OnCoalesce = func() { joined.Add(1) }
+	defer func() { warmMemo.flights.OnCoalesce = nil }()
+	before := warmCount()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	leaderCtx, leave := context.WithCancel(context.Background())
+	defer leave()
+	leader := make(chan error, 1)
+	go func() {
+		_, _, err := warmedCore(leaderCtx, k)
+		leader <- err
+	}()
+	waitUntil(t, "the leader's warm-up to start", func() bool { return warmCount() > before })
+
+	late, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Millisecond))
 	defer cancel()
-	if _, _, err := warmedCore(ctx, k); !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, err := warmedCore(late, k); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("waiter past its deadline returned %v, want context.DeadlineExceeded", err)
 	}
+	if n := joined.Load(); n != 1 {
+		t.Fatalf("the late waiter joined %d flights, want 1", n)
+	}
 
-	before := warmCount()
-	got := make(chan error, 1)
+	waiter := make(chan error, 1)
 	go func() {
 		_, _, err := warmedCore(context.Background(), k)
-		got <- err
+		waiter <- err
 	}()
-	// Give the waiter time to block; if it has not, it finds the key
-	// neither memoized nor in flight and warms it all the same.
-	time.Sleep(20 * time.Millisecond)
-	// The stand-in leader gives up: it retires its entry and stores
-	// nothing, as a cancelled warm-up does.
-	warmMemo.Lock()
-	delete(warmMemo.flight, k)
-	warmMemo.Unlock()
-	close(done)
-	if err := <-got; err != nil {
-		t.Fatalf("waiter after an abandoned warm-up: %v", err)
+	waitUntil(t, "the waiter to join", func() bool { return joined.Load() == 2 })
+	leave()
+	if err := <-leader; !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoned leader returned %v, want context.Canceled", err)
+	}
+	if err := <-waiter; err != nil {
+		t.Fatalf("waiter after an abandoned leader: %v", err)
 	}
 	if n := warmCount() - before; n != 1 || warmMemoLen() != 1 {
-		t.Errorf("waiter warmed %d times and left %d memo entries, want 1 and 1", n, warmMemoLen())
+		t.Errorf("%d warm-ups left %d memo entries, want 1 and 1", n, warmMemoLen())
+	}
+}
+
+// waitUntil polls cond until it holds, failing the test after a minute.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Minute); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
 	}
 }
 
