@@ -1,8 +1,10 @@
 // Command fgnvm-serve runs the FgNVM simulator as an HTTP/JSON
-// service: simulations on a bounded worker pool, identical in-flight
-// requests coalesced into one run, completed results memoized in an
-// LRU cache, and cancellation threaded down to the simulation loop so
-// disconnected clients stop burning CPU.
+// service: simulations bounded by a fixed number of worker slots and a
+// queue (429 when both are full), identical in-flight requests
+// coalesced into one run, completed results memoized in an LRU cache
+// and written once to the optional disk store, and cancellation
+// threaded down to the simulation loop so disconnected clients stop
+// burning CPU.
 //
 //	fgnvm-serve -addr :8080 -workers 8 -queue 64 -cache 256
 //

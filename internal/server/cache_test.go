@@ -140,33 +140,76 @@ func TestFlightSequentialCallsRunSeparately(t *testing.T) {
 }
 
 func TestPoolSaturationAndDrain(t *testing.T) {
+	ctx := context.Background()
 	p := NewPool(2, 1)
 	release := make(chan struct{})
 	var done atomic.Int64
 	task := func() { <-release; done.Add(1) }
+	errs := make(chan error, 3)
+	admit := func() { errs <- p.Run(ctx, false, task) }
 
-	// 2 executing + 1 queued fit; the 4th is rejected. Wait for the
-	// workers to actually pick tasks up between submits, or all three
-	// submissions race for the one queue slot.
+	// 2 executing + 1 waiting fit; the 4th is rejected.
 	for i := 1; i <= 2; i++ {
-		if err := p.TrySubmit(task); err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
+		go admit()
 		waitFor(t, "task executing", func() bool { return p.InFlight() == int64(i) })
 	}
-	if err := p.TrySubmit(task); err != nil {
-		t.Fatalf("queued submit: %v", err)
-	}
-	if err := p.TrySubmit(task); !errors.Is(err, ErrSaturated) {
-		t.Fatalf("4th submit: err = %v, want ErrSaturated", err)
+	go admit()
+	waitFor(t, "task waiting", func() bool { return p.QueueLen() == 1 })
+	if err := p.Run(ctx, false, task); !errors.Is(err, ErrSaturated) {
+		t.Fatalf("4th run: err = %v, want ErrSaturated", err)
 	}
 	close(release)
 	p.Close()
 	if done.Load() != 3 {
 		t.Errorf("completed %d tasks, want all 3 admitted", done.Load())
 	}
-	if err := p.TrySubmit(func() {}); !errors.Is(err, ErrSaturated) {
-		t.Errorf("submit after close: err = %v, want ErrSaturated", err)
+	for i := 0; i < 3; i++ {
+		if err := <-errs; err != nil {
+			t.Errorf("admitted run: %v", err)
+		}
+	}
+	if err := p.Run(ctx, false, func() {}); !errors.Is(err, ErrSaturated) {
+		t.Errorf("run after close: err = %v, want ErrSaturated", err)
+	}
+}
+
+// TestPoolCloseRejectsWaitingRun: a run that waits for room (a sweep
+// point) on a full pool is refused with ErrSaturated when the pool
+// closes, and its task never runs; the admitted runs still drain.
+func TestPoolCloseRejectsWaitingRun(t *testing.T) {
+	ctx := context.Background()
+	p := NewPool(1, 0)
+	release := make(chan struct{})
+	admitted := make(chan error, 1)
+	go func() { admitted <- p.Run(ctx, false, func() { <-release }) }()
+	waitFor(t, "task executing", func() bool { return p.InFlight() == 1 })
+
+	var ran atomic.Bool
+	waiting := make(chan error, 1)
+	go func() { waiting <- p.Run(ctx, true, func() { ran.Store(true) }) }()
+	time.Sleep(20 * time.Millisecond) // let the waiter block on the full pool
+	closed := make(chan struct{})
+	go func() { p.Close(); close(closed) }()
+	select {
+	case err := <-waiting:
+		if !errors.Is(err, ErrSaturated) {
+			t.Errorf("waiting run: err = %v, want ErrSaturated", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiting run still blocked after Close")
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while an admitted run was executing")
+	default:
+	}
+	close(release)
+	<-closed
+	if err := <-admitted; err != nil {
+		t.Errorf("admitted run: %v", err)
+	}
+	if ran.Load() {
+		t.Error("the refused waiting run's task ran")
 	}
 }
 

@@ -1,8 +1,11 @@
-// Bounded worker pool with queue-depth backpressure: the execution
-// engine of the serving layer. Admission is try-only — a full queue is
-// reported to the caller immediately (mapped to HTTP 429 upstream)
-// instead of blocking the accept loop, which is what keeps an
-// overloaded service responsive.
+// Admission control for the serving layer: a semaphore over simulation
+// runs with queue-depth backpressure. A run executes on the goroutine
+// that asks for it, once it holds one of the worker slots; a fixed
+// number more may wait in line. Admission for a request is try-only —
+// a full line is reported to the caller immediately (mapped to HTTP 429
+// upstream) instead of blocking the handler, which is what keeps an
+// overloaded service responsive. Only sweep points, whose sweep was
+// already admitted, wait for room.
 
 package server
 
@@ -10,118 +13,91 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
-	"time"
 )
 
-// ErrSaturated is returned by Pool.TrySubmit when every worker is busy
-// and the queue is at capacity.
+// ErrSaturated is returned by Pool.Run when every worker slot is busy
+// and the line is full, or when the pool is closed.
 var ErrSaturated = errors.New("server: worker pool saturated")
 
-// Pool runs submitted tasks on a fixed set of worker goroutines with a
-// bounded pending queue.
+// Pool bounds concurrent runs: at most workers execute and at most
+// depth more wait for a slot. It starts no goroutine of its own.
 type Pool struct {
-	mu     sync.Mutex
-	queue  chan func()
-	closed bool
+	admit chan struct{} // one token per admitted run, waiting or executing
+	run   chan struct{} // one token per executing run
 
-	wg       sync.WaitGroup
-	inflight atomic.Int64
+	mu      sync.Mutex     // orders wg.Add against Close
+	closing chan struct{}  // closed by Close: stops admission
+	wg      sync.WaitGroup // callers inside Run
 }
 
-// NewPool starts a pool of workers goroutines with room for depth
-// queued tasks beyond the ones executing. workers < 1 is treated as 1,
-// depth < 0 as 0; at depth 0 a task is admitted only when some worker
-// is idle and ready to take it immediately.
+// NewPool returns a pool of workers slots with room for depth runs
+// waiting beyond the ones executing. workers < 1 is treated as 1,
+// depth < 0 as 0; at depth 0 a run is admitted only when a slot is
+// free.
 func NewPool(workers, depth int) *Pool {
-	if workers < 1 {
-		workers = 1
+	workers, depth = max(workers, 1), max(depth, 0)
+	return &Pool{
+		admit:   make(chan struct{}, workers+depth),
+		run:     make(chan struct{}, workers),
+		closing: make(chan struct{}),
 	}
-	if depth < 0 {
-		depth = 0
-	}
-	p := &Pool{queue: make(chan func(), depth)}
-	for w := 0; w < workers; w++ {
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			for task := range p.queue {
-				p.inflight.Add(1)
-				task()
-				p.inflight.Add(-1)
-			}
-		}()
-	}
-	return p
 }
 
-// TrySubmit enqueues task for execution, or returns ErrSaturated
-// without blocking when the queue is full (or the pool is closed).
-func (p *Pool) TrySubmit(task func()) error {
+// Run admits task and executes it on the calling goroutine once a
+// worker slot is free, returning after it has run. On a full pool,
+// wait false returns ErrSaturated at once (/v1/run, /v1/figure4) and
+// wait true waits for room until ctx ends (sweep points). A closed
+// pool returns ErrSaturated, also to a caller already waiting for
+// room; an admitted task always runs.
+func (p *Pool) Run(ctx context.Context, wait bool, task func()) error {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return ErrSaturated
-	}
 	select {
-	case p.queue <- task:
-		return nil
-	default:
+	case <-p.closing:
+		p.mu.Unlock()
 		return ErrSaturated
+	default:
 	}
-}
+	p.wg.Add(1)
+	p.mu.Unlock()
+	defer p.wg.Done()
 
-// SubmitWait enqueues task, waiting for queue room instead of failing
-// fast. It returns ctx.Err() if ctx ends first, or ErrSaturated only
-// when the pool is closed. Unlike TrySubmit it is for callers that
-// prefer queueing to a 429 — sweep points, whose caller already holds
-// an admitted request. Never call it from a pool worker: a full queue
-// would deadlock the pool against itself.
-func (p *Pool) SubmitWait(ctx context.Context, task func()) error {
-	for {
-		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
+	select {
+	case p.admit <- struct{}{}:
+	default:
+		if !wait {
 			return ErrSaturated
 		}
 		select {
-		case p.queue <- task:
-			p.mu.Unlock()
-			return nil
-		default:
-		}
-		p.mu.Unlock()
-		// Poll rather than send outside the lock: a send racing Close
-		// would panic on the closed channel. The 2ms beat is invisible
-		// next to simulation times.
-		select {
+		case p.admit <- struct{}{}:
+		case <-p.closing:
+			return ErrSaturated
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-time.After(2 * time.Millisecond):
 		}
 	}
+	defer func() { <-p.admit }()
+	p.run <- struct{}{}
+	defer func() { <-p.run }()
+	task()
+	return nil
 }
 
-// InFlight reports the number of tasks currently executing.
-func (p *Pool) InFlight() int64 { return p.inflight.Load() }
+// InFlight reports the number of runs currently executing.
+func (p *Pool) InFlight() int64 { return int64(len(p.run)) }
 
-// QueueLen reports the number of tasks admitted but not yet executing.
-func (p *Pool) QueueLen() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.queue)
-}
+// QueueLen reports the number of runs admitted but not yet executing.
+// The two token counts are read one after the other, so a run changing
+// state between the reads is clamped away.
+func (p *Pool) QueueLen() int { return max(len(p.admit)-len(p.run), 0) }
 
-// Close stops admission and waits for every admitted task to finish.
+// Close stops admission and waits for every admitted run to finish.
 func (p *Pool) Close() {
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		p.wg.Wait()
-		return
+	select {
+	case <-p.closing:
+	default:
+		close(p.closing)
 	}
-	p.closed = true
-	close(p.queue)
 	p.mu.Unlock()
 	p.wg.Wait()
 }

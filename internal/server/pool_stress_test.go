@@ -7,6 +7,7 @@
 package server
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -16,7 +17,7 @@ import (
 func TestPoolConcurrentSubmitCloseRace(t *testing.T) {
 	const submitters = 8
 	pool := NewPool(4, 16)
-	var started, executed atomic.Int64
+	var admitted, executed atomic.Int64
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for i := 0; i < submitters; i++ {
@@ -29,10 +30,11 @@ func TestPoolConcurrentSubmitCloseRace(t *testing.T) {
 					return
 				default:
 				}
-				if err := pool.TrySubmit(func() { executed.Add(1) }); err == nil {
-					started.Add(1)
+				task := func() { executed.Add(1); runtime.Gosched() }
+				if err := pool.Run(context.Background(), false, task); err == nil {
+					admitted.Add(1)
 				}
-				// Metric reads race with workers and Close.
+				// Metric reads race with running tasks and Close.
 				_ = pool.InFlight()
 				_ = pool.QueueLen()
 			}
@@ -40,14 +42,14 @@ func TestPoolConcurrentSubmitCloseRace(t *testing.T) {
 	}
 	// Let the submitters hammer for a bounded amount of admitted work,
 	// then shut down while they are still spinning.
-	for started.Load() < 500 {
+	for admitted.Load() < 500 {
 		runtime.Gosched()
 	}
 	pool.Close()
 	after := executed.Load()
 	close(stop)
 	wg.Wait()
-	if got, want := executed.Load(), started.Load(); got != want {
+	if got, want := executed.Load(), admitted.Load(); got != want {
 		t.Errorf("executed %d of %d admitted tasks", got, want)
 	}
 	if after != executed.Load() {

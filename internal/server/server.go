@@ -10,15 +10,16 @@
 //  2. an optional disk-backed content-addressed store (internal/store)
 //     that survives restarts and is shared by replicas on one volume;
 //  3. singleflight coalescing (internal/memo's Group), so N concurrent
-//     identical requests cost one simulation — with reference-counted
-//     cancellation, so the run is aborted only when the last
-//     interested client has gone;
-//  4. a bounded worker pool with queue-depth backpressure — /v1/run and
-//     /v1/figure4 answer 429 + Retry-After on a full queue instead of
-//     accepting unbounded work; sweep points, whose sweep was already
-//     admitted, wait for room. A panic on a worker fails only its own
-//     request (a 500 naming the cache key, counted in
-//     fgnvm_panics_total); the process keeps serving.
+//     identical requests cost one simulation, written once to tiers 1
+//     and 2 — with reference-counted cancellation, so the run is
+//     aborted only when the last interested client has gone;
+//  4. a worker-slot semaphore with queue-depth backpressure (Pool): the
+//     flight runs its simulation on its own goroutine once it holds a
+//     slot. /v1/run and /v1/figure4 answer 429 + Retry-After on a full
+//     queue instead of accepting unbounded work; sweep points, whose
+//     sweep was already admitted, wait for room. A panic in a
+//     simulation fails only its own request (a 500 naming the cache
+//     key, counted in fgnvm_panics_total); the process keeps serving.
 //
 // Cancellation is honest end to end: a disconnected client or an
 // expired per-request timeout propagates through context into the
@@ -124,8 +125,8 @@ type Server struct {
 	figure4Fn func(context.Context, fgnvm.ExperimentParams) (fgnvm.Figure4Result, error)
 }
 
-// New builds a Server and starts its worker pool. It fails only when
-// Config.StoreDir is set and cannot be opened.
+// New builds a Server with Config.Workers worker slots. It fails only
+// when Config.StoreDir is set and cannot be opened.
 func New(cfg Config) (*Server, error) {
 	cfg.applyDefaults()
 	s := &Server{
@@ -161,7 +162,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// Close stops the worker pool after draining admitted runs.
+// Close stops admitting runs and waits for the admitted ones to finish.
 func (s *Server) Close() { s.pool.Close() }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -244,8 +245,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string,
 	s.metrics.requests.Add(1)
 	ctx, cancel := s.requestContext(r, timeoutMS)
 	defer cancel()
-	tryPool := func(_ context.Context, task func()) error { return s.pool.TrySubmit(task) }
-	b, disposition, err := s.cachedCompute(ctx, key, tryPool, func(ctx context.Context) ([]byte, error) {
+	b, disposition, err := s.cachedCompute(ctx, key, false, func(ctx context.Context) ([]byte, error) {
 		v, err := compute(ctx)
 		if err != nil {
 			return nil, err
@@ -272,15 +272,18 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string,
 
 // cachedCompute is the one path from a cache key to its serialized
 // result: the memory cache, then the shared disk store (a restart, or a
-// sibling replica's earlier run, answers here), then a coalesced flight
-// that submits compute to the pool and writes its bytes through to both
-// tiers. The disposition is "hit" (memory), "store", "miss" (this call
-// ran compute) or "coalesced" (it joined a flight another call
+// sibling replica's earlier run, answers here), then one coalesced
+// flight per key. The flight re-checks the memory cache (a flight that
+// ended since the lookup has filled it), runs compute on its own
+// goroutine once the pool gives it a worker slot (wait as in Pool.Run),
+// and adds the bytes to both tiers once before it retires. The
+// disposition is "hit" (memory), "store", "miss" (this call started
+// the flight) or "coalesced" (it joined a flight another call
 // started); a failed flight reports "miss" or "coalesced" with its
-// error. compute runs on a pool worker under a context that ends when
-// every caller interested in key has gone; a panic in it becomes an
-// error (a 500 naming key) instead of killing the process.
-func (s *Server) cachedCompute(ctx context.Context, key string, submit func(context.Context, func()) error, compute func(context.Context) ([]byte, error)) (b []byte, disposition string, err error) {
+// error. compute runs under a context that ends when every caller
+// interested in key has gone; a panic in it becomes an error (a 500
+// naming key) instead of killing the process.
+func (s *Server) cachedCompute(ctx context.Context, key string, wait bool, compute func(context.Context) ([]byte, error)) (b []byte, disposition string, err error) {
 	if b, ok := s.cache.Get(key); ok {
 		return b, "hit", nil
 	}
@@ -288,37 +291,30 @@ func (s *Server) cachedCompute(ctx context.Context, key string, submit func(cont
 		s.cache.Add(key, b)
 		return b, "store", nil
 	}
-	b, shared, err := s.flights.Do(ctx, key, func(fctx context.Context) ([]byte, error) {
-		type outcome struct {
-			b   []byte
-			err error
+	b, shared, err := s.flights.Do(ctx, key, func(fctx context.Context) (b []byte, err error) {
+		if b, ok := s.cache.Get(key); ok {
+			return b, nil
 		}
-		ch := make(chan outcome, 1)
-		task := func() {
-			b, err := s.runTask(fctx, key, compute)
-			ch <- outcome{b, err}
+		if perr := s.pool.Run(fctx, wait, func() { b, err = s.runTask(fctx, key, compute) }); perr != nil {
+			return nil, perr
 		}
-		if err := submit(fctx, task); err != nil {
-			return nil, err
+		if err == nil {
+			s.cache.Add(key, b)
+			s.storePut(key, b)
 		}
-		o := <-ch
-		return o.b, o.err
+		return b, err
 	})
 	disposition = "miss"
 	if shared {
 		disposition = "coalesced"
 	}
-	if err != nil {
-		return nil, disposition, err
-	}
-	s.cache.Add(key, b)
-	s.storePut(key, b)
-	return b, disposition, nil
+	return b, disposition, err
 }
 
-// runTask is the body of one pool task: it skips a flight abandoned
-// while the task sat in the queue, times the computation for /metrics,
-// and turns a panic into an error naming key, counted and logged.
+// runTask runs compute for key in a worker slot: it skips a flight
+// abandoned while it waited for the slot, times the computation for
+// /metrics, and turns a panic into an error naming key, counted and
+// logged.
 func (s *Server) runTask(ctx context.Context, key string, compute func(context.Context) ([]byte, error)) (b []byte, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -181,6 +181,57 @@ func TestCoalescing(t *testing.T) {
 	}
 }
 
+// TestStoreWrittenOncePerFlight proves a coalesced flight writes its
+// bytes to the disk store once, not once per caller. The store's
+// directory is removed after New, so every write fails and is counted
+// in fgnvm_store_errors_total: the count of write attempts.
+func TestStoreWrittenOncePerFlight(t *testing.T) {
+	const n = 8
+	dir := t.TempDir()
+	var calls atomic.Int64
+	release := make(chan struct{})
+	s, ts := newTestServer(t, Config{Workers: 4, StoreDir: dir}, func(ctx context.Context, o fgnvm.Options) (fgnvm.Result, error) {
+		calls.Add(1)
+		select {
+		case <-release:
+		case <-ctx.Done():
+			return fgnvm.Result{}, ctx.Err()
+		}
+		return fgnvm.Result{Benchmark: o.Benchmark, IPC: 1}, nil
+	})
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	codes := make([]int, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, _ := postJSON(t, ts.URL+"/v1/run", `{"benchmark":"mcf"}`)
+			codes[i] = resp.StatusCode
+		}(i)
+	}
+	waitFor(t, "n-1 coalesced waiters", func() bool {
+		return s.metrics.coalesced.Load() == n-1
+	})
+	close(release)
+	wg.Wait()
+
+	for i, code := range codes {
+		if code != http.StatusOK {
+			t.Errorf("request %d: status %d", i, code)
+		}
+	}
+	if got := calls.Load(); got != 1 {
+		t.Errorf("simulations executed = %d, want 1", got)
+	}
+	if got := metricValue(t, ts, "fgnvm_store_errors_total"); got != 1 {
+		t.Errorf("store write attempts = %d, want 1 for %d coalesced requests", got, n)
+	}
+}
+
 // TestCancellationFreesWorker proves a client that goes away cancels
 // the underlying run's context and the worker frees up (in-flight
 // gauge back to 0).

@@ -2,10 +2,10 @@
 // per-point units of work. Each point (one baseline run + one
 // design-under-test run at one axis value) is content-addressed by a
 // canonical point key and computed through cachedCompute, the same
-// memory cache → shared disk store → coalesced flight → pool path that
-// /v1/run takes, so it is independently cacheable and coalescible. It
-// is also independently placeable: a local pool worker, or a peer
-// replica (internal/shard) reached through that peer's
+// memory cache → shared disk store → coalesced flight → worker slot
+// path that /v1/run takes, so it is independently cacheable and
+// coalescible. It is also independently placeable: a local worker
+// slot, or a peer replica (internal/shard) reached through that peer's
 // /v1/sweep/stream. The single-process fgnvm.Sweep, the sharded
 // fan-out, and the streaming path all execute the same fgnvm.SweepPlan
 // and assemble points with the same fgnvm.NewSweepPoint, so their
@@ -78,11 +78,11 @@ type pointEvent struct {
 }
 
 // sweepPoint computes (or recalls) one point through cachedCompute.
-// Admission waits for pool room instead of failing fast: the sweep
+// Admission waits for a worker slot instead of failing fast: the sweep
 // holding this point was already admitted. cached reports that no
 // simulation ran.
 func (s *Server) sweepPoint(ctx context.Context, key string, job fgnvm.SweepJob) (rec sweepPointRecord, cached bool, err error) {
-	b, disposition, err := s.cachedCompute(ctx, key, s.pool.SubmitWait, func(ctx context.Context) ([]byte, error) {
+	b, disposition, err := s.cachedCompute(ctx, key, true, func(ctx context.Context) ([]byte, error) {
 		base, err := s.runFn(ctx, job.Baseline)
 		if err != nil {
 			return nil, err
@@ -107,7 +107,7 @@ func (s *Server) sweepPoint(ctx context.Context, key string, job fgnvm.SweepJob)
 	return rec, disposition == "hit" || disposition == "store", err
 }
 
-// runSweepPoints executes every job of plan — local shard on the pool,
+// runSweepPoints executes every job of plan — local shard in worker slots,
 // remote shards relayed from peers — and returns the points in plan
 // order. emit, when non-nil, receives one event per completed point in
 // completion order, peer points included. allCached reports that every

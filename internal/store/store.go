@@ -36,6 +36,7 @@ package store
 
 import (
 	"bytes"
+	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -80,17 +81,16 @@ type Store struct {
 
 	mu    sync.Mutex
 	bytes int64
-	// LRU bookkeeping: entries[name] points into order; front of order
-	// is most recently used. name is the content-addressed filename.
-	entries map[string]*lruEntry
-	head    *lruEntry // most recently used
-	tail    *lruEntry // least recently used
+	// LRU bookkeeping: entries[name] is name's element of order, whose
+	// front is the most recently used. name is the content-addressed
+	// filename.
+	order   *list.List // of *lruEntry
+	entries map[string]*list.Element
 }
 
 type lruEntry struct {
-	name       string
-	size       int64
-	prev, next *lruEntry
+	name string
+	size int64
 }
 
 // Open creates (if needed) and indexes the store rooted at dir.
@@ -105,7 +105,8 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 	s := &Store{
 		dir:      dir,
 		maxBytes: maxBytes,
-		entries:  make(map[string]*lruEntry),
+		order:    list.New(),
+		entries:  make(map[string]*list.Element),
 	}
 	if err := s.index(); err != nil {
 		return nil, err
@@ -288,49 +289,31 @@ func decode(raw []byte) ([]byte, bool) {
 // absent and updating the byte total. Caller holds mu (or, during
 // Open's index, has exclusive access).
 func (s *Store) touch(name string, size int64) {
-	e := s.entries[name]
-	if e == nil {
-		e = &lruEntry{name: name, size: size}
-		s.entries[name] = e
-		s.bytes += size
-	} else {
+	if el := s.entries[name]; el != nil {
+		e := el.Value.(*lruEntry)
 		s.bytes += size - e.size
 		e.size = size
-		s.unlink(e)
+		s.order.MoveToFront(el)
+		return
 	}
-	// Push to front.
-	e.prev, e.next = nil, s.head
-	if s.head != nil {
-		s.head.prev = e
-	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
-	}
+	s.entries[name] = s.order.PushFront(&lruEntry{name: name, size: size})
+	s.bytes += size
 }
 
-// unlink removes e from the LRU list (not the map). Caller holds mu.
-func (s *Store) unlink(e *lruEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else if s.head == e {
-		s.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else if s.tail == e {
-		s.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
+// remove drops el from the index and returns its file name. Caller
+// holds mu.
+func (s *Store) remove(el *list.Element) string {
+	e := s.order.Remove(el).(*lruEntry)
+	delete(s.entries, e.name)
+	s.bytes -= e.size
+	return e.name
 }
 
 // forget drops name from the index (file already known gone/corrupt).
 func (s *Store) forget(name string) {
 	s.mu.Lock()
-	if e := s.entries[name]; e != nil {
-		s.unlink(e)
-		delete(s.entries, name)
-		s.bytes -= e.size
+	if el := s.entries[name]; el != nil {
+		s.remove(el)
 	}
 	s.mu.Unlock()
 }
@@ -343,15 +326,12 @@ func (s *Store) collectEvictions(keep string) []string {
 		return nil
 	}
 	var out []string
-	for s.bytes > s.maxBytes && s.tail != nil {
-		victim := s.tail
-		if victim.name == keep {
+	for s.bytes > s.maxBytes && s.order.Len() > 0 {
+		victim := s.order.Back()
+		if victim.Value.(*lruEntry).name == keep {
 			break // the newest entry alone exceeds the budget: keep it
 		}
-		s.unlink(victim)
-		delete(s.entries, victim.name)
-		s.bytes -= victim.size
-		out = append(out, victim.name)
+		out = append(out, s.remove(victim))
 	}
 	return out
 }
