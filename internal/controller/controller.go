@@ -162,11 +162,10 @@ type shard struct {
 	// tel and att are the Controller's event sink and stall consumer.
 	tel telemetry.Sink
 	att *telemetry.Attribution
-	// finishReadFn/finishWriteFn are the completion callbacks, cached
-	// once as sim.ArgEvent method values so the per-request completion
-	// schedule does not allocate a closure.
-	finishReadFn  sim.ArgEvent
-	finishWriteFn sim.ArgEvent
+	// finishFn is the completion callback, cached once as a
+	// sim.ArgEvent method value so the per-request completion schedule
+	// does not allocate a closure.
+	finishFn sim.ArgEvent
 
 	// banks holds the channel's bank models in rank-major order, so the
 	// hot path resolves a request's bank with one multiply.
@@ -230,8 +229,7 @@ func New(cfg Config, eng *sim.Engine) (*Controller, error) {
 		eng:    eng,
 		tel:    cfg.Telemetry,
 	}
-	finishRead := sim.ArgEvent(c.finishRead)
-	finishWrite := sim.ArgEvent(c.finishWrite)
+	finish := sim.ArgEvent(c.finish)
 	g := cfg.Geom
 	nb := g.Ranks * g.Banks
 	c.shards = make([]shard, g.Channels)
@@ -242,8 +240,7 @@ func New(cfg Config, eng *sim.Engine) (*Controller, error) {
 		s.eng = eng
 		s.tel = cfg.Telemetry
 		s.att = cfg.Attribution
-		s.finishReadFn = finishRead
-		s.finishWriteFn = finishWrite
+		s.finishFn = finish
 		s.banks = make([]*core.Bank, 0, nb)
 		s.cal = core.NewCalendar()
 		for rk := 0; rk < g.Ranks; rk++ {
@@ -320,9 +317,9 @@ func (c *Controller) Enqueue(r *mem.Request, now sim.Tick) bool {
 // enqueue is the per-channel half of Enqueue: forwarding, coalescing,
 // queue admission and telemetry.
 func (s *shard) enqueue(r *mem.Request, now sim.Tick) bool {
-	q, finish, merged := s.readQ, s.finishReadFn, &s.st.ForwardedReads
+	q, merged := s.readQ, &s.st.ForwardedReads
 	if r.Op == mem.Write {
-		q, finish, merged = s.writeQ, s.finishWriteFn, &s.st.CoalescedWrites
+		q, merged = s.writeQ, &s.st.CoalescedWrites
 	}
 	if s.queuedWrite(r.Addr) {
 		// A read is forwarded the queued write's data, a write coalesces
@@ -332,7 +329,7 @@ func (s *shard) enqueue(r *mem.Request, now sim.Tick) bool {
 			telRequest(s.tel, telemetry.ReqEnqueued, r, now)
 		}
 		s.issue(r, now)
-		s.eng.ScheduleArg(now+1, finish, r)
+		s.eng.ScheduleArg(now+1, s.finishFn, r)
 		return true
 	}
 	if !q.Push(r) {
@@ -606,7 +603,7 @@ func (s *shard) issueColumnRead(r *mem.Request, b *core.Bank, lane, qi int, now 
 	if s.tel != nil {
 		s.busSpan(r, lane, now+s.cfg.Tim.TCAS, done)
 	}
-	s.eng.ScheduleArg(done, s.finishReadFn, r)
+	s.eng.ScheduleArg(done, s.finishFn, r)
 }
 
 // busSpan emits the CmdBus span of r's data burst on lane, [start, end).
@@ -620,28 +617,21 @@ func (s *shard) busSpan(r *mem.Request, lane int, start, end sim.Tick) {
 	})
 }
 
-// finishRead completes a read request: it runs as a scheduled ArgEvent
-// with the request as its argument.
-func (c *Controller) finishRead(t sim.Tick, arg any) {
+// finish completes a request: it runs as a scheduled ArgEvent (see
+// finishFn) with the request as its argument.
+func (c *Controller) finish(t sim.Tick, arg any) {
 	r := arg.(*mem.Request)
 	r.Finish(t)
-	c.st.Reads.Inc()
-	c.st.ReadLatencyHist.Observe(uint64(r.Latency()))
+	if r.Op == mem.Write {
+		c.st.Writes.Inc()
+		c.st.WriteLatency.Observe(uint64(r.Latency()))
+	} else {
+		c.st.Reads.Inc()
+		c.st.ReadLatencyHist.Observe(uint64(r.Latency()))
+	}
 	c.inflight--
 	if c.tel != nil {
 		telRequest(c.tel, telemetry.ReqCompleted, r, t)
-	}
-}
-
-// finishWrite completes a write request.
-func (c *Controller) finishWrite(t sim.Tick, arg any) {
-	w := arg.(*mem.Request)
-	w.Finish(t)
-	c.st.Writes.Inc()
-	c.st.WriteLatency.Observe(uint64(w.Latency()))
-	c.inflight--
-	if c.tel != nil {
-		telRequest(c.tel, telemetry.ReqCompleted, w, t)
 	}
 }
 
@@ -712,7 +702,7 @@ func (s *shard) tryIssueWrite(now sim.Tick) bool {
 	if s.tel != nil {
 		s.busSpan(w, lane, start, s.busUse[lane])
 	}
-	s.eng.ScheduleArg(done, s.finishWriteFn, w)
+	s.eng.ScheduleArg(done, s.finishFn, w)
 	return true
 }
 

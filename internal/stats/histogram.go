@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"strings"
 )
 
 // Histogram counts samples in power-of-two buckets: bucket i holds
@@ -118,34 +117,4 @@ func (h *Histogram) Percentile(p float64) uint64 {
 func (h *Histogram) String() string {
 	return fmt.Sprintf("n=%d mean=%.1f p50=%d p95=%d p99=%d max=%d",
 		h.n, h.Mean(), h.Percentile(50), h.Percentile(95), h.Percentile(99), h.max)
-}
-
-// Render draws an ASCII bucket chart of the non-empty range.
-func (h *Histogram) Render() string {
-	if h.n == 0 {
-		return "(empty)"
-	}
-	lo, hi := 0, 0
-	var peak uint64
-	for i, c := range h.buckets {
-		if c > 0 {
-			if peak == 0 {
-				lo = i
-			}
-			hi = i
-			if c > peak {
-				peak = c
-			}
-		}
-	}
-	var b strings.Builder
-	for i := lo; i <= hi; i++ {
-		width := int(float64(h.buckets[i]) / float64(peak) * 30)
-		lowEdge := uint64(0)
-		if i > 0 {
-			lowEdge = 1 << uint(i-1)
-		}
-		fmt.Fprintf(&b, "%8d.. %-30s %d\n", lowEdge, strings.Repeat("#", width), h.buckets[i])
-	}
-	return b.String()
 }

@@ -14,9 +14,6 @@ func TestHistogramEmpty(t *testing.T) {
 	if h.Count() != 0 || h.Mean() != 0 || h.Percentile(50) != 0 {
 		t.Fatal("empty histogram not all-zero")
 	}
-	if h.Render() != "(empty)" {
-		t.Fatalf("Render = %q", h.Render())
-	}
 }
 
 func TestHistogramBasics(t *testing.T) {
@@ -39,9 +36,6 @@ func TestHistogramBasics(t *testing.T) {
 	}
 	if s := h.String(); !strings.Contains(s, "n=5") {
 		t.Errorf("String = %q", s)
-	}
-	if r := h.Render(); !strings.Contains(r, "#") {
-		t.Errorf("Render produced no bars:\n%s", r)
 	}
 }
 

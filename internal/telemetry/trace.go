@@ -8,7 +8,7 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 
 	"repro/internal/addr"
@@ -38,11 +38,13 @@ const (
 //     complete.
 //
 // Each event is encoded to JSON when it arrives, preceded by a comma,
-// into the current chunk of a list of fixed-size byte chunks; Export
-// writes the sorted track metadata, then the chunks in order. The
-// encoding is byte-identical to encoding/json over a struct with the
-// fields name, cat, ph, ts, dur, pid, tid, id, bp and args (in that
-// order; cat, dur, id, bp and every zero args field omitted, args
+// into the current chunk of a list of fixed-size byte chunks, and
+// marks its track's slot in a dense seen table: that is all a run does
+// for track metadata. Export formats the process and thread names of
+// the seen tracks from their slots, then writes the chunks in order.
+// The encoding is byte-identical to encoding/json over a struct with
+// the fields name, cat, ph, ts, dur, pid, tid, id, bp and args (in
+// that order; cat, dur, id, bp and every zero args field omitted, args
 // itself always present where the event carries it), which is how the
 // tests check it. Identical runs produce byte-identical output (locked
 // in by the determinism regression test).
@@ -51,19 +53,16 @@ const (
 // channel interleave into one stream in simulation order.
 type Trace struct {
 	geom   addr.Geometry
+	tiles  int // tile tracks per channel, Ranks·Banks·SAGs·CDs
 	lanes  int
 	chunks [][]byte // encoded events, each with its leading comma
 	events int
 
-	// Track metadata is recorded on first use and emitted (sorted) at
-	// the head of the file.
-	names map[[2]int]string // (pid, tid) → thread name
-	procs map[int]string    // pid → process name
-	// seen marks the tracks of the geometry already named, so an
-	// event on a known track skips the map: per channel, the tile
-	// tids, the bus-lane tids, then the reads and writes tracks, at
-	// seenStride slots each. Coordinates outside the geometry always
-	// take the map.
+	// seen marks the tracks that carry an event: per channel, the
+	// tile tids, the bus-lane tids, then the reads and writes tracks,
+	// at seenStride slots each, so slot order is (pid, tid) order.
+	// Coordinates outside the geometry mark nothing, and their tracks
+	// get no metadata.
 	seen       []bool
 	seenStride int
 
@@ -76,12 +75,12 @@ func NewTrace(g addr.Geometry, lanes int) *Trace {
 	if lanes < 1 {
 		lanes = 1
 	}
-	stride := g.Ranks*g.Banks*g.SAGs*g.CDs + lanes + 2
+	tiles := g.Ranks * g.Banks * g.SAGs * g.CDs
+	stride := tiles + lanes + 2
 	return &Trace{
 		geom:       g,
+		tiles:      tiles,
 		lanes:      lanes,
-		names:      make(map[[2]int]string),
-		procs:      make(map[int]string),
 		seen:       make([]bool, g.Channels*stride),
 		seenStride: stride,
 	}
@@ -97,25 +96,14 @@ func (t *Trace) tileTID(rank, bank, sag, cd int) int {
 }
 
 // busTID maps a bus lane to a thread id above the tile range.
-func (t *Trace) busTID(lane int) int {
-	g := t.geom
-	return 1 + g.Ranks*g.Banks*g.SAGs*g.CDs + lane
-}
+func (t *Trace) busTID(lane int) int { return 1 + t.tiles + lane }
 
-// firstSight reports whether the track in slot of channel ch has not
-// been seen yet, and marks it seen. A slot outside the geometry (a
-// negative one, or a channel past it) counts as unseen every time, so
-// its caller falls through to the name map, which knows.
-func (t *Trace) firstSight(ch, slot int) bool {
-	if ch < 0 || ch >= t.geom.Channels || slot < 0 {
-		return true
+// mark records that the track in slot of channel ch carries an event.
+// A channel outside the geometry marks nothing.
+func (t *Trace) mark(ch, slot int) {
+	if uint(ch) < uint(t.geom.Channels) {
+		t.seen[ch*t.seenStride+slot] = true
 	}
-	i := ch*t.seenStride + slot
-	if t.seen[i] {
-		return false
-	}
-	t.seen[i] = true
-	return true
 }
 
 // inGrid reports whether every coordinate of a tile lies inside the
@@ -128,48 +116,63 @@ func (t *Trace) inGrid(rank, bank, sag, cd int) bool {
 
 func (t *Trace) touchTile(ch, rank, bank, sag, cd int) (pid, tid int) {
 	pid, tid = t.tilePID(ch), t.tileTID(rank, bank, sag, cd)
-	slot := -1
 	if t.inGrid(rank, bank, sag, cd) {
-		slot = tid - 1
-	}
-	if t.firstSight(ch, slot) {
-		t.name(pid, tid, fmt.Sprintf("rk%d bk%d sag%d cd%d", rank, bank, sag, cd), fmt.Sprintf("ch%d tiles", ch))
+		t.mark(ch, tid-1)
 	}
 	return pid, tid
 }
 
 func (t *Trace) touchBus(ch, lane int) (pid, tid int) {
 	pid, tid = t.tilePID(ch), t.busTID(lane)
-	slot := -1
 	if uint(lane) < uint(t.lanes) {
-		slot = tid - 1
-	}
-	if t.firstSight(ch, slot) {
-		t.name(pid, tid, fmt.Sprintf("bus lane %d", lane), fmt.Sprintf("ch%d tiles", ch))
+		t.mark(ch, tid-1)
 	}
 	return pid, tid
 }
 
 func (t *Trace) touchReq(ch int, write bool) (pid, tid int) {
-	pid = t.reqPID(ch)
-	tid = 1
-	name := "reads"
+	pid, tid = t.reqPID(ch), 1
 	if write {
-		tid, name = 2, "writes"
+		tid = 2
 	}
-	if t.firstSight(ch, t.seenStride-3+tid) {
-		t.name(pid, tid, name, fmt.Sprintf("ch%d requests", ch))
-	}
+	t.mark(ch, t.seenStride-3+tid)
 	return pid, tid
 }
 
-// name records a track's thread name and its process's name, unless
-// the track already has one: the first event on a track names it.
-func (t *Trace) name(pid, tid int, thread, proc string) {
-	key := [2]int{pid, tid}
-	if _, ok := t.names[key]; !ok {
-		t.names[key] = thread
-		t.procs[pid] = proc
+// metadata calls fn for every metadata event of the trace in file
+// order: the process names by ascending pid, then the thread names by
+// ascending (pid, tid). Each is a function of a seen slot (and of
+// whether a counter sample exists), formatted only here.
+func (t *Trace) metadata(fn func(kind string, pid, tid int, name string)) {
+	g, tiles := t.geom, t.tiles
+	if t.haveCounter {
+		fn("process_name", 0, 0, "sim kernel")
+	}
+	for ch := 0; ch < g.Channels; ch++ {
+		row := t.seen[ch*t.seenStride : (ch+1)*t.seenStride]
+		if slices.Contains(row[:tiles+t.lanes], true) {
+			fn("process_name", t.tilePID(ch), 0, fmt.Sprintf("ch%d tiles", ch))
+		}
+		if slices.Contains(row[tiles+t.lanes:], true) {
+			fn("process_name", t.reqPID(ch), 0, fmt.Sprintf("ch%d requests", ch))
+		}
+	}
+	for ch := 0; ch < g.Channels; ch++ {
+		for slot, ok := range t.seen[ch*t.seenStride : (ch+1)*t.seenStride] {
+			switch {
+			case !ok:
+			case slot < tiles:
+				cd, sag, bank := slot%g.CDs, slot/g.CDs%g.SAGs, slot/(g.CDs*g.SAGs)%g.Banks
+				rank := slot / (g.CDs * g.SAGs * g.Banks)
+				fn("thread_name", t.tilePID(ch), slot+1, fmt.Sprintf("rk%d bk%d sag%d cd%d", rank, bank, sag, cd))
+			case slot < tiles+t.lanes:
+				fn("thread_name", t.tilePID(ch), slot+1, fmt.Sprintf("bus lane %d", slot-tiles))
+			case slot == t.seenStride-2:
+				fn("thread_name", t.reqPID(ch), 1, "reads")
+			default:
+				fn("thread_name", t.reqPID(ch), 2, "writes")
+			}
+		}
 	}
 }
 
@@ -228,9 +231,6 @@ func (t *Trace) flow(ph, bp string, now sim.Tick, pid, tid int, id uint64) {
 func (t *Trace) EngineSample(now sim.Tick, pending int) {
 	if t.haveCounter && now == t.lastCounterTick {
 		return
-	}
-	if !t.haveCounter {
-		t.procs[0] = "sim kernel"
 	}
 	t.haveCounter, t.lastCounterTick = true, now
 	b := appendEvent(t.buf(), "pending events", "kernel", "C", now, 0, 0, 0)
@@ -325,36 +325,17 @@ func argKey(b []byte, open int, key string) []byte {
 }
 
 // Export serializes the trace: track metadata (process and thread
-// names, sorted by id) first, then the recorded events in simulation
+// names, in id order) first, then the recorded events in simulation
 // order. It may be called more than once.
 func (t *Trace) Export(w io.Writer) error {
 	// Timestamps are in simulated controller cycles, not microseconds;
 	// displayTimeUnit only affects the viewer's axis labels.
 	head := []byte(`{"displayTimeUnit":"ns","traceEvents":[`)
 	open := len(head)
-	pids := make([]int, 0, len(t.procs))
-	for pid := range t.procs {
-		pids = append(pids, pid)
-	}
-	sort.Ints(pids)
-	for _, pid := range pids {
-		head = appendEvent(head, "process_name", "", "M", 0, 0, pid, 0)
-		head = append(appendArgs(head, t.procs[pid], 0, 0, 0, 0), '}')
-	}
-	keys := make([][2]int, 0, len(t.names))
-	for k := range t.names {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
+	t.metadata(func(kind string, pid, tid int, name string) {
+		head = appendEvent(head, kind, "", "M", 0, 0, pid, tid)
+		head = append(appendArgs(head, name, 0, 0, 0, 0), '}')
 	})
-	for _, k := range keys {
-		head = appendEvent(head, "thread_name", "", "M", 0, 0, k[0], k[1])
-		head = append(appendArgs(head, t.names[k], 0, 0, 0, 0), '}')
-	}
 	// Every event carries a leading comma; the array's first one drops
 	// it.
 	skip := 1

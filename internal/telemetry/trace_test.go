@@ -2,7 +2,9 @@ package telemetry
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -48,7 +50,8 @@ type traceFile struct {
 
 // jsonOracle buffers traceEvents and encodes them with encoding/json.
 // Its own Trace, which never records an event, does the track
-// bookkeeping (ids and names).
+// bookkeeping (ids and names); the oracle sorts the names itself, so
+// the order of the Trace's metadata walk is checked independently.
 type jsonOracle struct {
 	tracks *Trace
 	events []traceEvent
@@ -57,7 +60,16 @@ type jsonOracle struct {
 	haveCounter     bool
 }
 
-func newJSONOracle() *jsonOracle { return &jsonOracle{tracks: NewTrace(testGeom(), 2)} }
+func newJSONOracle() *jsonOracle { return &jsonOracle{tracks: NewTrace(pairGeom(), 2)} }
+
+// pairGeom is the geometry a pair traces: testGeom on three channels
+// and two ranks, so tracks past channel 0 and rank 0 are named, while
+// the fuzzer's banks, SAGs and CDs still reach past the geometry.
+func pairGeom() addr.Geometry {
+	g := testGeom()
+	g.Channels, g.Ranks = 3, 2
+	return g
+}
 
 func (o *jsonOracle) Command(ev Command) {
 	var pid, tid int
@@ -101,7 +113,7 @@ func (o *jsonOracle) EngineSample(now sim.Tick, pending int) {
 		return
 	}
 	o.haveCounter, o.lastCounterTick = true, now
-	o.tracks.procs[0] = "sim kernel"
+	o.tracks.haveCounter = true
 	o.events = append(o.events, traceEvent{
 		Name: "pending events", Cat: "kernel", Ph: "C", TS: uint64(now),
 		Args: &evtArgs{Value: pending},
@@ -109,30 +121,24 @@ func (o *jsonOracle) EngineSample(now sim.Tick, pending int) {
 }
 
 func (o *jsonOracle) Export() []byte {
-	head := make([]traceEvent, 0)
-	pids := make([]int, 0, len(o.tracks.procs))
-	for pid := range o.tracks.procs {
-		pids = append(pids, pid)
-	}
-	sort.Ints(pids)
-	for _, pid := range pids {
-		head = append(head, traceEvent{Name: "process_name", Ph: "M", PID: pid,
-			Args: &evtArgs{Name: o.tracks.procs[pid]}})
-	}
-	keys := make([][2]int, 0, len(o.tracks.names))
-	for k := range o.tracks.names {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
+	var procs, threads []traceEvent
+	o.tracks.metadata(func(kind string, pid, tid int, name string) {
+		ev := traceEvent{Name: kind, Ph: "M", PID: pid, TID: tid, Args: &evtArgs{Name: name}}
+		if kind == "process_name" {
+			procs = append(procs, ev)
+		} else {
+			threads = append(threads, ev)
 		}
-		return keys[i][1] < keys[j][1]
 	})
-	for _, k := range keys {
-		head = append(head, traceEvent{Name: "thread_name", Ph: "M", PID: k[0], TID: k[1],
-			Args: &evtArgs{Name: o.tracks.names[k]}})
+	for _, evs := range [][]traceEvent{procs, threads} {
+		sort.Slice(evs, func(i, j int) bool {
+			if evs[i].PID != evs[j].PID {
+				return evs[i].PID < evs[j].PID
+			}
+			return evs[i].TID < evs[j].TID
+		})
 	}
+	head := append(append(make([]traceEvent, 0), procs...), threads...)
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(traceFile{
 		DisplayTimeUnit: "ns",
@@ -149,7 +155,7 @@ type pair struct {
 	o  *jsonOracle
 }
 
-func newPair() pair { return pair{NewTrace(testGeom(), 2), newJSONOracle()} }
+func newPair() pair { return pair{NewTrace(pairGeom(), 2), newJSONOracle()} }
 
 func (p pair) command(ev Command)      { p.tr.Command(ev); p.o.Command(ev) }
 func (p pair) request(ev RequestEvent) { p.tr.Request(ev); p.o.Request(ev) }
@@ -284,6 +290,42 @@ func TestTraceEncodingMatchesJSON(t *testing.T) {
 				t.Errorf("event %s takes %d bytes, maxEventBytes = %d", ev, len(ev), maxEventBytes)
 			}
 		}
+	}
+}
+
+// TestTraceMetadataMultiRank pins the Perfetto bytes of a fixed event
+// script on a geometry no simulator digest traces: three channels, two
+// ranks and three bus lanes. A track-naming error that shows only past
+// rank 0, channel 0 or lane 1 changes the digest. Channel 2 carries
+// requests but no commands, and only channel 0 carries writes, so the
+// per-channel process names are pinned one by one.
+func TestTraceMetadataMultiRank(t *testing.T) {
+	g := addr.Geometry{
+		Channels: 3, Ranks: 2, Banks: 4,
+		Rows: 64, Cols: 16, LineBytes: 64,
+		SAGs: 4, CDs: 2,
+	}
+	tr := NewTrace(g, 3)
+	for i := 0; i < 120; i++ {
+		now := sim.Tick(10 * i)
+		bank := BankID{Channel: i % 2, Rank: i / 2 % 2, Bank: i / 5 % 4}
+		tr.Command(Command{Kind: CommandKind(i % 3), Bank: bank, SAG: i / 3 % 4, CD: i / 7 % 2,
+			Row: i, Col: i % 16, Start: now, End: now + 25, ReqID: uint64(i)})
+		if i%4 == 0 {
+			tr.Command(Command{Kind: CmdBus, Bank: bank, CD: i / 4 % 3, Row: i, Start: now + 5, End: now + 9, ReqID: uint64(i)})
+		}
+		loc := addr.Location{Channel: 2 * (i % 2), Row: i, Col: i % 16}
+		tr.Request(RequestEvent{Phase: RequestPhase(i % 3), ID: uint64(i / 3), Write: loc.Channel == 0 && i%6 < 3,
+			Loc: loc, Now: now})
+		tr.EngineSample(now/20, i%9)
+	}
+	h := sha256.New()
+	if err := tr.Export(h); err != nil {
+		t.Fatal(err)
+	}
+	const want = "ddaae3bb5da8d0f2adee2529ade85bf1e0e22a2ea06effb508c8e1a24880a1cf"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("trace sha256 = %s, want %s", got, want)
 	}
 }
 
