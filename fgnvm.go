@@ -180,7 +180,7 @@ type Options struct {
 	// line size, this length), and later runs with the same key, such
 	// as the other designs of a benchmark, continue from a copy. Results
 	// are byte-identical either way. The memo holds at most 16 entries
-	// of about 0.8 MB each. Custom streams and GEMM workloads warm in
+	// of 512 KiB each. Custom streams and GEMM workloads warm in
 	// place on every run.
 	WarmupAccesses int
 
@@ -876,8 +876,21 @@ func RunContext(ctx context.Context, o Options) (Result, error) {
 		memsys = ctrl
 	}
 
-	// Per-core private LLC and core model.
+	// Per-core private LLC and core model. Every return from here on
+	// hands the run's LLCs and trace chunks back to their pools; the
+	// memo's warmed caches are never among them, since a run only holds
+	// clones.
 	slots := make([]*coreSlot, len(streams))
+	defer func() {
+		for _, s := range slots {
+			if s != nil && s.llc != nil {
+				s.llc.Release()
+			}
+		}
+		if telTrc != nil {
+			telTrc.Release()
+		}
+	}()
 	// Each LLC is warmed on the head of its core's stream, so the timed
 	// region runs in steady state (capacity misses and writebacks). That
 	// warm-up stands in for the paper's checkpoint restore, and for
@@ -886,21 +899,22 @@ func RunContext(ctx context.Context, o Options) (Result, error) {
 	// warm its cache once. Custom streams and GEMM workloads, which
 	// have no key, warm in place.
 	for i, stream := range streams {
-		var llc *cpu.LLC
+		s := &coreSlot{}
+		slots[i] = s
 		switch {
 		case keys != nil && !o.SkipLLC && warm > 0:
-			llc, stream, err = warmedCore(ctx, keys[i])
+			s.llc, stream, err = warmedCore(ctx, keys[i])
 		case keys != nil: // no LLC or no warm-up: nothing to restore
 			stream = keys[i].stream(keys[i].generator())
 		}
 		if err != nil {
 			return Result{}, err
 		}
-		if llc == nil && !o.SkipLLC {
-			if llc, err = cpu.NewLLC(cpu.LLCConfig{}); err != nil {
+		if s.llc == nil && !o.SkipLLC {
+			if s.llc, err = cpu.NewLLC(cpu.LLCConfig{}); err != nil {
 				return Result{}, err
 			}
-			if err := warmLLC(ctx, llc, stream, warm); err != nil {
+			if err := warmLLC(ctx, s.llc, stream, warm); err != nil {
 				return Result{}, err
 			}
 		}
@@ -911,11 +925,9 @@ func RunContext(ctx context.Context, o Options) (Result, error) {
 			CPUPerMemCycle: o.Core.CPUPerMemCycle,
 			Instructions:   o.Instructions,
 		}
-		cm, err := cpu.NewCore(cc, stream, llc, memsys)
-		if err != nil {
+		if s.core, err = cpu.NewCore(cc, stream, s.llc, memsys); err != nil {
 			return Result{}, err
 		}
-		slots[i] = &coreSlot{core: cm, llc: llc}
 	}
 
 	now, err := runSerial(ctx, o, eng, memsys, slots)

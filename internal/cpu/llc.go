@@ -9,7 +9,9 @@ package cpu
 
 import (
 	"fmt"
-	"slices"
+	"sync"
+
+	"repro/internal/invariant"
 )
 
 // LLCConfig sizes the last-level cache. Zero fields take Nehalem-like
@@ -50,11 +52,33 @@ type llcLine struct {
 	used     uint64 // LRU timestamp; 0 for an invalid line
 }
 
+// linePool holds released line buffers for the next NewLLC or Clone.
+// It stores pointers, so Put does not allocate.
+var linePool sync.Pool // of *[]llcLine
+
+// getLines returns a buffer of n lines: a released one from linePool,
+// holding a previous cache's lines that the caller must overwrite, or
+// a fresh zeroed one when the pool has none of that length.
+func getLines(n int) *[]llcLine {
+	if p, ok := linePool.Get().(*[]llcLine); ok && len(*p) == n {
+		return p
+	}
+	lines := make([]llcLine, n)
+	return &lines
+}
+
+// poisonLine fills released lines in the invariant build: a valid,
+// dirty line with a tag no simulated address has, so a cache that
+// reads a released or stale buffer misses, writes back and changes its
+// Result.
+var poisonLine = llcLine{tagDirty: 0xa5a5_a5a5_a5a5_a5a5, used: 0xa5a5_a5a5_a5a5_a5a5}
+
 // LLC is a set-associative writeback, write-allocate cache with LRU
 // replacement.
 type LLC struct {
 	cfg   LLCConfig
-	lines []llcLine // set s occupies lines[s*Ways : (s+1)*Ways]
+	lines []llcLine  // set s occupies lines[s*Ways : (s+1)*Ways]
+	buf   *[]llcLine // points at lines, for Release; nil once released
 	setsN uint64
 	clock uint64
 
@@ -79,7 +103,9 @@ func NewLLC(cfg LLCConfig) (*LLC, error) {
 		// Tags would need all 64 bits, leaving none for the dirty bit.
 		return nil, fmt.Errorf("cpu: a one-set LLC needs lines of at least 2 bytes")
 	}
-	return &LLC{cfg: cfg, lines: make([]llcLine, lines), setsN: uint64(setsN)}, nil
+	buf := getLines(lines)
+	clear(*buf)
+	return &LLC{cfg: cfg, lines: *buf, buf: buf, setsN: uint64(setsN)}, nil
 }
 
 // MustNewLLC is NewLLC but panics on error.
@@ -96,8 +122,27 @@ func MustNewLLC(cfg LLCConfig) *LLC {
 // was.
 func (l *LLC) Clone() *LLC {
 	c := *l
-	c.lines = slices.Clone(l.lines)
+	c.buf = getLines(len(l.lines))
+	c.lines = *c.buf
+	copy(c.lines, l.lines)
 	return &c
+}
+
+// Release returns l's lines to the pool that NewLLC and Clone draw
+// from. l must not be used afterwards, and no cache that others still
+// clone (the warm-up memo's) may be released. A second Release does
+// nothing.
+func (l *LLC) Release() {
+	if l.buf == nil {
+		return
+	}
+	if invariant.Enabled {
+		for i := range *l.buf {
+			(*l.buf)[i] = poisonLine
+		}
+	}
+	linePool.Put(l.buf)
+	l.buf, l.lines = nil, nil
 }
 
 // Access performs one access; write marks the line dirty. On a miss the

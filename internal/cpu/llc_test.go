@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -148,5 +149,41 @@ func TestLLCClone(t *testing.T) {
 	}
 	if !c.Access(0, false).Miss {
 		t.Fatal("line 0 came back to the clone when the source touched it")
+	}
+}
+
+// TestLLCReleaseReuse: a released cache's lines go back to the pool,
+// and a cache built from a pooled buffer starts exactly as a fresh one
+// (NewLLC) or as its source (Clone), whatever the buffer held.
+func TestLLCReleaseReuse(t *testing.T) {
+	cfg := LLCConfig{SizeBytes: 4096, Ways: 2, LineBytes: 64} // 32 sets
+	src := MustNewLLC(cfg)
+	for a := uint64(0); a < 64; a++ {
+		src.Access(a*64, a%3 == 0)
+	}
+	for round := 0; round < 3; round++ {
+		dirty := src.Clone()
+		for a := uint64(100); a < 200; a++ {
+			dirty.Access(a*64, true)
+		}
+		dirty.Release()
+		dirty.Release() // a second Release does nothing
+		if dirty.lines != nil || dirty.buf != nil {
+			t.Fatal("a released cache kept its lines")
+		}
+
+		fresh := MustNewLLC(cfg)
+		for i, ln := range fresh.lines {
+			if ln != (llcLine{}) {
+				t.Fatalf("round %d: NewLLC line %d = %+v, want an invalid line", round, i, ln)
+			}
+		}
+		fresh.Release()
+
+		c := src.Clone()
+		if !slices.Equal(c.lines, src.lines) {
+			t.Fatalf("round %d: a clone into a pooled buffer differs from its source", round)
+		}
+		c.Release()
 	}
 }

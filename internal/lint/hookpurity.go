@@ -44,7 +44,10 @@ var mutatingMethods = map[string][]string{
 	// Charging energy or stepping a core (or touching its LLC) changes
 	// the Result a hook is only meant to observe.
 	"internal/energy": {"Sense", "Write", "AdvanceBackground"},
-	"internal/cpu":    {"Cycle", "SkipStallCycles", "Access"},
+	"internal/cpu":    {"Cycle", "SkipStallCycles", "Access", "Release"},
+	// Release hands a run's LLC lines or trace chunks to the next run
+	// while this one may still read them.
+	"internal/telemetry": {"Release"},
 	// Pool.Get/Put and Request.Reset recycle request identity: a hook
 	// that touches the free list can alias a live request with a future
 	// one, which is as stateful as mutation gets.

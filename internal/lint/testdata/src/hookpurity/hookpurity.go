@@ -109,6 +109,22 @@ func (s *ChargingSink) Request(telemetry.RequestEvent) {
 }
 func (s *ChargingSink) Stall(telemetry.StallCause, uint64) {}
 
+// ReleasingSink hands the run's LLC lines and trace chunks back to
+// their pools from telemetry context, while the run still uses them.
+// Flagged.
+type ReleasingSink struct {
+	llc   *cpu.LLC
+	trace *telemetry.Trace
+}
+
+func (s *ReleasingSink) Command(telemetry.Command) {
+	s.llc.Release() // want "state-mutating"
+}
+func (s *ReleasingSink) Request(telemetry.RequestEvent) {
+	s.trace.Release() // want "state-mutating"
+}
+func (s *ReleasingSink) Stall(telemetry.StallCause, uint64) {}
+
 func installHooks(eng *sim.Engine) {
 	// Observation-only literal: allowed.
 	eng.SetHook(func(now sim.Tick, pending int) {

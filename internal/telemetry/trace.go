@@ -10,8 +10,10 @@ import (
 	"io"
 	"slices"
 	"strconv"
+	"sync"
 
 	"repro/internal/addr"
+	"repro/internal/invariant"
 	"repro/internal/sim"
 )
 
@@ -25,6 +27,11 @@ const (
 	chunkBytes    = 64 << 10
 	maxEventBytes = 512
 )
+
+// chunkPool holds released chunks for the next trace's buf. A chunk
+// restarts at length 0, so only the bytes its new trace appends are
+// ever read.
+var chunkPool = sync.Pool{New: func() any { return new([chunkBytes]byte) }}
 
 // Trace records simulation events and serializes them as Chrome
 // trace-event JSON. Tracks:
@@ -42,6 +49,8 @@ const (
 // marks its track's slot in a dense seen table: that is all a run does
 // for track metadata. Export formats the process and thread names of
 // the seen tracks from their slots, then writes the chunks in order.
+// Chunks come from a process-wide pool, and Release returns them once
+// the trace is exported.
 // The encoding is byte-identical to encoding/json over a struct with
 // the fields name, cat, ph, ts, dur, pid, tid, id, bp and args (in
 // that order; cat, dur, id, bp and every zero args field omitted, args
@@ -246,8 +255,24 @@ func (t *Trace) buf() []byte {
 			return c
 		}
 	}
-	t.chunks = append(t.chunks, make([]byte, 0, chunkBytes))
+	t.chunks = append(t.chunks, chunkPool.Get().(*[chunkBytes]byte)[:0])
 	return t.chunks[len(t.chunks)-1]
+}
+
+// Release returns the trace's chunks to the pool that later traces
+// draw from. The trace must not be used afterwards; Export the events
+// first. A second Release does nothing.
+func (t *Trace) Release() {
+	for _, c := range t.chunks {
+		p := (*[chunkBytes]byte)(c[:chunkBytes])
+		if invariant.Enabled {
+			for i := range p {
+				p[i] = 0xa5 // a byte no encoded event holds
+			}
+		}
+		chunkPool.Put(p)
+	}
+	t.chunks = nil
 }
 
 // done stores the current chunk back after one event was appended.

@@ -268,6 +268,18 @@ func TestTraceEncodingMatchesJSON(t *testing.T) {
 	if len(p.tr.chunks) < 3 {
 		t.Errorf("chunk-boundary case filled %d chunks, want several", len(p.tr.chunks))
 	}
+	// Its chunks, full of events, go back to the pool and serve the
+	// traces that follow, which must still encode as the oracle does.
+	p.tr.Release()
+	p.tr.Release() // a second Release does nothing
+	for _, c := range cases {
+		t.Run("pooled/"+c.name, func(t *testing.T) {
+			p := newPair()
+			c.drive(p)
+			p.check(t)
+			p.tr.Release()
+		})
+	}
 
 	// The largest event any input can produce must fit maxEventBytes:
 	// a command, or the begin event of an enqueue, with every number

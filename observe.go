@@ -29,7 +29,8 @@ type TelemetryOptions struct {
 	// Perfetto JSON trace of the run (openable in ui.perfetto.dev):
 	// one track per (bank, SAG, CD) tile and per bus lane, async spans
 	// per request, and a kernel pending-events counter. Identical
-	// Options produce byte-identical traces.
+	// Options produce byte-identical traces. As io.Writer requires, it
+	// must not retain the slices it is given: later runs reuse them.
 	TraceWriter io.Writer
 
 	// Sink, when non-nil, additionally receives every raw command and

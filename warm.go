@@ -37,8 +37,8 @@ func (k warmKey) stream(gen *trace.Generator) trace.Stream {
 }
 
 // warmState is one memo entry: a warmed LLC and the generator that
-// warmed it, standing just past the warm-up. Entries are never mutated;
-// runs continue from clones.
+// warmed it, standing just past the warm-up. Entries are never mutated
+// or released; runs continue from clones, and release only those.
 type warmState struct {
 	llc *cpu.LLC
 	gen *trace.Generator
@@ -46,8 +46,8 @@ type warmState struct {
 
 // warmMemoCap bounds the warm-up memo. Sixteen entries hold the twelve
 // paper benchmarks at one seed plus a Mix of maxCores cores. One entry
-// is one LLC's lines, about 0.8 MB of pointer-free memory, so a full
-// memo holds about 13 MB.
+// is one LLC's lines, 32,768 lines of 16 bytes (512 KiB) of
+// pointer-free memory, so a full memo holds about 8.4 MB.
 const warmMemoCap = 16
 
 // warmMemo is the process-wide warm-up memo: finished warm-ups in an
@@ -81,6 +81,7 @@ func warmedCore(ctx context.Context, k warmKey) (*cpu.LLC, trace.Stream, error) 
 			}
 			gen := k.generator()
 			if err := warmLLC(fctx, llc, k.stream(gen), k.accesses); err != nil {
+				llc.Release() // stored nowhere, so no run clones it
 				return warmState{}, err
 			}
 			w := warmState{llc: llc, gen: gen}
