@@ -56,34 +56,11 @@ func TestGEMMRunsAreByteDeterministic(t *testing.T) {
 	}
 }
 
-// TestSAGTilingReducesSAGConflicts pins the paper's core claim as it
-// applies to the lowering: on an FgNVM part, placing each matrix's
-// blocks in its own SAG partition eliminates the subarray-group
-// conflicts that row-major placement suffers when the interleaved
-// A/B/C streams land in the same SAG.
-func TestSAGTilingReducesSAGConflicts(t *testing.T) {
-	run := func(tiling string) Result {
-		r, _, _ := runGEMM(t, WorkloadSpec{Preset: "gpt2s-ffn-down", Tiling: tiling}, DesignFgNVM, 60_000)
-		if r.Stalls == nil {
-			t.Fatal("Attribution requested but Result.Stalls is nil")
-		}
-		return r
-	}
-	rowmajor := run("rowmajor")
-	sag := run("sag")
-	if sag.Stalls.SAGConflict >= rowmajor.Stalls.SAGConflict {
-		t.Errorf("sag tiling SAGConflict = %d, want < rowmajor's %d",
-			sag.Stalls.SAGConflict, rowmajor.Stalls.SAGConflict)
-	}
-	if rowmajor.Stalls.SAGConflict == 0 {
-		t.Error("rowmajor tiling shows zero SAG conflicts; the workload no longer exercises the contention the test is about")
-	}
-}
-
-// TestCDTilingShiftsStallBuckets: the orthogonal half of the story —
-// CD-interleaved tiling drains the cd_conflict bucket that SAG-aligned
-// tiling pays, so the two strategies trade stall buckets rather than
-// one dominating everywhere.
+// TestCDTilingShiftsStallBuckets: the orthogonal half of the story
+// whose SAG half TestGoldenGEMM checks (SAG-aligned tiling has fewer
+// sag-conflict stalls than row-major) — CD-interleaved tiling drains
+// the cd_conflict bucket that SAG-aligned tiling pays, so the two
+// strategies trade stall buckets rather than one dominating everywhere.
 func TestCDTilingShiftsStallBuckets(t *testing.T) {
 	run := func(tiling string) Result {
 		r, _, _ := runGEMM(t, WorkloadSpec{Preset: "gpt2s-ffn-down", Tiling: tiling}, DesignFgNVM, 60_000)
@@ -103,7 +80,8 @@ func TestCDTilingShiftsStallBuckets(t *testing.T) {
 // TestGEMMBaselineSuffersMost: the undivided baseline bank serializes
 // everything behind a single row buffer, so its SAG-conflict bucket
 // (row-buffer conflicts, in baseline terms) dwarfs FgNVM's under the
-// same SAG-aligned workload, and FgNVM's IPC is at least as good.
+// same SAG-aligned workload. TestGoldenGEMM checks that FgNVM's IPC is
+// higher too.
 func TestGEMMBaselineSuffersMost(t *testing.T) {
 	w := WorkloadSpec{Preset: "gpt2s-ffn-down"}
 	base, _, _ := runGEMM(t, w, DesignBaseline, 60_000)
@@ -111,9 +89,6 @@ func TestGEMMBaselineSuffersMost(t *testing.T) {
 	if base.Stalls.SAGConflict <= fg.Stalls.SAGConflict {
 		t.Errorf("baseline SAGConflict = %d, want > fgnvm's %d",
 			base.Stalls.SAGConflict, fg.Stalls.SAGConflict)
-	}
-	if fg.IPC <= base.IPC {
-		t.Errorf("fgnvm IPC = %.4f, want > baseline's %.4f", fg.IPC, base.IPC)
 	}
 }
 

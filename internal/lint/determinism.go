@@ -81,7 +81,7 @@ func checkForbiddenCall(pass *Pass, call *ast.CallExpr) {
 	case "time":
 		if sel.Sel.Name == "Now" {
 			if pass.Allowed(call, "wallclock") {
-				return // audited wall-clock read (e.g. the perf harness timing real runs)
+				return // audited wall-clock read (e.g. the server timing real runs for /metrics)
 			}
 			pass.Reportf(call.Pos(),
 				"call to time.Now: simulation code must derive time from sim.Tick, not the wall clock "+
