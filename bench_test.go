@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"repro/internal/area"
+	"repro/internal/telemetry"
 )
 
 // benchInstr keeps individual benchmark iterations fast; the shapes are
@@ -265,4 +266,62 @@ func BenchmarkAblationTechnology(b *testing.B) {
 			b.ReportMetric(r.Energy.TotalPJ/float64(r.Reads+r.Writes), "pJ/access")
 		})
 	}
+}
+
+// eventLog records a run's command and request events in order.
+type eventLog struct {
+	cmds []telemetry.Command
+	reqs []telemetry.RequestEvent
+	// order holds one entry per event: true for a command.
+	order []bool
+}
+
+func (l *eventLog) Command(ev telemetry.Command) {
+	l.cmds = append(l.cmds, ev)
+	l.order = append(l.order, true)
+}
+
+func (l *eventLog) Request(ev telemetry.RequestEvent) {
+	l.reqs = append(l.reqs, ev)
+	l.order = append(l.order, false)
+}
+
+// BenchmarkTraceReplay times the Perfetto encoder alone: it records
+// the command and request events of one telemetry-workload run (FgNVM
+// 8×2 on lbm, 100 k instructions) and replays them into a fresh Trace
+// per iteration, reporting ns per event. Each request event encodes
+// one or two trace events; the figure divides by the trace's count.
+func BenchmarkTraceReplay(b *testing.B) {
+	o := Options{Design: DesignFgNVM, SAGs: 8, CDs: 2, Benchmark: "lbm", Instructions: 100_000}
+	log := &eventLog{}
+	o.Telemetry = &TelemetryOptions{Sink: log}
+	if _, err := Run(o); err != nil {
+		b.Fatal(err)
+	}
+	c, err := o.Canonical()
+	if err != nil {
+		b.Fatal(err)
+	}
+	geom, _, err := c.resolve()
+	if err != nil {
+		b.Fatal(err)
+	}
+	events := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr := telemetry.NewTrace(geom, c.IssueLanes)
+		ci, ri := 0, 0
+		for _, cmd := range log.order {
+			if cmd {
+				tr.Command(log.cmds[ci])
+				ci++
+			} else {
+				tr.Request(log.reqs[ri])
+				ri++
+			}
+		}
+		events += tr.Events()
+		tr.Release()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 }

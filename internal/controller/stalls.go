@@ -23,10 +23,12 @@ const (
 
 // stallMemo memoizes the stall classes of a channel's queued requests,
 // bank by bank. A bank's classes depend only on its own timers and
-// latches, so they hold until the bank's next timer release or its next
-// command. A command on bank b marks only b stale, a push onto a bank
-// with a valid memo classifies only the pushed request, and a timer
-// release reclassifies only the bank it belongs to.
+// latches, so they hold until its next command or until the first of
+// the timers its classifications compared releases, whichever comes
+// first. A command on bank b marks only b stale, a push onto a bank
+// with a valid memo classifies only the pushed request and lowers the
+// bank's bound by that request's, and a release reclassifies only the
+// bank whose compared timer it was.
 type stallMemo struct {
 	// count is the channel's class histogram: the sum of every bank's.
 	count [numStallClasses]int
@@ -44,9 +46,10 @@ type stallMemo struct {
 }
 
 // bankStalls is one bank's memo: the class histogram of its queued
-// requests, valid until the bank's next timer release when it was
-// taken (0 once a command makes it stale), and the head of the list of
-// its queued requests, reads and writes alike, in no order.
+// requests, valid until the least timer above the classification tick
+// that any of their classifications compared (0 once a command makes
+// it stale), and the head of the list of its queued requests, reads and
+// writes alike, in no order.
 type bankStalls struct {
 	count   [numStallClasses]int32
 	until   sim.Tick
@@ -79,8 +82,9 @@ func newStallMemo(nb, slots int) *stallMemo {
 }
 
 // pushed files a request just pushed onto a queue under its bank. A
-// bank whose memo is valid at now classifies the request and counts
-// it; a bank that was not tracked becomes tracked and stale.
+// bank whose memo is valid at now classifies the request, counts it and
+// lowers its until, and the channel's, to the request's bound; a bank
+// that was not tracked becomes tracked and stale.
 func (s *shard) pushed(r *mem.Request, now sim.Tick) {
 	m := s.stalls
 	if m == nil {
@@ -98,9 +102,11 @@ func (s *shard) pushed(r *mem.Request, now sim.Tick) {
 		m.tracked = append(m.tracked, bi)
 		m.until = 0
 	case now < bk.until:
-		c := s.stallClass(r, s.banks[bi], now)
+		c, until := s.stallClass(r, s.banks[bi], now)
 		bk.count[c]++
 		m.count[c]++
+		bk.until = min(bk.until, until)
+		m.until = min(m.until, until)
 	}
 }
 
@@ -170,8 +176,8 @@ func (s *shard) attributeStalls(now sim.Tick, queued int, n uint64) {
 }
 
 // refreshStalls reclassifies every tracked bank whose memo is stale or
-// whose next timer release has come, untracks the banks left with no
-// queued request, and sets the memo's until to the least bank until.
+// whose bound has come, untracks the banks left with no queued request,
+// and sets the memo's until to the least bank until.
 func (s *shard) refreshStalls(now sim.Tick) {
 	m := s.stalls
 	next := sim.MaxTick
@@ -181,8 +187,11 @@ func (s *shard) refreshStalls(now sim.Tick) {
 		if now >= bk.until {
 			b := s.banks[bi]
 			var k [numStallClasses]int32
+			until := sim.MaxTick
 			for n := bk.head; n >= 0; n = m.nodes[n].next {
-				k[s.stallClass(m.nodes[n].r, b, now)]++
+				c, u := s.stallClass(m.nodes[n].r, b, now)
+				k[c]++
+				until = min(until, u)
 			}
 			for c := range k {
 				m.count[c] += int(k[c] - bk.count[c])
@@ -195,7 +204,7 @@ func (s *shard) refreshStalls(now sim.Tick) {
 				m.tracked = m.tracked[:last]
 				continue
 			}
-			bk.until = b.NextRelease(now)
+			bk.until = until
 		}
 		next = min(next, bk.until)
 	}
@@ -228,46 +237,54 @@ func (s *shard) stallHistogram(now sim.Tick) [telemetry.NumStallCauses]int {
 	var k [numStallClasses]int
 	for i := 0; i < s.readQ.Len(); i++ {
 		r := s.readQ.At(i)
-		k[s.stallClass(r, s.bankOf(r), now)]++
+		c, _ := s.stallClass(r, s.bankOf(r), now)
+		k[c]++
 	}
 	for i := 0; i < s.writeQ.Len(); i++ {
 		w := s.writeQ.At(i)
-		k[s.stallClass(w, s.bankOf(w), now)]++
+		c, _ := s.stallClass(w, s.bankOf(w), now)
+		k[c]++
 	}
 	return s.resolveStalls(&k, now)
 }
 
 // stallClass classifies one waiting cycle of a queued request on bank
-// b from the bank's state alone. The bank rules come first (SAG/CD/
-// write conflicts, see core's ReadStallCause and WriteStallCause).
+// b from the bank's state alone, and bounds the class: absent a command
+// on b it holds on [now, until), where until is the least timer above
+// now that the classification compared (sim.MaxTick when none is). The
+// bank rules come first (SAG/CD/write conflicts, see core's
+// ReadStallCause and WriteStallCause, which return their own bound).
 //
 // A device-ready read that could burst but didn't was blocked by the
 // shared bus (lane budget); a read whose segment is not open and sensed
 // (its activation not issued or its own sense in flight) is
-// stallActivate; a read pacing tCCD is controller-idle.
+// stallActivate; a read pacing tCCD is controller-idle. CanRead and
+// NeedsActivate compare no timer above now that ReadStallCause did not,
+// except tCCD's, which decides only the controller-idle read.
 //
 // A write past tCCD is stallBurst; one still pacing tCCD is
 // controller-idle, as are deliberate deferrals (idle-window hysteresis,
 // clobber avoidance, one-write-per-cycle budget) once resolved.
-func (s *shard) stallClass(r *mem.Request, b *core.Bank, now sim.Tick) int {
+func (s *shard) stallClass(r *mem.Request, b *core.Bank, now sim.Tick) (int, sim.Tick) {
 	row, col := r.Loc.Row, r.Loc.Col
 	if r.Op == mem.Write {
-		if cause, blocked := b.WriteStallCause(row, col, now); blocked {
-			return int(cause)
+		cause, blocked, until := b.WriteStallCause(row, col, now)
+		if blocked {
+			return int(cause), until
 		}
-		if b.ColumnReady(col, now) {
-			return stallBurst
+		if ready := b.ColumnReadyAt(col); now < ready {
+			return int(telemetry.StallControllerIdle), ready
 		}
-		return int(telemetry.StallControllerIdle)
+		return stallBurst, until
 	}
-	if cause, blocked := b.ReadStallCause(row, col, now); blocked {
-		return int(cause)
+	cause, blocked, until := b.ReadStallCause(row, col, now)
+	switch {
+	case blocked:
+		return int(cause), until
+	case b.CanRead(row, col, now):
+		return int(telemetry.StallBusConflict), until
+	case b.NeedsActivate(row, col, now):
+		return stallActivate, until
 	}
-	if b.CanRead(row, col, now) {
-		return int(telemetry.StallBusConflict)
-	}
-	if b.NeedsActivate(row, col, now) {
-		return stallActivate
-	}
-	return int(telemetry.StallControllerIdle)
+	return int(telemetry.StallControllerIdle), b.ColumnReadyAt(col)
 }

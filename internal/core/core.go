@@ -258,8 +258,8 @@ func (b *Bank) CanActivate(row, col int, now sim.Tick) bool {
 		// this, local sense amps (SALP) would admit one.
 		return false
 	}
-	_, blocked := b.activationBlocker(s, c, row, now)
-	return !blocked
+	_, until := b.activationBlocker(s, c, row, now)
+	return until == 0
 }
 
 // SenseOccupancy returns how long an activation holds its SAG and
@@ -410,7 +410,7 @@ func (b *Bank) Read(row, col int, now sim.Tick) sim.Tick {
 // at now: no conflict rule blocks it (see WriteStallCause) and tCCD
 // spacing on its CD's column path is respected (see ColumnReady).
 func (b *Bank) CanWrite(row, col int, now sim.Tick) bool {
-	if _, blocked := b.writeBlocker(b.sag(row), b.cd(col), now); blocked {
+	if _, until := b.writeBlocker(b.sag(row), b.cd(col), now); until != 0 {
 		return false
 	}
 	return b.ColumnReady(col, now)
@@ -419,8 +419,13 @@ func (b *Bank) CanWrite(row, col int, now sim.Tick) bool {
 // ColumnReady reports whether the CD of col has met its tCCD spacing at
 // now. For a write no conflict rule blocks, it is the rest of CanWrite.
 func (b *Bank) ColumnReady(col int, now sim.Tick) bool {
-	return now >= b.colReady[b.cd(col)]
+	return now >= b.ColumnReadyAt(col)
 }
+
+// ColumnReadyAt returns the tick from which the CD of col has met its
+// tCCD spacing: ColumnReady's timer, which bounds a stall class that
+// tCCD pacing decides.
+func (b *Bank) ColumnReadyAt(col int) sim.Tick { return b.colReady[b.cd(col)] }
 
 // Write issues a line write at now; panics if CanWrite is false.
 // The returned tick is when the tile becomes free again
@@ -497,9 +502,10 @@ func (b *Bank) WriteInFlight(now sim.Tick) bool { return now < b.writeEnd }
 // classifications are constant. Returns sim.MaxTick when every timer
 // has already expired.
 //
-// It is a full scan over every timer. The run loop asks the channel's
-// Calendar instead; this scan is what the fgnvm_invariants build and
-// the tests check the calendar against.
+// It is a full scan over every timer. Only the fgnvm_invariants
+// calendar check and the tests call it: the run loop asks the channel's
+// Calendar, and the stall memo bounds a class by the timers its
+// classification compared (ReadStallCause, WriteStallCause).
 func (b *Bank) NextRelease(now sim.Tick) sim.Tick {
 	next := sim.MaxTick
 	for _, t := range b.timers {
@@ -537,98 +543,122 @@ func (b *Bank) CDOf(col int) int { return b.cd(col) }
 // the controller), or the request's own activation is still sensing
 // (service, not a stall). A closed segment is classified by the
 // activation rules CanActivate applies.
-func (b *Bank) ReadStallCause(row, col int, now sim.Tick) (cause telemetry.StallCause, blocked bool) {
+//
+// until bounds the answer: it is the least timer above now among those
+// the classification compared (the own sense's when it is in flight),
+// or sim.MaxTick when none is, so absent a command the answer holds on
+// [now, until). A comparison found false stays false as time passes,
+// and the latches change only with a command.
+func (b *Bank) ReadStallCause(row, col int, now sim.Tick) (cause telemetry.StallCause, blocked bool, until sim.Tick) {
 	s, c := b.sag(row), b.cd(col)
 	if !b.SegmentOpen(row, col) {
-		return b.activationBlocker(s, c, row, now)
+		return stallBound(b.activationBlocker(s, c, row, now))
 	}
 	if now < b.segReady[s][c] {
-		return 0, false // own sense in flight: service, not a stall
+		return 0, false, b.segReady[s][c] // own sense in flight: service, not a stall
 	}
 	if now < b.cdWrite[c] {
-		return telemetry.StallWriteDrain, true
+		return telemetry.StallWriteDrain, true, b.cdWrite[c]
 	}
-	return 0, false // device-ready (bus/tCCD are controller-side)
+	return 0, false, sim.MaxTick // device-ready (bus/tCCD are controller-side)
+}
+
+// stallBound turns a blocker's answer into a stall classifier's: a
+// blocker reports the timer that blocks, or 0 when nothing does, and
+// nothing it compared then lies above now.
+func stallBound(cause telemetry.StallCause, until sim.Tick) (telemetry.StallCause, bool, sim.Tick) {
+	if until == 0 {
+		return 0, false, sim.MaxTick
+	}
+	return cause, true, until
 }
 
 // activationBlocker names the first conflict rule that keeps an
-// activation of row in SAG s through CD c from issuing at now, or
-// reports blocked=false. Precedence mirrors the rules: in-flight
-// writes first (rule 4), then SAG wordline serialization (rule 3),
-// then whole-bank serialization without Multi-Activation, then CD
-// sense-path serialization (rule 2). A row the SAG's wordline already
-// selects needs no new row selection, so only a write in the SAG
-// blocks it there.
-func (b *Bank) activationBlocker(s, c, row int, now sim.Tick) (telemetry.StallCause, bool) {
+// activation of row in SAG s through CD c from issuing at now, with the
+// least timer above now it compared, or reports until=0: no blocker.
+// Every blocked answer ends at the first comparison it finds true, so
+// until is that comparison's timer (bankBlocker's refines it).
+// Precedence mirrors the rules: in-flight writes first (rule 4), then
+// SAG wordline serialization (rule 3), then whole-bank serialization
+// without Multi-Activation, then CD sense-path serialization (rule 2).
+// A row the SAG's wordline already selects needs no new row selection,
+// so only a write in the SAG blocks it there.
+func (b *Bank) activationBlocker(s, c, row int, now sim.Tick) (telemetry.StallCause, sim.Tick) {
 	if now < b.sagWrite[s] {
-		return telemetry.StallWriteDrain, true
+		return telemetry.StallWriteDrain, b.sagWrite[s]
 	}
 	if b.openRow[s] != row && now < b.sagBusy[s] {
-		return telemetry.StallSAGConflict, true
+		return telemetry.StallSAGConflict, b.sagBusy[s]
 	}
 	if !b.modes.MultiActivation && now < b.bankBusy {
-		return b.bankBlocker(now), true
+		return b.bankBlocker(now)
 	}
 	if b.modes.LocalSenseAmps {
 		// DRAM-SALP: sensing happens in the subarray's own amplifiers
 		// and never contends for the bank-edge column path.
-		return 0, false
+		return 0, 0
 	}
 	if b.modes.PartialActivation {
 		return b.cdBlocker(c, now)
 	}
 	// Full-row activation senses every CD: all must be free.
 	for i := range b.cdBusy {
-		if cause, blocked := b.cdBlocker(i, now); blocked {
-			return cause, true
+		if cause, until := b.cdBlocker(i, now); until != 0 {
+			return cause, until
 		}
 	}
-	return 0, false
+	return 0, 0
 }
 
 // cdBlocker classifies CD c's bank-edge sense path at now: write
-// drivers first, then an in-flight sense.
-func (b *Bank) cdBlocker(c int, now sim.Tick) (telemetry.StallCause, bool) {
+// drivers first, then an in-flight sense. until is the blocking timer,
+// 0 when the path is free.
+func (b *Bank) cdBlocker(c int, now sim.Tick) (telemetry.StallCause, sim.Tick) {
 	if now < b.cdWrite[c] {
-		return telemetry.StallWriteDrain, true
+		return telemetry.StallWriteDrain, b.cdWrite[c]
 	}
 	if now < b.cdBusy[c] {
-		return telemetry.StallCDConflict, true
+		return telemetry.StallCDConflict, b.cdBusy[c]
 	}
-	return 0, false
+	return 0, 0
 }
 
-// bankBlocker attributes whole-bank serialization to the operation
-// occupying the bank: a write in flight → write-drain, otherwise → SAG
-// conflict (the single wordline/sense path is what the baseline
-// serializes on).
-func (b *Bank) bankBlocker(now sim.Tick) telemetry.StallCause {
+// bankBlocker attributes whole-bank serialization, which holds until
+// bankBusy > now, to the operation occupying the bank: a write in
+// flight → write-drain, otherwise → SAG conflict (the single
+// wordline/sense path is what the baseline serializes on). The cause
+// can change when either timer it compared releases.
+func (b *Bank) bankBlocker(now sim.Tick) (telemetry.StallCause, sim.Tick) {
 	if b.WriteInFlight(now) {
-		return telemetry.StallWriteDrain
+		return telemetry.StallWriteDrain, min(b.writeEnd, b.bankBusy)
 	}
-	return telemetry.StallSAGConflict
+	return telemetry.StallSAGConflict, b.bankBusy
 }
 
 // WriteStallCause is ReadStallCause's analogue for a line write of
-// (row, col).
-func (b *Bank) WriteStallCause(row, col int, now sim.Tick) (cause telemetry.StallCause, blocked bool) {
-	return b.writeBlocker(b.sag(row), b.cd(col), now)
+// (row, col), with the same bound.
+func (b *Bank) WriteStallCause(row, col int, now sim.Tick) (cause telemetry.StallCause, blocked bool, until sim.Tick) {
+	return stallBound(b.writeBlocker(b.sag(row), b.cd(col), now))
 }
 
 // writeBlocker names the first conflict rule that keeps a write in SAG
-// s through CD c from issuing at now, or reports blocked=false. A
-// write needs its SAG's wordline and its CD's write drivers (every SAG
-// and CD without Backgrounded Writes), and the bank itself when writes
-// or senses serialize it.
+// s through CD c from issuing at now, with the least timer above now
+// it compared, or reports until=0: no blocker. A write needs its SAG's
+// wordline and its CD's write drivers (every SAG and CD without
+// Backgrounded Writes), and the bank itself when writes or senses
+// serialize it.
 //
 // Without Backgrounded Writes the cause is that of the first blocked
 // (SAG, CD) pair in row-major order. A pair is blocked exactly when its
 // SAG or its CD is, so that pair is (0, 0) when SAG 0 is blocked, else
 // (0, j) for the first blocked CD j, else (i, 0) for the first blocked
 // SAG i: an O(SAGs + CDs) scan stands in for the O(SAGs × CDs) grid.
-func (b *Bank) writeBlocker(s, c int, now sim.Tick) (telemetry.StallCause, bool) {
-	if cause, blocked := b.tileWriteBlocker(s, c, now); blocked {
-		return cause, blocked
+// The pairs before that pair were free at now and stay free, so it
+// stays the first blocked pair, with the same cause, until the timer
+// that blocks it releases: that timer bounds the answer.
+func (b *Bank) writeBlocker(s, c int, now sim.Tick) (telemetry.StallCause, sim.Tick) {
+	if cause, until := b.tileWriteBlocker(s, c, now); until != 0 {
+		return cause, until
 	}
 	if !b.modes.BackgroundedWrites {
 		if i, j, blocked := b.firstBlockedTile(now); blocked {
@@ -636,25 +666,29 @@ func (b *Bank) writeBlocker(s, c int, now sim.Tick) (telemetry.StallCause, bool)
 		}
 	}
 	if now < b.bankBusy && (!b.modes.BackgroundedWrites || !b.modes.MultiActivation) {
-		return b.bankBlocker(now), true
+		return b.bankBlocker(now)
 	}
-	return 0, false
+	return 0, 0
 }
 
 // tileWriteBlocker classifies the (SAG i, CD j) pair for a write at
 // now: write drivers in either first, then the SAG's wordline, then the
-// CD's sense path.
-func (b *Bank) tileWriteBlocker(i, j int, now sim.Tick) (telemetry.StallCause, bool) {
-	if now < b.sagWrite[i] || now < b.cdWrite[j] {
-		return telemetry.StallWriteDrain, true
+// CD's sense path. until is the blocking timer, 0 when the pair is
+// free.
+func (b *Bank) tileWriteBlocker(i, j int, now sim.Tick) (telemetry.StallCause, sim.Tick) {
+	if now < b.sagWrite[i] {
+		return telemetry.StallWriteDrain, b.sagWrite[i]
+	}
+	if now < b.cdWrite[j] {
+		return telemetry.StallWriteDrain, b.cdWrite[j]
 	}
 	if now < b.sagBusy[i] {
-		return telemetry.StallSAGConflict, true
+		return telemetry.StallSAGConflict, b.sagBusy[i]
 	}
 	if now < b.cdBusy[j] {
-		return telemetry.StallCDConflict, true
+		return telemetry.StallCDConflict, b.cdBusy[j]
 	}
-	return 0, false
+	return 0, 0
 }
 
 // firstBlockedTile returns the first (SAG, CD) pair in row-major order

@@ -30,22 +30,22 @@ type perfCase struct {
 	Benchmark   string `json:"benchmark"`
 	Cycles      uint64 `json:"cycles"`
 	AllocsPerOp uint64 `json:"allocs_per_op"`
-	WriteHeavy  bool   `json:"write_heavy"`
 }
 
-// perfReport is the baseline's schema. Reps and GoVersion describe how
-// the file was first recorded and are carried through unchanged.
+// perfReport is the baseline's schema. GoVersion names the toolchain
+// the allocation figures were measured with and is carried through
+// unchanged.
 type perfReport struct {
 	Instructions uint64     `json:"instructions"`
 	Seed         uint64     `json:"seed"`
-	Reps         int        `json:"reps"`
 	GoVersion    string     `json:"go_version"`
 	Cases        []perfCase `json:"cases"`
 }
 
-// loadPerfReport decodes the baseline and requires it to list every
-// design on lbm, then FgNVM and FgNVM multi-issue on mcf, in that
-// order, so that a case dropped from the file cannot drop its check.
+// loadPerfReport decodes the baseline, refusing any field the schema
+// lacks, and requires it to list every design on lbm, then FgNVM and
+// FgNVM multi-issue on mcf, in that order, so that a case dropped from
+// the file cannot drop its check.
 func loadPerfReport(t *testing.T) perfReport {
 	t.Helper()
 	b, err := os.ReadFile(perfBaseline)
@@ -53,7 +53,9 @@ func loadPerfReport(t *testing.T) perfReport {
 		t.Fatal(err)
 	}
 	var rep perfReport
-	if err := json.Unmarshal(b, &rep); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&rep); err != nil {
 		t.Fatalf("parse %s: %v", perfBaseline, err)
 	}
 	var want, got []string
